@@ -1,6 +1,6 @@
 """affcells: exact computations in affine flag combinatorics for type A.
 
-The package provides, over exact rationals (or an optional prime field):
+The package provides, over exact rationals:
 
 * Laurent-polynomial linear algebra (`laurent`),
 * the affine symmetric group in window notation, with length, Bruhat order,
@@ -43,16 +43,7 @@ from .constructions import (
     richardson_element,
     varpi_witness,
 )
-from .laurent import (
-    BOREL_MINUS,
-    BOREL_PLUS,
-    LaurentMatrix,
-    LaurentPoly,
-    PrimeField,
-    borel_membership,
-    det,
-    invert,
-)
+from .laurent import BOREL_PLUS, LaurentMatrix, LaurentPoly, borel_membership, det, invert
 from .lattices import AffineFlag, Lattice, quotient_dim, vdim
 from .partitions import (
     Composition,

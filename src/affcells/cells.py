@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import affine
 from .affine import AffinePermutation
 from .errors import (
+    IdentityFailed,
     NotInNilradical,
     NotMaximalParabolic,
     NotNilpotent,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .laurent import LaurentMatrix, LaurentPoly, det
 from .lattices import AffineFlag, Lattice
-from .partitions import Composition
+from .partitions import Composition, vector_rank
 
 __all__ = [
     "phi_point",
@@ -98,7 +99,7 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int):
         v = [a - b.shift(s).scale(factor) for a, b in zip(v, hvec)]
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
-            raise RuntimeError("reduction failed to terminate; not a unit matrix?")
+            raise IdentityFailed("reduction failed to terminate; not a unit matrix?")
 
 
 def _triangular_basis(vectors: list, n: int) -> dict:
@@ -116,7 +117,8 @@ def _triangular_basis(vectors: list, n: int) -> dict:
         v = pool.pop()
         while True:
             lead = _lead(v, n)
-            assert lead is not None, "basis vectors cannot reduce to zero"
+            if lead is None:
+                raise IdentityFailed("basis vectors cannot reduce to zero")
             idx, r0, coeff = lead
             key = idx % n
             entry = basis.get(key)
@@ -133,7 +135,7 @@ def _triangular_basis(vectors: list, n: int) -> dict:
                 break
             steps += 1
             if steps > _MAX_REDUCTION_STEPS:
-                raise RuntimeError("triangularization failed to terminate")
+                raise IdentityFailed("triangularization failed to terminate")
     return basis
 
 
@@ -158,7 +160,8 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
         gens += [[p.shift(1) for p in c] for c in cols[j - 1 :]]
         basis = _triangular_basis(gens, n)
         reduced = _reduce(list(cols[j - 1]), basis, n)
-        assert reduced is not None, "column cannot lie in the previous span"
+        if reduced is None:
+            raise IdentityFailed("column cannot lie in the previous span")
         _, idx = reduced
         window.append(idx)
     return AffinePermutation(tuple(window))
@@ -234,24 +237,6 @@ def psi_map(X: LaurentMatrix):
     return point, Lattice.from_basis(point)
 
 
-def _column_space_rank(cols) -> int:
-    """Rank of a family of constant Fraction vectors."""
-    rows = len(cols[0]) if cols else 0
-    a = [list(c) for c in cols]
-    rank = 0
-    for r in range(rows):
-        piv = next((c for c in range(rank, len(a)) if a[c][r]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for c in range(len(a)):
-            if c != rank and a[c][r]:
-                f = a[c][r] / a[rank][r]
-                a[c] = [x - f * y for x, y in zip(a[c], a[rank])]
-        rank += 1
-    return rank
-
-
 def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = None):
     """The convolution-style flag: L_i spanned by (1 - t^-1 X) V[t] and
     t^-1 F_i, where F_i is spanned by the first d_i frame columns.
@@ -274,7 +259,7 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
         for col in frame_cols[d[i - 1] : d[i]]:
             image = [sum((xmat[r][k] * col[k] for k in range(n)), Fraction(0)) for r in range(n)]
             if any(image) and (
-                not prev or _column_space_rank(prev + [image]) != _column_space_rank(prev)
+                not prev or vector_rank(prev + [image]) != vector_rank(prev)
             ):
                 raise NotInNilradical(f"X does not carry step {i} into step {i - 1}")
     point = LaurentMatrix.identity(n) - X.scale_t(-1)

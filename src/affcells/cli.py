@@ -164,7 +164,7 @@ def _cmd_cell(args) -> int:
             return _usage(str(exc))
     try:
         M = jsonio.matrix_from_obj(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         return _usage(f"bad matrix JSON: {exc}")
     try:
         w = cells.iwahori_cell(M)
@@ -291,3 +291,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,6 @@ __all__ = [
     "window_to_obj",
     "window_from_obj",
     "root_to_obj",
-    "root_from_obj",
     "dumps",
 ]
 
@@ -62,10 +61,6 @@ def window_from_obj(obj: dict) -> AffinePermutation:
 
 def root_to_obj(alpha: Root) -> dict:
     return {"i": alpha.i, "j": alpha.j}
-
-
-def root_from_obj(obj: dict, n: int) -> Root:
-    return Root.make(int(obj["i"]), int(obj["j"]), n)
 
 
 def dumps(obj) -> str:

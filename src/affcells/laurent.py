@@ -1,8 +1,8 @@
-"""Exact Laurent polynomials over an exact field, and dense square matrices.
+"""Exact Laurent polynomials over the rationals, and dense square matrices.
 
-Scalars are `fractions.Fraction` by default; a prime field F_p (p >= 5) is
-available through :class:`PrimeField` for faster sweeps.  No floating point
-appears anywhere: every operation is exact or raises.
+Every coefficient is a `fractions.Fraction`; plain ints are coerced on the
+way in.  No floating point appears anywhere: every operation is exact or
+raises.
 
 A Laurent polynomial is a sparse map ``{exponent: coefficient}`` with no zero
 coefficients stored; the zero polynomial is the empty map.  ``ord`` of the
@@ -16,44 +16,34 @@ the usual E_{i,j} notation for elementary matrices; the sparse constructor
 >>> p = LaurentPoly.t() ** 2 - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
 (-1, 2)
->>> lp_ord(LaurentPoly.zero())
+>>> LaurentPoly.zero().ord()
 inf
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .errors import NotAUnit
+from .errors import IdentityFailed, NotAUnit
 
 __all__ = [
     "ORD_ZERO",
-    "PrimeField",
-    "GFElement",
     "LaurentPoly",
     "LaurentMatrix",
-    "lp_ord",
     "det",
     "invert",
     "borel_membership",
-    "map_coefficients",
     "BOREL_PLUS",
-    "BOREL_MINUS",
 ]
 
 #: ord of the zero polynomial; compares greater than every integer.
 ORD_ZERO = math.inf
 
-Scalar = Union[Fraction, "GFElement"]
-
 
 def _as_scalar(c):
-    """Coerce plain ints (and Fractions) to Fraction; pass field elements through."""
-    if isinstance(c, GFElement):
-        return c
+    """Coerce plain ints to Fraction; reject anything inexact."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -61,82 +51,12 @@ def _as_scalar(c):
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-class PrimeField:
-    """The prime field F_p, p a prime >= 5.
-
-    Instances are callables producing :class:`GFElement` values:
-
-    >>> F = PrimeField(7)
-    >>> F(3) + F(5)
-    GFElement(p=7, value=1)
-    """
-
-    def __init__(self, p: int):
-        if p < 5 or not _is_prime(p):
-            raise ValueError(f"p must be a prime >= 5, got {p}")
-        self.p = p
-
-    def __call__(self, value: int) -> "GFElement":
-        return GFElement(self.p, value % self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@dataclass(frozen=True)
-class GFElement:
-    """An element of F_p with exact modular arithmetic."""
-
-    p: int
-    value: int
-
-    def _check(self, other):
-        if not isinstance(other, GFElement) or other.p != self.p:
-            raise TypeError("mixed-field arithmetic")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, (self.value + other.value) % self.p)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, (self.value - other.value) % self.p)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return GFElement(self.p, (self.value * other.value) % self.p)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return GFElement(self.p, (self.value * pow(other.value, -1, self.p)) % self.p)
-
-    def __neg__(self):
-        return GFElement(self.p, (-self.value) % self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-
 class LaurentPoly:
     """A Laurent polynomial with exact coefficients, stored sparsely."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+    def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         d = {}
         for e, c in items:
@@ -195,10 +115,6 @@ class LaurentPoly:
     def is_polynomial(self) -> bool:
         """True when all exponents are >= 0, i.e. the value lies in k[t]."""
         return all(e >= 0 for e in self._terms)
-
-    def is_antipolynomial(self) -> bool:
-        """True when all exponents are <= 0, i.e. the value lies in k[t^-1]."""
-        return all(e <= 0 for e in self._terms)
 
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {0}
@@ -290,7 +206,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.constant(other)
         return NotImplemented
 
@@ -317,25 +233,6 @@ def _raw(d: dict) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = d
     return p
-
-
-def lp_ord(p: LaurentPoly):
-    """Free-function form of ord, for symmetry with det/invert."""
-    return p.ord()
-
-
-def map_coefficients(M: LaurentMatrix, fn) -> LaurentMatrix:
-    """Apply fn to every coefficient, e.g. to move a rational matrix into F_p.
-
-    >>> F = PrimeField(7)
-    >>> reduce = lambda c: F(c.numerator) / F(c.denominator)
-    >>> m = map_coefficients(LaurentMatrix.identity(2) * Fraction(1, 2), reduce)
-    >>> m.entry(1, 1).coeff(0)
-    GFElement(p=7, value=4)
-    """
-    return LaurentMatrix(
-        [[LaurentPoly({e: fn(c) for e, c in p.terms.items()}) for p in row] for row in M.rows]
-    )
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -454,7 +351,7 @@ class LaurentMatrix:
         return LaurentMatrix([[-p for p in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction, GFElement)):
+        if isinstance(other, (LaurentPoly, int, Fraction)):
             p = self._entry(other)
             return LaurentMatrix([[e * p for e in row] for row in self.rows])
         self._same_size(other)
@@ -475,18 +372,13 @@ class LaurentMatrix:
         return LaurentMatrix(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction, GFElement)):
+        if isinstance(other, (LaurentPoly, int, Fraction)):
             return self * other
         return NotImplemented
 
     def scale_t(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by t^k."""
         return LaurentMatrix([[p.shift(k) for p in row] for row in self.rows])
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
 
     def _same_size(self, other):
         if not isinstance(other, LaurentMatrix) or other.n != self.n:
@@ -500,12 +392,6 @@ class LaurentMatrix:
     def min_ord(self):
         """Least entry ord over the whole matrix (ORD_ZERO for the zero matrix)."""
         return min((p.ord() for row in self.rows for p in row), default=ORD_ZERO)
-
-    def constant_part(self) -> "LaurentMatrix":
-        """The matrix of t^0 coefficients."""
-        return LaurentMatrix(
-            [[LaurentPoly.constant(p.coeff(0)) for p in row] for row in self.rows]
-        )
 
     # -- protocol --------------------------------------------------------------------
 
@@ -552,7 +438,8 @@ def det(M: LaurentMatrix) -> LaurentPoly:
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 q = laurent_exact_div(num, prev) if not prev == LaurentPoly.one() else num
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise IdentityFailed("Bareiss division must be exact")
                 a[i][j] = q
             a[i][k] = LaurentPoly.zero()
         prev = a[k][k]
@@ -587,38 +474,30 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
             cof = det(_minor(M, i, j))
             if (i + j) % 2:
                 cof = -cof
-            out[j][i] = cof.scale(1 / coeff if isinstance(coeff, Fraction) else _inv_scalar(coeff)).shift(-exp)
+            out[j][i] = cof.scale(1 / coeff).shift(-exp)
     return LaurentMatrix(out)
 
 
-def _inv_scalar(c):
-    if isinstance(c, GFElement):
-        return GFElement(c.p, 1) / c
-    return 1 / c
-
-
-#: Labels for Iwahori membership sides.
+#: Label for membership in the standard Iwahori subgroup.
 BOREL_PLUS = "B+"
-BOREL_MINUS = "B-"
 
 
 def borel_membership(M: LaurentMatrix) -> frozenset:
-    """Classify M against the two standard Iwahori subgroups.
+    """Classify M against the standard Iwahori subgroup.
 
-    Returns a frozenset containing BOREL_PLUS when all entries lie in k[t],
-    det is a nonzero constant, and M mod t is upper triangular; BOREL_MINUS
-    for the mirror condition over k[t^-1] evaluated at t^-1 = 0.  The empty
-    set means neither.
+    Returns frozenset({BOREL_PLUS}) when all entries lie in k[t], det is a
+    nonzero constant, and M mod t is upper triangular; the empty set
+    otherwise.
     """
-    sides = set()
     d = det(M)
-    det_ok = d.is_monomial() and d.ord() == 0
-    if det_ok:
-        if all(p.is_polynomial() for row in M.rows for p in row) and _upper_at_zero(M):
-            sides.add(BOREL_PLUS)
-        if all(p.is_antipolynomial() for row in M.rows for p in row) and _upper_at_zero(M):
-            sides.add(BOREL_MINUS)
-    return frozenset(sides)
+    if (
+        d.is_monomial()
+        and d.ord() == 0
+        and all(p.is_polynomial() for row in M.rows for p in row)
+        and _upper_at_zero(M)
+    ):
+        return frozenset({BOREL_PLUS})
+    return frozenset()
 
 
 def _upper_at_zero(M: LaurentMatrix) -> bool:

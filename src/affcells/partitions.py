@@ -6,7 +6,8 @@ sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 
 Jordan types of constant nilpotent matrices are computed by exact ranks of
 powers over the rationals (fraction-free elimination never enters: Fraction
-arithmetic is already exact).
+arithmetic is already exact).  `vector_rank` is the one exact rank routine of
+the package; `cells.mv_flag` uses it too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "dominance_leq",
     "jordan_type",
     "constant_rank",
+    "vector_rank",
     "partitions_of",
     "compositions_of",
 ]
@@ -124,29 +126,33 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
     return True
 
 
-def constant_rank(M: LaurentMatrix) -> int:
-    """Exact rank of a constant matrix, by Gaussian elimination over the field."""
-    if not M.is_constant():
-        raise ValueError("constant_rank expects a constant matrix")
-    n = M.n
-    a = [[M.rows[i][j].coeff(0) for j in range(n)] for i in range(n)]
+def vector_rank(vectors) -> int:
+    """Exact rank of a family of equal-length Fraction vectors, by forward
+    Gaussian elimination (no back substitution)."""
+    a = [list(v) for v in vectors]
+    rows = len(a)
     rank = 0
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if a[r][col]), None)
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
         if pivot is None:
             continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = a[row][col]
-        for r in range(row + 1, n):
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = a[rank][col]
+        for r in range(rank + 1, rows):
             if a[r][col]:
                 factor = a[r][col] / inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
         rank += 1
-        row += 1
-        if row == n:
+        if rank == rows:
             break
     return rank
+
+
+def constant_rank(M: LaurentMatrix) -> int:
+    """Exact rank of a constant matrix."""
+    if not M.is_constant():
+        raise ValueError("constant_rank expects a constant matrix")
+    return vector_rank([p.coeff(0) for p in row] for row in M.rows)
 
 
 def jordan_type(X: LaurentMatrix) -> Partition:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import IdentityFailed
 from .partitions import Composition, Partition
 
 __all__ = ["Tableau", "build"]
@@ -78,7 +79,7 @@ def build(lam: Composition) -> Tableau:
                 entry = d[row_idx - 1] + col
                 f[(col, depth)] = entry
                 column_of[entry] = (col, depth)
-        assert depth == nu.part(col), "column height must match the column partition"
+        _require(depth == nu.part(col), "column height must match the column partition")
 
     s1 = frozenset(f[(col, 1)] for col in range(1, s + 1))
     s2 = frozenset(range(1, n + 1)) - s1
@@ -119,22 +120,29 @@ def build(lam: Composition) -> Tableau:
     return tab
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise IdentityFailed(f"tableau invariant: {what}")
+
+
 def _check(tab: Tableau) -> None:
     lam = tab.lam
     n = lam.n
     all_red = {j for i in tab.red for j in tab.red[i]}
     all_blue = {j for i in tab.blue for j in tab.blue[i]}
-    assert all_red | all_blue == set(range(1, n + 1)) and not (all_red & all_blue)
-    assert tab.s1 | tab.s2 == set(range(1, n + 1)) and not (tab.s1 & tab.s2)
+    _require(all_red | all_blue == set(range(1, n + 1)) and not (all_red & all_blue),
+             "red and blue partition 1..n")
+    _require(tab.s1 | tab.s2 == set(range(1, n + 1)) and not (tab.s1 & tab.s2),
+             "S1 and S2 partition 1..n")
     for i in range(1, lam.r + 1):
         s1_i = [e for e in tab.s1 if e in lam.row(i)]
-        assert len(s1_i) == len(tab.red[i]), f"row {i}: #S1 != #red"
+        _require(len(s1_i) == len(tab.red[i]), f"row {i}: #S1 != #red")
         if tab.red[i] and tab.blue[i]:
-            assert max(tab.red[i]) < min(tab.blue[i])
-    assert list(tab.l) == sorted(tab.l)
-    assert len(tab.tmap) == len(tab.m) == len(tab.s2)
-    assert set(tab.tmap) == tab.s2
-    assert all(tab.iota[e] == tab.f[(c, k - 1)] for e, (c, k) in
-               ((e, tab.column_of[e]) for e in tab.s2))
-    # non-top entries are exactly S2
-    assert {tab.f[ck] for ck in tab.f if ck[1] > 1} == set(tab.s2)
+            _require(max(tab.red[i]) < min(tab.blue[i]), f"row {i}: red precedes blue")
+    _require(list(tab.l) == sorted(tab.l), "l is increasing")
+    _require(len(tab.tmap) == len(tab.m) == len(tab.s2), "t, m and S2 have one length")
+    _require(set(tab.tmap) == tab.s2, "t enumerates S2")
+    _require(all(tab.iota[e] == tab.f[(c, k - 1)] for e, (c, k) in
+                 ((e, tab.column_of[e]) for e in tab.s2)),
+             "iota moves one box up")
+    _require({tab.f[ck] for ck in tab.f if ck[1] > 1} == set(tab.s2), "non-top entries are S2")

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import affcells
 from affcells import jsonio
 from affcells.cli import run
 from affcells.laurent import LaurentMatrix
@@ -98,6 +103,23 @@ class TestCellCommand:
         path.write_text("{\"n\": 2, \"entries\": []}")
         assert run(["cell", "--matrix", str(path)]) == 2
 
+    def test_zero_denominator_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 1, "entries": [[[0, 1, 0]]]}))
+        assert run(["cell", "--matrix", str(path)]) == 2
+        assert "bad matrix JSON" in capsys.readouterr().err
+
+    def test_reduction_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # [[1, 0], [1, 1]] needs at least one reduction step to triangularize
+        path = tmp_path / "lower.json"
+        path.write_text(json.dumps(
+            {"n": 2, "entries": [[[0, 1, 1]], [], [[0, 1, 1]], [[0, 1, 1]]]}))
+        assert run(["cell", "--matrix", str(path)]) == 0
+        capture(capsys)
+        monkeypatch.setattr("affcells.cells._MAX_REDUCTION_STEPS", 0)
+        assert run(["cell", "--matrix", str(path)]) == 2
+        assert "failed to terminate" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -125,6 +147,27 @@ class TestVerifyCommand:
 
     def test_usage_error(self):
         assert run(["verify", "--suite", "nonsense"]) == 2
+
+
+class TestModuleEntryPoints:
+    def _run_module(self, module):
+        env = dict(os.environ)
+        src = str(Path(affcells.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, "verify", "--suite", "lengths", "--nmax", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_python_m_affcells(self):
+        proc = self._run_module("affcells")
+        assert proc.returncode == 0, proc.stderr
+        assert "ALL SUITES PASSED" in proc.stdout
+
+    def test_python_m_affcells_cli(self):
+        proc = self._run_module("affcells.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert "ALL SUITES PASSED" in proc.stdout
 
 
 class TestReportCommand:

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affcells.errors import NotNilpotent, SizeMismatch
 from affcells.laurent import LaurentMatrix, LaurentPoly
@@ -9,9 +13,11 @@ from affcells.partitions import (
     Partition,
     compositions_of,
     conjugate,
+    constant_rank,
     dominance_leq,
     jordan_type,
     partitions_of,
+    vector_rank,
 )
 from affcells.sampling import jordan_matrix, random_conjugate_frame
 
@@ -91,6 +97,71 @@ class TestJordanType:
             jordan_type(LaurentMatrix.identity(3))
         with pytest.raises(NotNilpotent):
             jordan_type(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.t(-1)]))
+
+
+def _fraction_det(rows):
+    total = Fraction(0)
+    k = len(rows)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        term = Fraction(1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += -term if inversions % 2 else term
+    return total
+
+
+def minor_rank(vectors):
+    """Rank as the size of the largest nonzero minor; independent of elimination."""
+    if not vectors:
+        return 0
+    width = len(vectors[0])
+    for k in range(min(len(vectors), width), 0, -1):
+        for rows in combinations(vectors, k):
+            for cols in combinations(range(width), k):
+                if _fraction_det([[row[c] for c in cols] for row in rows]):
+                    return k
+    return 0
+
+
+families = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)).map(Fraction),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+class TestVectorRank:
+    def test_non_square_families(self):
+        one, zero = Fraction(1), Fraction(0)
+        assert vector_rank([]) == 0
+        assert vector_rank([[zero, zero, zero]]) == 0
+        assert vector_rank([[one, zero, one], [zero, one, one]]) == 2
+        assert vector_rank([[one, zero, one], [2 * one, zero, 2 * one]]) == 1
+        tall = [[one, zero], [zero, one], [one, one], [one, -one]]
+        assert vector_rank(tall) == 2
+
+    @given(families)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_minor_oracle_and_transpose(self, vectors):
+        rank = vector_rank(vectors)
+        assert rank == minor_rank(vectors)
+        assert rank == vector_rank([list(col) for col in zip(*vectors)])
+
+    def test_leaves_its_input_alone(self):
+        vectors = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        vector_rank(vectors)
+        assert vectors == [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+
+    def test_constant_rank_agrees(self):
+        rng = random.Random(3)
+        for mu in partitions_of(5):
+            g, ginv = random_conjugate_frame(rng, 5)
+            x = g * jordan_matrix(mu) * ginv
+            rows = [[p.coeff(0) for p in row] for row in x.rows]
+            assert constant_rank(x) == vector_rank(rows) == 5 - len(mu)
 
 
 class TestComposition:

@@ -1,14 +1,4 @@
-from fractions import Fraction
-
 from affcells import verify
-from affcells.constructions import richardson_element, varpi_witness
-from affcells.laurent import (
-    LaurentMatrix,
-    PrimeField,
-    det,
-    map_coefficients,
-)
-from affcells.partitions import Composition
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
 
 
@@ -43,36 +33,3 @@ class TestReportInvariants:
         strict = report_obj([r], 2, 0, enforce_coverage=True)
         assert loose["ok"] is True
         assert strict["ok"] is False and strict["coverage_missing"]
-
-
-class TestPrimeFieldMode:
-    def test_certificate_identity_over_f7(self):
-        # the exact identity specializes to any prime field where the
-        # denominators stay invertible; the witness matrices are integral
-        F = PrimeField(7)
-
-        def reduce(c):
-            return F(int(Fraction(c).numerator)) / F(int(Fraction(c).denominator))
-
-        for parts in ((1, 1), (2, 1), (2, 2)):
-            lam = Composition(parts)
-            wit = varpi_witness(lam)
-            z = richardson_element(lam)
-            point = LaurentMatrix.identity(lam.n) - z.scale_t(-1)
-            lhs = (
-                map_coefficients(wit.b, reduce)
-                * map_coefficients(point, reduce)
-                * map_coefficients(wit.c, reduce)
-            )
-            assert lhs == map_coefficients(wit.lift, reduce)
-
-    def test_determinant_commutes_with_reduction(self):
-        F = PrimeField(11)
-
-        def reduce(c):
-            return F(int(Fraction(c).numerator)) / F(int(Fraction(c).denominator))
-
-        m = varpi_witness(Composition((2, 1, 1))).b
-        assert det(map_coefficients(m, reduce)) == map_coefficients(
-            LaurentMatrix([[det(m)]]), reduce
-        ).entry(1, 1)
