@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadIndices, NotMonomialPermutation, PeriodMismatch
 from .laurent import LaurentMatrix, LaurentPoly
+from .ops import op
 
 __all__ = [
     "AffinePermutation",
@@ -40,7 +41,6 @@ __all__ = [
     "act_on_root",
     "quad_minimum",
     "bruhat_ball",
-    "clear_caches",
 ]
 
 
@@ -121,6 +121,7 @@ class AffinePermutation:
                 total += abs(c[i] - c[j] - f)
         return total
 
+    @op
     def length_oracle(self) -> int:
         """Brute-force inversion count over a provably sufficient window.
 
@@ -166,6 +167,7 @@ def simple_reflection(n: int, i: int) -> AffinePermutation:
     return AffinePermutation(tuple(w))
 
 
+@op
 def reflection(n: int, a: int, b: int) -> AffinePermutation:
     """The finite reflection swapping a and b, for 1 <= a < b <= n."""
     if not 1 <= a < b <= n:
@@ -183,6 +185,7 @@ def translation(n: int, q: Sequence[int]) -> AffinePermutation:
     return AffinePermutation(tuple(i - q[i - 1] * n for i in range(1, n + 1)))
 
 
+@op
 def from_matrix(M: LaurentMatrix) -> AffinePermutation:
     """Read an affine permutation off a monomial matrix with ord(det) = 0.
 
@@ -210,6 +213,7 @@ def from_matrix(M: LaurentMatrix) -> AffinePermutation:
         raise NotMonomialPermutation(str(exc)) from exc
 
 
+@op
 def decompose_translation(w: AffinePermutation) -> tuple[AffinePermutation, tuple[int, ...]]:
     """Split w = sigma * tau_q with sigma finite and tau_q = diag(t^{q_i}).
 
@@ -242,10 +246,8 @@ class Root:
     def positive(self) -> bool:
         return self.i < self.j
 
-    def negated(self) -> "Root":
-        return Root.make(self.j, self.i, self.n)
 
-
+@op
 def act_on_root(w: AffinePermutation, alpha: Root) -> Root:
     """Apply the window to both coordinates and canonicalize."""
     if w.n != alpha.n:
@@ -254,12 +256,10 @@ def act_on_root(w: AffinePermutation, alpha: Root) -> Root:
 
 
 _BRUHAT_CACHE: dict = {}
+_BRUHAT_CACHE_MAX = 1 << 16  # emptied when full, so long sweeps stay bounded
 
 
-def clear_caches() -> None:
-    _BRUHAT_CACHE.clear()
-
-
+@op
 def bruhat_leq(v: AffinePermutation, w: AffinePermutation) -> bool:
     """Bruhat order via the lifting property, memoized.
 
@@ -291,6 +291,8 @@ def _bruhat_leq(v, w, lv, lw) -> bool:
         result = _bruhat_leq(sv, sw, lsv, lw - 1)
     else:
         result = _bruhat_leq(v, sw, lv, lw - 1)
+    if len(_BRUHAT_CACHE) >= _BRUHAT_CACHE_MAX:
+        _BRUHAT_CACHE.clear()
     _BRUHAT_CACHE[key] = result
     return result
 
@@ -300,6 +302,7 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
+@op
 def min_coset_rep(
     w: AffinePermutation, J: Iterable[int], side: Side = Side.RIGHT
 ) -> AffinePermutation:
@@ -352,6 +355,7 @@ class QuadMinimum:
     chains: tuple[tuple[AffinePermutation, ...], ...]
 
 
+@op
 def quad_minimum(w: AffinePermutation, a: int, b: int) -> QuadMinimum:
     """Minimal element among {w, s_l w, w s_r, s_l w s_r} for s_r = s_(a,b).
 

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .laurent import LaurentMatrix, LaurentPoly, det
 from .lattices import AffineFlag, Lattice
+from .ops import op
 from .partitions import Composition, vector_rank
 
 __all__ = [
@@ -139,6 +140,7 @@ def _triangular_basis(vectors: list, n: int) -> dict:
     return basis
 
 
+@op
 def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
     """The unique w with M in (Iwahori) w (Iwahori).
 
@@ -167,6 +169,7 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
     return AffinePermutation(tuple(window))
 
 
+@op
 def parabolic_cell(M: LaurentMatrix, J) -> AffinePermutation:
     """Minimal representative of the Iwahori cell modulo the parabolic J."""
     return affine.min_coset_rep(iwahori_cell(M), J, affine.Side.RIGHT)
@@ -197,6 +200,7 @@ def phi_point(g: LaurentMatrix, X: LaurentMatrix) -> LaurentMatrix:
     return g * (LaurentMatrix.identity(g.n) - X.scale_t(-1))
 
 
+@op
 def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     """Embed a cotangent point: (point, flag) with L_i the image of the
     standard step lattice under the point matrix.
@@ -223,6 +227,7 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     return point, flag
 
 
+@op
 def psi_map(X: LaurentMatrix):
     """Embed a nilpotent into the affine Grassmannian: (point, lattice)."""
     n = X.n
@@ -237,6 +242,7 @@ def psi_map(X: LaurentMatrix):
     return point, Lattice.from_basis(point)
 
 
+@op
 def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = None):
     """The convolution-style flag: L_i spanned by (1 - t^-1 X) V[t] and
     t^-1 F_i, where F_i is spanned by the first d_i frame columns.

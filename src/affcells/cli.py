@@ -46,15 +46,12 @@ def _usage(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _emit(obj: dict, fmt: str, text_renderer=None) -> None:
+def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(jsonio.dumps(obj))
     else:
-        if text_renderer is None:
-            for key, value in obj.items():
-                print(f"{key}: {value}")
-        else:
-            print(text_renderer(obj))
+        for key, value in obj.items():
+            print(f"{key}: {value}")
 
 
 def _cmd_tableau(args) -> int:

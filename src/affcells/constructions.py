@@ -38,6 +38,7 @@ from .laurent import (
     borel_membership,
     det,
 )
+from .ops import op
 from .partitions import Composition
 from .tableau import Tableau, build
 
@@ -89,6 +90,7 @@ class KappaBundle:
     sigma: AffinePermutation
 
 
+@op
 def kappa_bundle(lam: Composition) -> KappaBundle:
     """kappa and its translation/finite parts, with the bundle identities checked.
 
@@ -122,6 +124,7 @@ def kappa_bundle(lam: Composition) -> KappaBundle:
     return KappaBundle(lam=lam, tableau=tab, kappa=kappa, tau_q=tau_q, sigma=sigma)
 
 
+@op
 def richardson_element(lam: Composition) -> LaurentMatrix:
     """The dense-orbit nilpotent Z = sum over columns of down-shift maps.
 
@@ -188,6 +191,7 @@ def _varpi_lift(tab: Tableau) -> LaurentMatrix:
     return LaurentMatrix.from_entries(tab.n, entries)
 
 
+@op
 def varpi_witness(lam: Composition) -> VarpiWitness:
     """The cell certificate b (1 - t^-1 Z) c = lift, checked exactly.
 
@@ -222,6 +226,7 @@ def broken_corner_witness(lam: Composition) -> bool:
     return _b_matrix(tab) * point * c_bad == _varpi_lift(tab)
 
 
+@op
 def decompose_varpi(lam: Composition) -> tuple[AffinePermutation, AffinePermutation]:
     """Finite w_g and block-preserving w_p with varpi = w_g * kappa * w_p.
 
@@ -270,6 +275,7 @@ class KappaReport:
         return self.length == self.length_formula
 
 
+@op
 def check_kappa(lam: Composition) -> KappaReport:
     """Minimality, left stability, and the closed-form length of kappa.
 
@@ -317,6 +323,7 @@ def check_kappa(lam: Composition) -> KappaReport:
     )
 
 
+@op
 def conormal_directions(w: AffinePermutation, sp: frozenset[int]) -> frozenset[Root]:
     """Positive finite roots outside the parabolic that w keeps positive.
 
@@ -387,6 +394,7 @@ class DivisorBundle:
     v_k_min: AffinePermutation
 
 
+@op
 def divisor_data(lam: Composition, i: int) -> DivisorBundle:
     """All data attached to the i-th codimension-one stratum, verified.
 

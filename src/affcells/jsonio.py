@@ -3,7 +3,7 @@
 Matrix: ``{"n": int, "entries": [cell, ...]}`` with one cell per position in
 row-major order; a cell is a list of term triples ``[exp, num, den]`` and the
 empty list is zero.  Window: ``{"n": int, "window": [int, ...]}``.  Root:
-``{"i": int, "j": int}``.  Rational coefficients only.
+``{"i": int, "j": int}``.  Every number is a JSON integer; n >= 1.
 """
 
 from __future__ import annotations
@@ -34,18 +34,25 @@ def matrix_to_obj(M: LaurentMatrix) -> dict:
     return {"n": M.n, "entries": cells}
 
 
+def _int(value) -> int:
+    if type(value) is not int:  # no bool, float or string coercion
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def matrix_from_obj(obj: dict) -> LaurentMatrix:
-    n = int(obj["n"])
+    n = _int(obj["n"])
     cells = obj["entries"]
-    if len(cells) != n * n:
-        raise ValueError(f"expected {n * n} cells, got {len(cells)}")
+    if n < 1 or len(cells) != n * n:
+        raise ValueError(f"expected n >= 1 and n * n cells, got n = {n}, {len(cells)} cells")
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             terms = {}
             for exp, num, den in cells[i * n + j]:
-                terms[int(exp)] = terms.get(int(exp), Fraction(0)) + Fraction(int(num), int(den))
+                exp = _int(exp)
+                terms[exp] = terms.get(exp, Fraction(0)) + Fraction(_int(num), _int(den))
             row.append(LaurentPoly(terms))
         rows.append(row)
     return LaurentMatrix(rows)

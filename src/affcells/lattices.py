@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import FlagInvariantError, NotContained
 from .laurent import LaurentMatrix, LaurentPoly, laurent_exact_div, poly_divmod
+from .ops import op
 from .partitions import Composition
 
 __all__ = ["Lattice", "AffineFlag", "column_hermite", "vdim", "quotient_dim"]
@@ -151,16 +152,15 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(c) for c in other.basis_columns())
 
-    def __le__(self, other: "Lattice") -> bool:
-        return other.contains_lattice(self)
 
-
+@op
 def vdim(L: Lattice) -> int:
     """Signed colength against the standard lattice: -ord(det basis)."""
     diag_ord = sum(L.hnf.entry(i + 1, i + 1).ord() for i in range(L.n))
     return -(L.n * L.shift + diag_ord)
 
 
+@op
 def quotient_dim(outer: Lattice, inner: Lattice) -> int:
     """dim_k(outer / inner) for inner contained in outer.
 
@@ -198,10 +198,3 @@ class AffineFlag:
                 raise FlagInvariantError(
                     f"dim L_{i}/L_{i-1} = {step}, expected {lam.parts[i - 1]}"
                 )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineFlag)
-            and self.shape == other.shape
-            and self.lattices == other.lattices
-        )

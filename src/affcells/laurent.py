@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import IdentityFailed, NotAUnit
+from .ops import op
 
 __all__ = [
     "ORD_ZERO",
@@ -410,6 +411,7 @@ class LaurentMatrix:
         return f"LaurentMatrix(\n {body})"
 
 
+@op
 def det(M: LaurentMatrix) -> LaurentPoly:
     """Exact determinant.
 
@@ -456,6 +458,7 @@ def _minor(M: LaurentMatrix, i: int, j: int) -> LaurentMatrix:
     return LaurentMatrix(rows)
 
 
+@op
 def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
@@ -482,6 +485,7 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
 BOREL_PLUS = "B+"
 
 
+@op
 def borel_membership(M: LaurentMatrix) -> frozenset:
     """Classify M against the standard Iwahori subgroup.
 

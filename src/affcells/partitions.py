@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import NotNilpotent, SizeMismatch
 from .laurent import LaurentMatrix
+from .ops import op
 
 __all__ = [
     "Partition",
@@ -67,10 +68,6 @@ class Composition:
         if not self.parts or any(p <= 0 for p in self.parts):
             raise ValueError(f"composition parts must be positive: {self.parts}")
 
-    @classmethod
-    def of(cls, parts: Iterable[int]) -> "Composition":
-        return cls(tuple(parts))
-
     @property
     def n(self) -> int:
         return sum(self.parts)
@@ -106,6 +103,7 @@ class Composition:
         return len(self.parts)
 
 
+@op
 def conjugate(mu: Partition) -> Partition:
     """Transpose of the Young diagram: entry i counts parts >= i."""
     if not mu.parts:
@@ -113,6 +111,7 @@ def conjugate(mu: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in mu.parts if p >= i) for i in range(1, mu.parts[0] + 1)))
 
 
+@op
 def dominance_leq(mu: Partition, nu: Partition) -> bool:
     """Prefix-sum comparison; both partitions must have the same total."""
     if mu.n != nu.n:
@@ -155,6 +154,7 @@ def constant_rank(M: LaurentMatrix) -> int:
     return vector_rank([p.coeff(0) for p in row] for row in M.rows)
 
 
+@op
 def jordan_type(X: LaurentMatrix) -> Partition:
     """Jordan type of a constant nilpotent matrix, by ranks of powers.
 

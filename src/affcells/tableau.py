@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IdentityFailed
+from .ops import op
 from .partitions import Composition, Partition
 
 __all__ = ["Tableau", "build"]
@@ -62,6 +63,7 @@ class Tableau:
         return {i: tuple(self.lam.row(i)) for i in range(1, self.lam.r + 1)}
 
 
+@op
 def build(lam: Composition) -> Tableau:
     """Construct the tableau and verify its structural invariants."""
     n = lam.n

@@ -5,8 +5,8 @@ failing witnesses (inputs), so one bad composition is enough to locate a
 regression.  Suites take nmax and a seed; all randomness flows through
 random.Random(seed), so reports are reproducible byte for byte.
 
-The registry at the bottom records which spec-level operations each suite
-exercises; running everything must cover all of them (coverage_gap() empty).
+Coverage is measured: coverage_gap() lists the ``@op`` operations (ops.CALLS)
+no run_suite result called.  A suite that records no check fails.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
-from . import affine, cells, constructions as cons, lattices, partitions as parts
+from . import affine, cells, constructions as cons, lattices, ops, partitions as parts
 from .affine import Side
+from .errors import FlagInvariantError, NotContained
 from .laurent import (
     BOREL_PLUS,
     LaurentMatrix,
@@ -73,6 +75,8 @@ class SuiteResult:
     nmax: int
     seed: int
     checks: list
+    # Registered operations the run called; set by run_suite, not reported.
+    ops: frozenset = frozenset()
 
     @property
     def failed(self) -> int:
@@ -84,7 +88,7 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        return self.failed == 0 and self.passed > 0
 
 
 def _comps(nmax: int):
@@ -151,18 +155,14 @@ def _subword_leq(v, w) -> bool:
     """Subword criterion: some subsequence of a fixed reduced word of w
     multiplies to v using exactly length(v) letters."""
     word = _reduced_word(w)
-    lv = v.length()
     n = v.n
-    from itertools import combinations
-
-    for k in (lv,):
-        for subset in combinations(range(len(word)), k):
-            prod = affine.identity(n)
-            for idx in subset:
-                prod = prod * affine.simple_reflection(n, word[idx])
-            if prod == v:
-                return True
-    return lv == 0
+    for subset in combinations(range(len(word)), v.length()):
+        prod = affine.identity(n)
+        for idx in subset:
+            prod = prod * affine.simple_reflection(n, word[idx])
+        if prod == v:
+            return True
+    return False
 
 
 def suite_bruhat(nmax: int, seed: int, ball_radius: int = 5) -> SuiteResult:
@@ -380,8 +380,7 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
                 b = random_finite_borel(rng, n)
                 x = cons.unit(n, data.gamma.i, data.gamma.j, LaurentPoly.constant(a))
                 try:
-                    point, flag = cells.phi_map(b * data.lift, x, lam)
-                    flag.validate()
+                    point, _ = cells.phi_map(b * data.lift, x, lam)
                     random_cells.expect_equal(
                         cells.parabolic_cell(point, sp), data.v_k_min, stag
                     )
@@ -442,26 +441,27 @@ def suite_embeddings(
         witness_frame = w_g.inverse()
         tag = f"lambda={lam.parts}"
         a = cons.lift_finite(witness_frame)
-        point, flag = cells.phi_map(a, z, lam)
-        witness_cell.expect_equal(cells.parabolic_cell(point, sp), kappa, tag)
+        # phi_map validates the flag it returns; validate raises these two.
         try:
-            flag.validate()
-            flag_inv.record(True)
-        except Exception as exc:  # noqa: BLE001
+            point, _ = cells.phi_map(a, z, lam)
+        except (FlagInvariantError, NotContained) as exc:
             flag_inv.record(False, f"{tag}: {exc}")
+            continue
+        witness_cell.expect_equal(cells.parabolic_cell(point, sp), kappa, tag)
+        flag_inv.record(True)
 
         for s in range(samples):
             g = random_sl(rng, n)
             x = random_nilradical(rng, lam)
             stag = f"{tag}, sample {s}"
-            point, flag = cells.phi_map(g, x, lam)
+            try:
+                point, flag = cells.phi_map(g, x, lam)
+            except (FlagInvariantError, NotContained) as exc:
+                flag_inv.record(False, f"{stag}: {exc}")
+                continue
             cell = cells.parabolic_cell(point, sp)
             bounded.record(affine.bruhat_leq(cell, kappa), stag)
-            try:
-                flag.validate()
-                flag_inv.record(True)
-            except Exception as exc:  # noqa: BLE001
-                flag_inv.record(False, f"{stag}: {exc}")
+            flag_inv.record(True)
             if s == 0 and n >= 2:
                 b1 = random_iwahori(rng, n)
                 b2 = random_iwahori(rng, n)
@@ -558,61 +558,19 @@ SUITES = {
     "embeddings": suite_embeddings,
 }
 
-#: Spec-level operations exercised by each suite, for the coverage assertion.
-OP_COVERAGE = {
-    "lengths": {
-        "affine.length", "affine.length_oracle", "affine.compose", "affine.reflection",
-        "affine.from_matrix", "affine.act_on_root", "affine.decompose_translation",
-    },
-    "bruhat": {"affine.bruhat_leq", "affine.quad_minimum", "affine.compose"},
-    "kappa": {
-        "constructions.kappa", "constructions.check_kappa", "constructions.decompose_varpi",
-        "affine.min_coset_rep", "partitions.jordan_type", "partitions.conjugate",
-        "partitions.dominance_leq", "tableau.build", "constructions.richardson_Z",
-    },
-    "varpi": {
-        "constructions.varpi_witness", "laurent.det", "laurent.ord", "laurent.invert",
-        "laurent.borel_membership", "constructions.richardson_Z",
-    },
-    "divisors": {
-        "constructions.divisor_data", "constructions.conormal_directions",
-        "cells.parabolic_cell", "cells.phi_P", "affine.bruhat_leq",
-    },
-    "embeddings": {
-        "cells.phi_P", "cells.psi", "cells.iwahori_cell", "cells.parabolic_cell",
-        "cells.mv_embed", "lattices.vdim", "lattices.quotient_dim",
-        "constructions.kappa", "affine.min_coset_rep",
-    },
-}
 
-ALL_OPS = {
-    "laurent.ord", "laurent.det", "laurent.invert", "laurent.borel_membership",
-    "affine.from_matrix", "affine.compose", "affine.length", "affine.length_oracle",
-    "affine.bruhat_leq", "affine.min_coset_rep", "affine.decompose_translation",
-    "affine.reflection", "affine.act_on_root", "affine.quad_minimum",
-    "partitions.conjugate", "partitions.dominance_leq", "partitions.jordan_type",
-    "tableau.build",
-    "constructions.kappa", "constructions.richardson_Z", "constructions.varpi_witness",
-    "constructions.decompose_varpi", "constructions.check_kappa",
-    "constructions.conormal_directions", "constructions.divisor_data",
-    "lattices.vdim", "lattices.quotient_dim",
-    "cells.phi_P", "cells.psi", "cells.iwahori_cell", "cells.parabolic_cell",
-    "cells.mv_embed",
-}
-
-
-def coverage_gap(suite_names=None) -> set:
-    names = suite_names if suite_names is not None else list(SUITES)
-    covered = set()
-    for name in names:
-        covered |= OP_COVERAGE.get(name, set())
-    return ALL_OPS - covered
+def coverage_gap(results) -> set:
+    """Registered operations (ops.CALLS) that no result called."""
+    return set(ops.CALLS).difference(*(r.ops for r in results))
 
 
 def run_suite(name: str, nmax: int, seed: int, **kwargs) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](nmax, seed, **kwargs)
+    before = dict(ops.CALLS)
+    result = SUITES[name](nmax, seed, **kwargs)
+    result.ops = frozenset(k for k, v in ops.CALLS.items() if v > before[k])
+    return result
 
 
 def run_suites(names, nmax: int, seed: int) -> list:
@@ -626,7 +584,7 @@ def report_obj(results, nmax: int, seed: int, enforce_coverage: bool = False) ->
     With enforce_coverage (the full-run case) an operation left unexercised
     counts as a failure.
     """
-    gap = sorted(coverage_gap([r.suite for r in results]))
+    gap = sorted(coverage_gap(results))
     return {
         "schema": 1,
         "nmax": nmax,
@@ -665,6 +623,8 @@ def report_text(obj: dict, duration: float | None = None) -> str:
             )
             for w in check["witnesses"][:5]:
                 lines.append(f"      witness: {w}")
+        if suite["passed"] == 0 and suite["failed"] == 0:
+            lines.append(f"FAIL  {suite['suite']}: no check ran")
     if obj.get("coverage_missing"):
         label = (
             "COVERAGE MISSING"

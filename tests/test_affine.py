@@ -168,6 +168,15 @@ class TestBruhat:
             for w in ball:
                 assert bruhat_leq(v, w) == _subword_oracle(v, w)
 
+    def test_bounded_cache(self, monkeypatch):
+        monkeypatch.setattr(affine, "_BRUHAT_CACHE", {})
+        monkeypatch.setattr(affine, "_BRUHAT_CACHE_MAX", 8)
+        ball = bruhat_ball(3, 4)
+        for v in ball:
+            for w in ball:
+                assert bruhat_leq(v, w) == _subword_oracle(v, w)
+                assert len(affine._BRUHAT_CACHE) <= 8
+
 
 class TestCosets:
     def test_parabolic_elements_reduce_to_identity(self):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import affcells
 from affcells import jsonio
 from affcells.cli import run
@@ -109,6 +111,17 @@ class TestCellCommand:
         assert run(["cell", "--matrix", str(path)]) == 2
         assert "bad matrix JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 0, "entries": []},
+        {"n": 1, "entries": [[[0, 1.5, 1]]]},
+        {"n": 1, "entries": [[[0, "3", 1]]]},
+    ], ids=["empty", "float", "string"])
+    def test_malformed_matrix_is_usage_error(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(["cell", "--matrix", str(path)]) == 2
+        assert "bad matrix JSON" in capsys.readouterr().err
+
     def test_reduction_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # [[1, 0], [1, 1]] needs at least one reduction step to triangularize
         path = tmp_path / "lower.json"
@@ -147,6 +160,17 @@ class TestVerifyCommand:
 
     def test_usage_error(self):
         assert run(["verify", "--suite", "nonsense"]) == 2
+
+    def test_suite_that_ran_no_check_fails(self, capsys):
+        assert run(["verify", "--suite", "lengths", "--nmax", "0"]) == 1
+        out = capture(capsys)
+        assert "FAIL  lengths: no check ran" in out and "FAILURES PRESENT" in out
+
+    def test_full_run_missing_operations_fails(self, capsys):
+        assert run(["verify", "--suite", "all", "--nmax", "1", "--format", "json"]) == 1
+        obj = json.loads(capture(capsys))
+        assert obj["ok"] is False
+        assert "affine.quad_minimum" in obj["coverage_missing"]
 
 
 class TestModuleEntryPoints:

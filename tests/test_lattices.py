@@ -28,6 +28,19 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Lattice.from_basis(m)
 
+    def test_more_generators_than_rank(self):
+        # {1, 1 + t^-1} spans t^-1 k[t] over k[t]: their difference is t^-1.
+        one = LaurentPoly.one()
+        assert Lattice.from_columns([[one], [one + t(-1)]], 1) == Lattice.standard(1).scaled(-1)
+
+    def test_three_generators_at_rank_two(self):
+        # e_1, e_2 and t^-1 (e_1 + e_2) span the lattice with basis
+        # t^-1 (e_1 + e_2), e_2.
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        cols = [[one, zero], [zero, one], [t(-1), t(-1)]]
+        want = LaurentMatrix([[t(-1), zero], [t(-1), one]])
+        assert Lattice.from_columns(cols, 2) == Lattice.from_basis(want)
+
     def test_membership(self):
         L = Lattice.from_basis(
             LaurentMatrix([[LaurentPoly.one(), t(-1)], [LaurentPoly.zero(), LaurentPoly.one()]])

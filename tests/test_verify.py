@@ -1,13 +1,34 @@
-from affcells import verify
+import importlib
+
+from affcells import ops, verify
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
 
 
 class TestCoverage:
     def test_all_suites_cover_every_operation(self):
-        assert coverage_gap() == set()
+        results = verify.run_suites(list(verify.SUITES), nmax=2, seed=0)
+        assert coverage_gap(results) == set()
 
     def test_partial_runs_leave_gaps(self):
-        assert coverage_gap(["lengths"])
+        result = verify.run_suite("lengths", nmax=2, seed=0)
+        gap = coverage_gap([result])
+        assert "affine.act_on_root" in result.ops and "affine.act_on_root" not in gap
+        assert "cells.iwahori_cell" in gap
+
+    def test_every_registered_op_resolves_to_its_counted_callable(self):
+        assert len(ops.CALLS) == 29
+        for name in ops.CALLS:
+            module, *path = name.split(".")
+            fn = importlib.import_module(f"affcells.{module}")
+            for attr in path:
+                fn = getattr(fn, attr)
+            assert fn.__wrapped__.__qualname__ == ".".join(path)
+            before = ops.CALLS[name]
+            try:
+                fn()  # every op takes arguments, so this raises before running
+            except TypeError:
+                pass
+            assert ops.CALLS[name] == before + 1, name
 
 
 class TestReportInvariants:
@@ -33,3 +54,16 @@ class TestReportInvariants:
         strict = report_obj([r], 2, 0, enforce_coverage=True)
         assert loose["ok"] is True
         assert strict["ok"] is False and strict["coverage_missing"]
+
+    def test_flag_validation_failure_is_recorded(self, monkeypatch):
+        from affcells.errors import FlagInvariantError
+        from affcells.lattices import AffineFlag
+
+        def broken(flag):
+            raise FlagInvariantError("planted")
+
+        monkeypatch.setattr(AffineFlag, "validate", broken)
+        r = verify.run_suite("embeddings", nmax=1, seed=0)
+        check = next(c for c in r.checks if c.name == "image_flags_satisfy_invariants")
+        assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
+        assert r.ok is False
