@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadIndices, NotMonomialPermutation, PeriodMismatch
+from .errors import BadIndices, BadWindow, NotMonomialPermutation, PeriodMismatch
 from .laurent import LaurentMatrix, LaurentPoly
 from .ops import op
 
@@ -53,11 +53,11 @@ class AffinePermutation:
     def __post_init__(self):
         n = len(self.window)
         if n == 0:
-            raise ValueError("empty window")
+            raise BadWindow("empty window")
         if len({v % n for v in self.window}) != n:
-            raise ValueError(f"window residues not distinct mod {n}: {self.window}")
+            raise BadWindow(f"window residues not distinct mod {n}: {self.window}")
         if sum(self.window) != n * (n + 1) // 2:
-            raise ValueError(f"window does not sum to 1+...+n: {self.window}")
+            raise BadWindow(f"window does not sum to 1+...+n: {self.window}")
 
     @property
     def n(self) -> int:

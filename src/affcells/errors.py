@@ -9,6 +9,10 @@ class NotAUnit(AffcellsError):
     """Matrix determinant is not a monomial c*t^k, so no Laurent inverse exists."""
 
 
+class BadWindow(AffcellsError, ValueError):
+    """Window is empty, repeats a residue mod n, or does not sum to 1+...+n."""
+
+
 class NotMonomialPermutation(AffcellsError):
     """Matrix is not a monomial matrix with ord(det) = 0."""
 

@@ -63,7 +63,11 @@ def window_to_obj(w: AffinePermutation) -> dict:
 
 
 def window_from_obj(obj: dict) -> AffinePermutation:
-    return AffinePermutation(tuple(int(v) for v in obj["window"]))
+    n = _int(obj["n"])
+    window = tuple(_int(v) for v in obj["window"])
+    if n < 1 or len(window) != n:
+        raise ValueError(f"expected n >= 1 and n window values, got n = {n}, {len(window)} values")
+    return AffinePermutation(window)
 
 
 def root_to_obj(alpha: Root) -> dict:

@@ -259,6 +259,9 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by zero")
     if a.is_zero():
         return LaurentPoly.zero()
+    if len(b._terms) == 1:
+        ((e, c),) = b._terms.items()
+        return _raw({k - e: v / c for k, v in a._terms.items()})
     oa, ob = a.ord(), b.ord()
     q, r = poly_divmod(a.shift(-oa), b.shift(-ob))
     if not r.is_zero():
@@ -449,36 +452,67 @@ def det(M: LaurentMatrix) -> LaurentPoly:
     return result if sign == 1 else -result
 
 
-def _minor(M: LaurentMatrix, i: int, j: int) -> LaurentMatrix:
-    rows = [
-        [M.rows[r][c] for c in range(M.n) if c != j]
-        for r in range(M.n)
-        if r != i
-    ]
-    return LaurentMatrix(rows)
-
-
 @op
 def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
+    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I], where A is M
+    shifted into k[t] as in `det`.  Step k replaces a_ij, in every row but
+    the pivot row, by (piv*a_ij - a_ik*a_kj) / prev, a division that is exact
+    by Sylvester's identity.  At the end the left block is d*I and the right
+    block d*A^-1, with d the last pivot; dividing by d and shifting back
+    gives M^-1.
+
     Raises NotAUnit when det has two or more terms or is zero; in that case
     the inverse has entries outside k[t,t^-1].
     """
-    d = det(M)
-    if not d.is_monomial():
-        raise NotAUnit(f"determinant {d!r} is not a monomial")
-    exp = d.ord()
-    coeff = d.trailing_coeff()
     n = M.n
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = det(_minor(M, i, j))
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof.scale(1 / coeff).shift(-exp)
-    return LaurentMatrix(out)
+    if n == 0:
+        return LaurentMatrix([])
+    shift = M.min_ord()
+    if shift is ORD_ZERO:
+        raise NotAUnit("determinant 0 is not a monomial")
+    shift = min(0, int(shift))
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    a = [
+        [p.shift(-shift) for p in row] + [one if j == i else zero for j in range(n)]
+        for i, row in enumerate(M.rows)
+    ]
+    sign = 1
+    prev = one
+    for k in range(n):
+        if a[k][k].is_zero():
+            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+            if pivot_row is None:
+                raise NotAUnit("determinant 0 is not a monomial")
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        top = a[k]
+        piv = top[k]
+        divide = not prev == one
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            f = row[k]
+            # Columns 0..k are settled (d*I on the left) and never read again.
+            for j in range(k + 1, 2 * n):
+                x, y = row[j], top[j]
+                if not (x or (f and y)):
+                    continue
+                num = x * piv - f * y if f else x * piv
+                if divide:
+                    num = laurent_exact_div(num, prev)
+                    if num is None:
+                        raise IdentityFailed("Bareiss division must be exact")
+                row[j] = num
+        prev = piv
+    if not prev.is_monomial():
+        d = prev.shift(shift * n)
+        raise NotAUnit(f"determinant {d if sign == 1 else -d!r} is not a monomial")
+    return LaurentMatrix(
+        [[laurent_exact_div(p, prev).shift(-shift) for p in row[n:]] for row in a]
+    )
 
 
 #: Label for membership in the standard Iwahori subgroup.

@@ -19,7 +19,13 @@ from affcells.affine import (
     simple_reflection,
     translation,
 )
-from affcells.errors import BadIndices, NotMonomialPermutation, PeriodMismatch
+from affcells.errors import (
+    AffcellsError,
+    BadIndices,
+    BadWindow,
+    NotMonomialPermutation,
+    PeriodMismatch,
+)
 from affcells.laurent import LaurentMatrix, LaurentPoly
 from affcells.sampling import random_window
 
@@ -50,6 +56,13 @@ class TestWindowMatrix:
                                               [LaurentPoly.zero(), LaurentPoly.one()]]))
         with pytest.raises(NotMonomialPermutation):
             affine.from_matrix(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.one()]))
+
+    @pytest.mark.parametrize("window", [(), (1, 3), (1, 2, 6)])
+    def test_bad_window_is_a_package_value_error(self, window):
+        # empty, repeated residue, wrong sum
+        with pytest.raises(BadWindow) as info:
+            AffinePermutation(window)
+        assert isinstance(info.value, AffcellsError) and isinstance(info.value, ValueError)
 
     def test_roundtrip_random(self):
         rng = random.Random(2)

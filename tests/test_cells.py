@@ -20,6 +20,7 @@ from affcells.constructions import (
     richardson_element,
 )
 from affcells.errors import (
+    AffcellsError,
     NotInNilradical,
     NotMaximalParabolic,
     NotNilpotent,
@@ -69,6 +70,10 @@ class TestIwahoriCell:
             iwahori_cell(LaurentMatrix.diagonal([t(1), LaurentPoly.one()]))
         with pytest.raises(NotUnimodular):
             iwahori_cell(LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()]))
+
+    def test_empty_matrix_is_a_package_error(self):
+        with pytest.raises(AffcellsError):
+            iwahori_cell(LaurentMatrix([]))
 
 
 class TestParabolicCell:

@@ -31,6 +31,20 @@ class TestJsonFormats:
         w = AffinePermutation((-1, 4))
         assert jsonio.window_from_obj(jsonio.window_to_obj(w)) == w
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "window": [1.9, 2.2]},
+            {"n": 2, "window": ["3", 0]},
+            {"n": "2", "window": [2, 1]},
+            {"n": 3, "window": [2, 1]},
+            {"n": 0, "window": []},
+        ],
+    )
+    def test_window_rejects_non_integers_and_wrong_n(self, obj):
+        with pytest.raises(ValueError):
+            jsonio.window_from_obj(obj)
+
 
 class TestKappaCommand:
     def test_worked_example_json(self, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -173,17 +174,6 @@ class TestInvert:
         assert invert(m) == series
 
     def test_involution_and_unit_product(self):
-        rng = random.Random(5)
-        m = LaurentMatrix(
-            [
-                [LaurentPoly({0: rng.randint(-2, 2), 1: rng.randint(-1, 1)}) for _ in range(3)]
-                for _ in range(3)
-            ]
-        )
-        d = det(m)
-        if not d.is_monomial():
-            m = m + LaurentMatrix.identity(3) * LaurentPoly.constant(7)
-        # force a unit determinant by using a triangular deformation instead
         m = LaurentMatrix.identity(3) + LaurentMatrix.from_entries(
             3, {(1, 2): t(1) + 2, (2, 3): t(-1), (1, 3): LaurentPoly.constant(3)}
         )
@@ -195,6 +185,78 @@ class TestInvert:
     def test_rejects_non_unit(self):
         m = LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()])
         with pytest.raises(NotAUnit):
+            invert(m)
+
+
+def cofactor_inverse(M):
+    """The adjugate over det, every minor by Leibniz; independent of Bareiss."""
+    d = leibniz_det(M)
+    assert d.is_monomial()
+    ((exp, coeff),) = d.terms.items()
+    n = M.n
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = LaurentMatrix(
+                [[M.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            )
+            cof = leibniz_det(minor)
+            if (i + j) % 2:
+                cof = -cof
+            out[j][i] = cof.scale(1 / coeff).shift(-exp)
+    return LaurentMatrix(out)
+
+
+def signed_permutation_lift():
+    """A monomial matrix whose (1,1) entry is zero, so elimination must swap
+    rows, with entries of negative order and coefficients other than 1."""
+    return LaurentMatrix.from_entries(
+        4, {(1, 3): t(-2), (2, 1): LaurentPoly.monomial(1, -2), (3, 4): t(3), (4, 2): -t(-1)}
+    )
+
+
+class TestInvertOracle:
+    @given(unit_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cofactor_adjugate(self, m):
+        assert invert(m) == cofactor_inverse(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            s0_matrix_2(),
+            signed_permutation_lift(),
+            # the leading 2x2 minor of this product is zero
+            signed_permutation_lift()
+            * (
+                LaurentMatrix.identity(4)
+                + LaurentMatrix.from_entries(4, {(1, 2): t(-1) + 3, (3, 4): t(1)})
+            ),
+            LaurentMatrix.identity(3)
+            + LaurentMatrix.from_entries(3, {(1, 3): t(-3), (2, 1): t(-1) + t(2)}),
+            LaurentMatrix([[LaurentPoly.monomial(-2, -3)]]),
+        ],
+    )
+    def test_explicit_cases(self, m):
+        inv = invert(m)
+        assert inv == cofactor_inverse(m)
+        assert m * inv == LaurentMatrix.identity(m.n)
+
+    def test_empty_matrix(self):
+        assert invert(LaurentMatrix([])) == LaurentMatrix([])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            LaurentMatrix.zero(3),
+            LaurentMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]),
+            LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()]),
+            # a row swap and a t-shift: det = -(t^-2 + t^-1)
+            LaurentMatrix([[LaurentPoly.zero(), t(-1) + 1], [t(-1), LaurentPoly.zero()]]),
+        ],
+    )
+    def test_non_unit_message_names_det(self, m):
+        with pytest.raises(NotAUnit, match=re.escape(f"determinant {leibniz_det(m)!r} is not")):
             invert(m)
 
 
