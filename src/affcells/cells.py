@@ -8,13 +8,12 @@ identifies the double coset of M.  Concretely
 
     w(j) = min { i : M u_j  in  L_i + M Lambda_{j-1} }
 
-extended periodically.  Membership questions reduce to exact Hermite-style
-reduction in u-coordinates: every vector has a unique leading u-term (the
-coordinate minimizing the t-order wins, and distinct coordinates give chain
-indices in distinct residue classes mod n), and a triangular basis of a
-module holds one generator per residue class.  Reducing M u_j against a
-triangular basis of M Lambda_{j-1} strictly decreases the chain index at
-each step and halts exactly at w(j).
+extended periodically.  Membership questions go to the chain-index
+reduction of `lattices`: a triangular basis of M Lambda_{j-1} holds one
+generator per index residue mod n, and reducing M u_j against it strictly
+decreases the chain index at each step and halts exactly at w(j).  Lattices
+are stored as the same triangular bases, so cells and flags share one
+echelon engine.
 
 The chain orientation is a convention; it is pinned by witness tests
 (the monomial matrix of any w lands in cell w, and the certified products
@@ -22,8 +21,6 @@ b (1 - t^-1 Z) c land in the cell of varpi).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import affine
 from .affine import AffinePermutation
@@ -34,10 +31,10 @@ from .errors import (
     NotNilpotent,
     NotUnimodular,
 )
-from .laurent import LaurentMatrix, LaurentPoly, det
-from .lattices import AffineFlag, Lattice
+from .laurent import LaurentMatrix, LaurentPoly, det, invert
+from .lattices import AffineFlag, Lattice, _reduce, _triangular_basis
 from .ops import op
-from .partitions import Composition, vector_rank
+from .partitions import Composition
 
 __all__ = [
     "phi_point",
@@ -49,95 +46,10 @@ __all__ = [
     "beta",
 ]
 
-_MAX_REDUCTION_STEPS = 200_000
-
 
 # ---------------------------------------------------------------------------
 # cell identification
 # ---------------------------------------------------------------------------
-
-
-def _lead(v: list[LaurentPoly], n: int):
-    """Leading u-term of a vector: (chain index, coordinate, coefficient).
-
-    The chain index of t^{-q} e_r is qn + r; for a general vector it is the
-    maximum of r - n*ord(v_r) over nonzero coordinates, achieved at exactly
-    one coordinate because the candidates differ mod n.
-    """
-    best = None
-    for r0, p in enumerate(v):
-        if p.is_zero():
-            continue
-        idx = (r0 + 1) - n * p.ord()
-        if best is None or idx > best[0]:
-            best = (idx, r0, p.trailing_coeff())
-    return best
-
-
-def _reduce(v: list[LaurentPoly], basis: dict, n: int):
-    """Reduce v against a triangular basis (keyed by index residue).
-
-    Returns (reduced vector, chain index) when stuck, or None when v reduces
-    to zero.  Each step cancels the leading u-term using the unique basis
-    vector in its residue class, when that vector's index is at least as
-    large; the index strictly decreases at each step.  Against the basis of
-    a genuine lattice this terminates for every Laurent vector: an infinite
-    descent would converge t-adically to an element of the completed module,
-    and a Laurent vector in the completion of a lattice already lies in it.
-    """
-    steps = 0
-    while True:
-        lead = _lead(v, n)
-        if lead is None:
-            return None
-        idx, r0, coeff = lead
-        entry = basis.get(idx % n)
-        if entry is None or entry[0] < idx:
-            return v, idx
-        hidx, hcoeff, hvec = entry
-        s = (hidx - idx) // n
-        factor = coeff / hcoeff
-        v = [a - b.shift(s).scale(factor) for a, b in zip(v, hvec)]
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise IdentityFailed("reduction failed to terminate; not a unit matrix?")
-
-
-def _triangular_basis(vectors: list, n: int) -> dict:
-    """Triangularize a basis of a rank-n module: one generator per index
-    residue, each of maximal index in its class.
-
-    All operations are unimodular column operations, so the determinant of
-    the family is preserved; the sum of leading indices is bounded below in
-    terms of ord(det), which bounds the number of reduction steps.
-    """
-    basis: dict = {}
-    pool = [list(v) for v in vectors]
-    steps = 0
-    while pool:
-        v = pool.pop()
-        while True:
-            lead = _lead(v, n)
-            if lead is None:
-                raise IdentityFailed("basis vectors cannot reduce to zero")
-            idx, r0, coeff = lead
-            key = idx % n
-            entry = basis.get(key)
-            if entry is None:
-                basis[key] = (idx, coeff, v)
-                break
-            hidx, hcoeff, hvec = entry
-            if hidx >= idx:
-                s = (hidx - idx) // n
-                v = [a - b.shift(s).scale(coeff / hcoeff) for a, b in zip(v, hvec)]
-            else:
-                basis[key] = (idx, coeff, v)
-                pool.append(hvec)
-                break
-            steps += 1
-            if steps > _MAX_REDUCTION_STEPS:
-                raise IdentityFailed("triangularization failed to terminate")
-    return basis
 
 
 @op
@@ -247,37 +159,31 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     """The convolution-style flag: L_i spanned by (1 - t^-1 X) V[t] and
     t^-1 F_i, where F_i is spanned by the first d_i frame columns.
 
-    Requires X constant with X F_i inside F_{i-1}.  With the default frame
-    (identity) this is the standard nilradical condition.
+    Requires an invertible constant frame and X constant with X F_i inside
+    F_{i-1}.  With the default frame (identity) this is the standard
+    nilradical condition.
     """
     n = lam.n
     if frame is None:
         frame = LaurentMatrix.identity(n)
     if not (X.is_constant() and frame.is_constant()):
         raise NotInNilradical("mv_flag expects constant matrices")
-    d = lam.d
-    frame_cols = [
-        [frame.entry(i, j).coeff(0) for i in range(1, n + 1)] for j in range(1, n + 1)
-    ]
-    xmat = [[X.entry(i, j).coeff(0) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    for i in range(1, lam.r + 1):
-        prev = frame_cols[: d[i - 1]]
-        for col in frame_cols[d[i - 1] : d[i]]:
-            image = [sum((xmat[r][k] * col[k] for k in range(n)), Fraction(0)) for r in range(n)]
-            if any(image) and (
-                not prev or vector_rank(prev + [image]) != vector_rank(prev)
-            ):
-                raise NotInNilradical(f"X does not carry step {i} into step {i - 1}")
-    point = LaurentMatrix.identity(n) - X.scale_t(-1)
-    point_cols = [list(point.column(j)) for j in range(1, n + 1)]
-    lattices = []
-    for i in range(lam.r + 1):
-        extra = [
-            [LaurentPoly.monomial(-1, c) if c else LaurentPoly.zero() for c in col]
-            for col in frame_cols[: d[i]]
-        ]
-        lattices.append(Lattice.from_columns(point_cols + extra, n))
-    return tuple(lattices)
+    if det(frame).is_zero():
+        raise NotUnimodular("frame must be invertible")
+    # X F_i <= F_{i-1} says that X in frame coordinates lies in the nilradical.
+    _check_nilradical(invert(frame) * X * frame, lam)
+    # L_i has the basis {t^-1 f_k : k <= d_i} + {(1 - t^-1 X) f_k : k > d_i}
+    # over the frame columns f_k.  It spans all of (1 - t^-1 X) V[t]: for
+    # k <= d_i, (1 - t^-1 X) f_k = t (t^-1 f_k) - t^-1 X f_k, and X f_k lies
+    # in F_{i-1} by the check above.
+    point = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
+    low = frame.scale_t(-1)
+    return tuple(
+        Lattice.from_columns(
+            [low.column(k) if k <= lam.d[i] else point.column(k) for k in range(1, n + 1)], n
+        )
+        for i in range(lam.r + 1)
+    )
 
 
 def beta(lattice_flag, lam: Composition) -> AffineFlag:

@@ -208,15 +208,19 @@ def _cmd_report(args) -> int:
             return _usage(str(exc))
     try:
         obj = json.loads(text)
-        if obj.get("schema") != 1:
-            return _usage(f"unsupported report schema: {obj.get('schema')!r}")
     except ValueError as exc:
         return _usage(f"bad report JSON: {exc}")
-    if args.format == "json":
-        print(jsonio.dumps(obj))
-    else:
-        print(verify.report_text(obj))
-    return 0 if obj.get("ok") else VERIFY_ERROR
+    if not isinstance(obj, dict):
+        return _usage("a report must be a JSON object")
+    if obj.get("schema") != 1:
+        return _usage(f"unsupported report schema: {obj.get('schema')!r}")
+    try:
+        # Rendering reads every field, so it also checks the report's shape.
+        rendered = verify.report_text(obj)
+    except (KeyError, TypeError) as exc:
+        return _usage(f"malformed report: {type(exc).__name__}: {exc}")
+    print(jsonio.dumps(obj) if args.format == "json" else rendered)
+    return 0 if obj["ok"] else VERIFY_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,121 +1,146 @@
-"""Lattices in V[t, t^-1]: canonical bases, virtual dimension, and flags.
+"""Lattices in V[t, t^-1] and the chain-index reduction engine behind them.
 
 A lattice is a full-rank k[t]-submodule of V[t, t^-1] whose k[t, t^-1]-span
-is everything; concretely, any generating family whose Hermite form has
-monomial pivots.  Canonicalization:
+is everything; concretely, the span of n columns whose determinant is a
+monomial c*t^k.
 
-* scale by a global power of t so all generators are polynomial,
-* column Hermite normal form over k[t]: lower triangular, monic pivots,
-  entries left of each pivot reduced modulo it,
-* strip the largest common power of t back out.
+Vectors are compared through the standard periodic chain: ``t^{-q} e_r``
+has chain index qn + r (1 <= r <= n), and the leading u-term of a vector
+is its coordinate of largest chain index.  Distinct coordinates give
+indices in distinct residue classes mod n, so the leading term is unique.
+A triangular basis holds one generator per residue class, each of maximal
+index in its class among the elements of the lattice.  Against it:
 
-Two lattices are equal iff their canonical (shift, basis) pairs coincide,
-which makes flag and image comparisons exact dictionary lookups.
+* membership: reduce the vector; it lies in the lattice iff it reaches 0;
+* virtual dimension: dim(L / L & E) - dim(E / L & E) against the standard
+  lattice E = V[t] is the sum of (h - r)/n over the leading indices h, with
+  r in 1..n and r = h mod n; it equals minus the t-order of det(basis);
+* equality: the same leading indices plus one containment.
 
-The virtual dimension of L is dim(L / L & E) - dim(E / L & E) against the
-standard lattice E = V[t]; it equals minus the t-order of det(basis), since
-both sides change by -n under scaling by t and agree on sublattices of E.
+The same engine identifies Bruhat cells in `cells.iwahori_cell`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FlagInvariantError, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, laurent_exact_div, poly_divmod
+from .errors import FlagInvariantError, IdentityFailed, NotContained
+from .laurent import LaurentMatrix, LaurentPoly, det
 from .ops import op
 from .partitions import Composition
 
-__all__ = ["Lattice", "AffineFlag", "column_hermite", "vdim", "quotient_dim"]
+__all__ = ["Lattice", "AffineFlag", "vdim", "quotient_dim"]
+
+_MAX_REDUCTION_STEPS = 200_000
 
 
-def column_hermite(cols: list[list[LaurentPoly]], n: int) -> list[list[LaurentPoly]]:
-    """Canonical lower-triangular column Hermite form of a rank-n family.
+def _lead(v: list[LaurentPoly], n: int):
+    """Leading u-term of a vector: (chain index, coordinate, coefficient).
 
-    Input columns must be polynomial (no negative exponents).  Returns the n
-    pivot columns; raises ValueError if the family has rank below n.
+    The chain index of t^{-q} e_r is qn + r; for a general vector it is the
+    maximum of r - n*ord(v_r) over nonzero coordinates, achieved at exactly
+    one coordinate because the candidates differ mod n.
     """
-    work = [list(c) for c in cols if any(not p.is_zero() for p in c)]
-    for c in work:
-        if any(not p.is_polynomial() for p in c):
-            raise ValueError("column_hermite requires polynomial entries")
-    pivots: list[list[LaurentPoly]] = []
-    for i in range(n):
-        cand = [c for c in work if _first_nonzero(c) == i]
-        rest = [c for c in work if _first_nonzero(c) not in (i, None)]
-        while len(cand) > 1:
-            cand.sort(key=lambda c: c[i].degree())
-            base = cand[0]
-            reduced = []
-            for c in cand[1:]:
-                q, _ = poly_divmod(c[i], base[i])
-                newc = [a - q * b for a, b in zip(c, base)]
-                fz = _first_nonzero(newc)
-                if fz == i:
-                    reduced.append(newc)
-                elif fz is not None:
-                    rest.append(newc)
-            cand = [base] + reduced
-        if not cand:
-            raise ValueError(f"rank deficiency at row {i + 1}")
-        pivot = cand[0]
-        lead = pivot[i].leading_coeff()
-        pivot = [p.scale(1 / lead) for p in pivot]
-        pivots.append(pivot)
-        work = rest
-    # reduce entries left of each pivot
-    for i in range(n):
-        for j in range(i):
-            q, _ = poly_divmod(pivots[j][i], pivots[i][i])
-            if not q.is_zero():
-                pivots[j] = [a - q * b for a, b in zip(pivots[j], pivots[i])]
-    return pivots
+    best = None
+    for r0, p in enumerate(v):
+        if p.is_zero():
+            continue
+        idx = (r0 + 1) - n * p.ord()
+        if best is None or idx > best[0]:
+            best = (idx, r0, p.trailing_coeff())
+    return best
 
 
-def _first_nonzero(col) -> int | None:
-    for i, p in enumerate(col):
-        if not p.is_zero():
-            return i
-    return None
+def _reduce(v: list[LaurentPoly], basis: dict, n: int):
+    """Reduce v against a triangular basis (keyed by index residue).
+
+    Returns (reduced vector, chain index) when stuck, or None when v reduces
+    to zero.  Each step cancels the leading u-term using the unique basis
+    vector in its residue class, when that vector's index is at least as
+    large; the index strictly decreases at each step.  Against the basis of
+    a genuine lattice this terminates for every Laurent vector: an infinite
+    descent would converge t-adically to an element of the completed module,
+    and a Laurent vector in the completion of a lattice already lies in it.
+    """
+    steps = 0
+    while True:
+        lead = _lead(v, n)
+        if lead is None:
+            return None
+        idx, r0, coeff = lead
+        entry = basis.get(idx % n)
+        if entry is None or entry[0] < idx:
+            return v, idx
+        hidx, hcoeff, hvec = entry
+        s = (hidx - idx) // n
+        factor = coeff / hcoeff
+        v = [a - b.shift(s).scale(factor) for a, b in zip(v, hvec)]
+        steps += 1
+        if steps > _MAX_REDUCTION_STEPS:
+            raise IdentityFailed("reduction failed to terminate; not a unit matrix?")
 
 
-@dataclass(frozen=True)
+def _triangular_basis(vectors: list, n: int) -> dict:
+    """Triangularize a basis of a rank-n module: one generator per index
+    residue, each of maximal index in its class.
+
+    All operations are unimodular column operations, so the determinant of
+    the family is preserved; the sum of leading indices is bounded below in
+    terms of ord(det), which bounds the number of reduction steps.
+    """
+    basis: dict = {}
+    pool = [list(v) for v in vectors]
+    steps = 0
+    while pool:
+        v = pool.pop()
+        while True:
+            lead = _lead(v, n)
+            if lead is None:
+                raise IdentityFailed("basis vectors cannot reduce to zero")
+            idx, r0, coeff = lead
+            key = idx % n
+            entry = basis.get(key)
+            if entry is None:
+                basis[key] = (idx, coeff, v)
+                break
+            hidx, hcoeff, hvec = entry
+            if hidx >= idx:
+                s = (hidx - idx) // n
+                v = [a - b.shift(s).scale(coeff / hcoeff) for a, b in zip(v, hvec)]
+            else:
+                basis[key] = (idx, coeff, v)
+                pool.append(hvec)
+                break
+            steps += 1
+            if steps > _MAX_REDUCTION_STEPS:
+                raise IdentityFailed("triangularization failed to terminate")
+    return basis
+
+
+@dataclass(frozen=True, eq=False)
 class Lattice:
-    """A lattice stored as t^shift times a canonical polynomial Hermite basis."""
+    """A lattice stored as its triangular basis:
+    index residue mod n -> (leading index, leading coefficient, vector)."""
 
     n: int
-    shift: int
-    hnf: LaurentMatrix
+    basis: dict
 
     @classmethod
     def from_columns(cls, cols: list, n: int) -> "Lattice":
-        """Span of arbitrarily many Laurent columns; must have rank n."""
+        """Span of n Laurent columns of length n whose determinant is a monomial."""
         cols = [list(c) for c in cols]
-        m0 = min(
-            (p.ord() for c in cols for p in c if not p.is_zero()),
-            default=None,
-        )
-        if m0 is None:
-            raise ValueError("no nonzero generators")
-        m0 = int(min(m0, 0))
-        scaled = [[p.shift(-m0) for p in c] for c in cols]
-        pivots = column_hermite(scaled, n)
-        strip = min(p.ord() for c in pivots for p in c if not p.is_zero())
-        strip = int(strip)
-        mat = LaurentMatrix(
-            [[pivots[j][i].shift(-strip) for j in range(n)] for i in range(n)]
-        )
-        for i in range(n):
-            if not mat.entry(i + 1, i + 1).is_monomial():
-                raise ValueError(
-                    "pivot is not a power of t; the span is not a lattice "
-                    "(its Laurent span is a proper submodule)"
-                )
-        return cls(n=n, shift=m0 + strip, hnf=mat)
+        if len(cols) != n or any(len(c) != n for c in cols):
+            raise ValueError(f"a lattice basis is {n} columns of length {n}")
+        if not det(LaurentMatrix([[c[i] for c in cols] for i in range(n)])).is_monomial():
+            raise ValueError(
+                "determinant is not a power of t; the span is not a lattice "
+                "(its Laurent span is a proper submodule)"
+            )
+        return cls(n=n, basis=_triangular_basis(cols, n))
 
     @classmethod
     def from_basis(cls, M: LaurentMatrix) -> "Lattice":
-        return cls.from_columns([list(M.column(j + 1)) for j in range(M.n)], M.n)
+        return cls.from_columns([M.column(j + 1) for j in range(M.n)], M.n)
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -123,41 +148,50 @@ class Lattice:
 
     def scaled(self, k: int) -> "Lattice":
         """The lattice t^k * L."""
-        return Lattice(n=self.n, shift=self.shift + k, hnf=self.hnf)
+        return Lattice(n=self.n, basis={
+            r: (h - self.n * k, c, [p.shift(k) for p in v])
+            for r, (h, c, v) in self.basis.items()
+        })
 
     def transformed(self, M: LaurentMatrix) -> "Lattice":
         """The lattice M * L, for M with unit determinant."""
-        return Lattice.from_basis(M * self.hnf).scaled(self.shift)
+        vecs = [v for _, _, v in self.basis.values()]
+        basis = LaurentMatrix([[v[i] for v in vecs] for i in range(self.n)])
+        return Lattice.from_basis(M * basis)
 
-    def basis_columns(self) -> list[list[LaurentPoly]]:
-        """Columns of an actual basis (shift applied)."""
-        return [
-            [self.hnf.entry(i + 1, j + 1).shift(self.shift) for i in range(self.n)]
-            for j in range(self.n)
-        ]
+    def _indices(self) -> tuple[int, ...]:
+        return tuple(sorted(h for h, _, _ in self.basis.values()))
 
     def contains(self, v) -> bool:
         """Exact k[t]-membership of a Laurent column vector."""
-        r = [p.shift(-self.shift) for p in v]
-        for i in range(self.n):
-            if r[i].is_zero():
-                continue
-            q = laurent_exact_div(r[i], self.hnf.entry(i + 1, i + 1))
-            if q is None or not q.is_polynomial():
-                return False
-            for k in range(i, self.n):
-                r[k] = r[k] - q * self.hnf.entry(k + 1, i + 1)
-        return all(p.is_zero() for p in r)
+        v = list(v)
+        if len(v) != self.n:
+            raise ValueError(f"vector of length {len(v)} in a rank-{self.n} lattice")
+        return _reduce(v, self.basis, self.n) is None
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(c) for c in other.basis_columns())
+        return all(self.contains(v) for _, _, v in other.basis.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self._indices() == other._indices()
+            and self.contains_lattice(other)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self._indices()))
 
 
 @op
 def vdim(L: Lattice) -> int:
-    """Signed colength against the standard lattice: -ord(det basis)."""
-    diag_ord = sum(L.hnf.entry(i + 1, i + 1).ord() for i in range(L.n))
-    return -(L.n * L.shift + diag_ord)
+    """Signed colength against the standard lattice: -ord(det basis).
+
+    The leading index h = qn + r (1 <= r <= n) contributes q = (h - r)/n.
+    """
+    return sum((h - 1) // L.n for h, _, _ in L.basis.values())
 
 
 @op

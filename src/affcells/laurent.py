@@ -57,30 +57,29 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict):
+        """From an {exponent: coefficient} dict; zero coefficients are dropped."""
         d = {}
-        for e, c in items:
-            c = _as_scalar(c)
+        for e, c in terms.items():
+            e = int(e)
+            c = d.pop(e, 0) + _as_scalar(c)
             if c:
-                d[int(e)] = d[int(e)] + c if int(e) in d else c
-                if not d[int(e)]:
-                    del d[int(e)]
+                d[e] = c
         self._terms = d
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _raw({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _raw({0: Fraction(1)})
 
     @classmethod
     def t(cls, exp: int = 1) -> "LaurentPoly":
-        return cls({exp: 1})
+        return _raw({exp: Fraction(1)})
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":

@@ -7,7 +7,7 @@ sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 Jordan types of constant nilpotent matrices are computed by exact ranks of
 powers over the rationals (fraction-free elimination never enters: Fraction
 arithmetic is already exact).  `vector_rank` is the one exact rank routine of
-the package; `cells.mv_flag` uses it too.
+the package.
 """
 
 from __future__ import annotations

@@ -206,3 +206,10 @@ class TestMvFlag:
         x = LaurentMatrix.from_entries(2, {(1, 2): LaurentPoly.one()})
         with pytest.raises(NotInNilradical):
             mv_flag(x, lam, frame=frame)
+
+    def test_rejects_singular_frame(self):
+        lam = Composition((1, 1))
+        frame = LaurentMatrix([[LaurentPoly.one(), LaurentPoly.one()],
+                               [LaurentPoly.zero(), LaurentPoly.zero()]])
+        with pytest.raises(NotUnimodular):
+            mv_flag(LaurentMatrix.zero(2), lam, frame=frame)

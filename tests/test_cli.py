@@ -143,7 +143,7 @@ class TestCellCommand:
             {"n": 2, "entries": [[[0, 1, 1]], [], [[0, 1, 1]], [[0, 1, 1]]]}))
         assert run(["cell", "--matrix", str(path)]) == 0
         capture(capsys)
-        monkeypatch.setattr("affcells.cells._MAX_REDUCTION_STEPS", 0)
+        monkeypatch.setattr("affcells.lattices._MAX_REDUCTION_STEPS", 0)
         assert run(["cell", "--matrix", str(path)]) == 2
         assert "failed to terminate" in capsys.readouterr().err
 
@@ -234,3 +234,22 @@ class TestReportCommand:
         path = tmp_path / "bad.json"
         path.write_text("{\"schema\": 99}")
         assert run(["report", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2],
+            "text",
+            {"schema": 1},
+            {"schema": 1, "ok": True, "suites": [{"suite": "lengths", "passed": 1, "failed": 0}]},
+            {"schema": 1, "ok": True, "suites": 5},
+        ],
+        ids=["list", "string", "no-suites", "suite-without-checks", "suites-not-a-list"],
+    )
+    def test_malformed_report_is_usage_error(self, capsys, tmp_path, obj, fmt):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(["report", "--in", str(path), "--format", fmt]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")

@@ -1,11 +1,18 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affcells.cells import mv_flag
 from affcells.errors import FlagInvariantError, NotContained
 from affcells.lattices import AffineFlag, Lattice, quotient_dim, vdim
-from affcells.laurent import LaurentMatrix, LaurentPoly
+from affcells.laurent import LaurentMatrix, LaurentPoly, det, invert
 from affcells.partitions import Composition
+from affcells.sampling import random_nilradical, random_sl
 
 t = LaurentPoly.t
+ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 
 class TestCanonicalForm:
@@ -28,18 +35,39 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Lattice.from_basis(m)
 
-    def test_more_generators_than_rank(self):
-        # {1, 1 + t^-1} spans t^-1 k[t] over k[t]: their difference is t^-1.
-        one = LaurentPoly.one()
-        assert Lattice.from_columns([[one], [one + t(-1)]], 1) == Lattice.standard(1).scaled(-1)
+    @pytest.mark.parametrize(
+        "cols, n",
+        [
+            # {1, 1 + t^-1} spans t^-1 k[t], but only a basis is accepted
+            ([[ONE], [ONE + t(-1)]], 1),
+            ([[ONE, ZERO], [ZERO, ONE], [t(-1), t(-1)]], 2),
+            ([[ONE, ZERO]], 2),
+            ([[ONE], [ONE]], 2),
+            # det(e_1 + e_2, e_1 + e_2) = 0
+            ([[ONE, ONE], [ONE, ONE]], 2),
+        ],
+        ids=["two-generators-at-rank-one", "three-generators-at-rank-two",
+             "one-generator-at-rank-two", "short-columns", "singular"],
+    )
+    def test_rejects_family_that_is_not_a_basis(self, cols, n):
+        with pytest.raises(ValueError):
+            Lattice.from_columns(cols, n)
 
-    def test_three_generators_at_rank_two(self):
+    def test_two_bases_of_a_three_generator_span(self):
         # e_1, e_2 and t^-1 (e_1 + e_2) span the lattice with basis
-        # t^-1 (e_1 + e_2), e_2.
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        cols = [[one, zero], [zero, one], [t(-1), t(-1)]]
-        want = LaurentMatrix([[t(-1), zero], [t(-1), one]])
-        assert Lattice.from_columns(cols, 2) == Lattice.from_basis(want)
+        # t^-1 (e_1 + e_2), e_2, and also with basis t^-1 (e_1 + e_2), e_1.
+        first = Lattice.from_basis(LaurentMatrix([[t(-1), ZERO], [t(-1), ONE]]))
+        second = Lattice.from_basis(LaurentMatrix([[t(-1), ONE], [t(-1), ZERO]]))
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first.contains([ONE, ZERO]) and first.contains([ZERO, ONE])
+        assert vdim(first) == 1
+        assert first != Lattice.standard(2).scaled(-1)
+        # e_1, t^-1 e_2 has the same leading indices (1 and 4), but t^-1 e_2
+        # is not in the span
+        other = Lattice.from_basis(LaurentMatrix.diagonal([ONE, t(-1)]))
+        assert not first.contains([ZERO, t(-1)])
+        assert first != other and other != first
 
     def test_membership(self):
         L = Lattice.from_basis(
@@ -48,6 +76,8 @@ class TestCanonicalForm:
         assert L.contains([t(-1), LaurentPoly.one()])
         assert L.contains([LaurentPoly.one(), LaurentPoly.zero()])
         assert not L.contains([t(-2), LaurentPoly.zero()])
+        with pytest.raises(ValueError):
+            L.contains([LaurentPoly.one()])
 
 
 class TestVdim:
@@ -94,3 +124,91 @@ class TestAffineFlag:
         flag = AffineFlag(lattices=(E, E, E.scaled(-1)), shape=lam)
         with pytest.raises(FlagInvariantError):
             flag.validate()
+
+
+# An oracle that shares no code with the chain-index engine: for bases B, B'
+# (unit matrices times diagonal t-powers), B' V[t] lies in B V[t] iff
+# invert(B) * B' is polynomial, dim B V[t] / B' V[t] is then ord det of that
+# product, and vdim(B V[t]) = -ord det(B).  invert and det are Bareiss.
+
+
+def _polynomial(m: LaurentMatrix) -> bool:
+    return all(p.is_polynomial() for row in m.rows for p in row)
+
+
+@st.composite
+def _bases(draw, n, entries, exponents):
+    m = LaurentMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 5)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        p = LaurentPoly(draw(st.dictionaries(entries, st.integers(-3, 3), max_size=2)))
+        m = m * (LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): p}))
+    return m * LaurentMatrix.diagonal(
+        [LaurentPoly.monomial(draw(exponents), draw(st.sampled_from((1, -1, 2))))
+         for _ in range(n)]
+    )
+
+
+@st.composite
+def _basis_pairs(draw):
+    """(B, B') with B' = B W; W is unimodular over k[t] ("equal"), polynomial
+    ("inside") or anything ("any"), so every answer is drawn often."""
+    n = draw(st.integers(1, 3))
+    laurent = st.integers(-2, 2)
+    b = draw(_bases(n, laurent, laurent))
+    kind = draw(st.sampled_from(("equal", "inside", "any")))
+    polynomial = st.integers(0, 2)
+    if kind == "any":
+        w = draw(_bases(n, laurent, laurent))
+    else:
+        w = draw(_bases(n, polynomial, st.just(0) if kind == "equal" else polynomial))
+    return b, b * w
+
+
+class TestBareissOracle:
+    @given(_basis_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bareiss(self, pair):
+        b, b2 = pair
+        outer, inner = Lattice.from_basis(b), Lattice.from_basis(b2)
+        change = invert(b) * b2
+        inside = _polynomial(change)
+        assert vdim(outer) == -det(b).ord()
+        assert vdim(inner) == -det(b2).ord()
+        assert outer.contains_lattice(inner) == inside
+        equal = inside and _polynomial(invert(b2) * b)
+        assert (outer == inner) == equal
+        if equal:
+            assert hash(outer) == hash(inner)
+        if inside:
+            assert quotient_dim(outer, inner) == det(change).ord()
+        else:
+            with pytest.raises(NotContained):
+                quotient_dim(outer, inner)
+
+    @given(_basis_pairs(), st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_matches_rebuilt_basis(self, pair, k):
+        b, _ = pair
+        scaled = Lattice.from_basis(b).scaled(k)
+        assert scaled == Lattice.from_basis(b.scale_t(k))
+        assert vdim(scaled) == -det(b).ord() - b.n * k
+
+
+class TestMvFlagOracle:
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2, 1), (2, 2)])
+    def test_old_generators_lie_in_each_lattice(self, parts):
+        lam = Composition(parts)
+        n = lam.n
+        rng = random.Random(sum(parts) * 7 + len(parts))
+        for _ in range(4):
+            g = random_sl(rng, n)
+            x = g * random_nilradical(rng, lam) * invert(g)
+            flag = mv_flag(x, lam, frame=g)
+            point = LaurentMatrix.identity(n) - x.scale_t(-1)
+            low = g.scale_t(-1)
+            for i, lat in enumerate(flag):
+                generators = [point.column(k) for k in range(1, n + 1)]
+                generators += [low.column(k) for k in range(1, lam.d[i] + 1)]
+                assert all(lat.contains(v) for v in generators)
+                assert vdim(lat) == lam.d[i]

@@ -260,6 +260,37 @@ class TestInvertOracle:
             invert(m)
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p):
+    t_ = sympy.Symbol("t")
+    terms = (sympy.Rational(c.numerator, c.denominator) * t_**e for e, c in p.terms.items())
+    return sum(terms, sympy.Integer(0))
+
+
+def matrix_to_sympy(sympy, M):
+    return sympy.Matrix([[to_sympy(sympy, p) for p in row] for row in M.rows])
+
+
+class TestSympyOracle:
+    """det and invert against sympy's symbolic linear algebra in t."""
+
+    @given(m=square_matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_det(self, sympy, m):
+        want = matrix_to_sympy(sympy, m).det(method="berkowitz")
+        assert sympy.expand(want - to_sympy(sympy, det(m))) == 0
+
+    @given(m=unit_matrices())
+    @settings(max_examples=25, deadline=None)
+    def test_invert(self, sympy, m):
+        want = matrix_to_sympy(sympy, m).inv(method="DM")
+        assert all(sympy.cancel(x) == 0 for x in want - matrix_to_sympy(sympy, invert(m)))
+
+
 class TestBorel:
     def test_identity_in_both(self):
         # The identity lies in the standard Iwahori and in its opposite; only
