@@ -69,15 +69,12 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
     n = M.n
     cols = [list(M.column(j)) for j in range(1, n + 1)]
     window = []
-    for j in range(1, n + 1):
-        gens = [list(c) for c in cols[: j - 1]]
-        gens += [[p.shift(1) for p in c] for c in cols[j - 1 :]]
-        basis = _triangular_basis(gens, n)
-        reduced = _reduce(list(cols[j - 1]), basis, n)
-        if reduced is None:
+    for j in range(n):
+        gens = cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]]
+        entry = _reduce(cols[j], _triangular_basis(gens, n), n)
+        if entry is None:
             raise IdentityFailed("column cannot lie in the previous span")
-        _, idx = reduced
-        window.append(idx)
+        window.append(entry[0])
     return AffinePermutation(tuple(window))
 
 
@@ -95,10 +92,7 @@ def parabolic_cell(M: LaurentMatrix, J) -> AffinePermutation:
 def _check_nilradical(X: LaurentMatrix, lam: Composition) -> None:
     if not X.is_constant():
         raise NotInNilradical("X must be constant")
-    d = lam.d
-    blocks = []
-    for p in range(1, lam.n + 1):
-        blocks.append(next(i for i in range(1, lam.r + 1) if d[i - 1] < p <= d[i]))
+    blocks = lam.blocks
     for p in range(1, lam.n + 1):
         for q in range(1, lam.n + 1):
             if X.entry(p, q).coeff(0) and blocks[p - 1] >= blocks[q - 1]:

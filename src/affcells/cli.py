@@ -215,7 +215,8 @@ def _cmd_report(args) -> int:
     if obj.get("schema") != 1:
         return _usage(f"unsupported report schema: {obj.get('schema')!r}")
     try:
-        # Rendering reads every field, so it also checks the report's shape.
+        # Recomputing the verdict and rendering read every field (shape check).
+        obj["ok"] = verify.report_ok(obj)
         rendered = verify.report_text(obj)
     except (KeyError, TypeError) as exc:
         return _usage(f"malformed report: {type(exc).__name__}: {exc}")

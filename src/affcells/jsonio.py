@@ -2,8 +2,7 @@
 
 Matrix: ``{"n": int, "entries": [cell, ...]}`` with one cell per position in
 row-major order; a cell is a list of term triples ``[exp, num, den]`` and the
-empty list is zero.  Window: ``{"n": int, "window": [int, ...]}``.  Root:
-``{"i": int, "j": int}``.  Every number is a JSON integer; n >= 1.
+empty list is zero.  Root: ``{"i": int, "j": int}``.  Every number is a JSON integer; n >= 1.
 """
 
 from __future__ import annotations
@@ -11,14 +10,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .affine import AffinePermutation, Root
+from .affine import Root
 from .laurent import LaurentMatrix, LaurentPoly
 
 __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
-    "window_to_obj",
-    "window_from_obj",
     "root_to_obj",
     "dumps",
 ]
@@ -56,18 +53,6 @@ def matrix_from_obj(obj: dict) -> LaurentMatrix:
             row.append(LaurentPoly(terms))
         rows.append(row)
     return LaurentMatrix(rows)
-
-
-def window_to_obj(w: AffinePermutation) -> dict:
-    return {"n": w.n, "window": list(w.window)}
-
-
-def window_from_obj(obj: dict) -> AffinePermutation:
-    n = _int(obj["n"])
-    window = tuple(_int(v) for v in obj["window"])
-    if n < 1 or len(window) != n:
-        raise ValueError(f"expected n >= 1 and n window values, got n = {n}, {len(window)} values")
-    return AffinePermutation(window)
 
 
 def root_to_obj(alpha: Root) -> dict:

@@ -17,7 +17,8 @@ index in its class among the elements of the lattice.  Against it:
   r in 1..n and r = h mod n; it equals minus the t-order of det(basis);
 * equality: the same leading indices plus one containment.
 
-The same engine identifies Bruhat cells in `cells.iwahori_cell`.
+One reduction loop does all of this; triangularizing a family is that loop
+plus displacement, and it also identifies cells in `cells.iwahori_cell`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _MAX_REDUCTION_STEPS = 200_000
 
 
 def _lead(v: list[LaurentPoly], n: int):
-    """Leading u-term of a vector: (chain index, coordinate, coefficient).
+    """Leading u-term of a vector: (chain index, coefficient).
 
     The chain index of t^{-q} e_r is qn + r; for a general vector it is the
     maximum of r - n*ord(v_r) over nonzero coordinates, achieved at exactly
@@ -47,30 +48,31 @@ def _lead(v: list[LaurentPoly], n: int):
             continue
         idx = (r0 + 1) - n * p.ord()
         if best is None or idx > best[0]:
-            best = (idx, r0, p.trailing_coeff())
+            best = (idx, p.trailing_coeff())
     return best
 
 
 def _reduce(v: list[LaurentPoly], basis: dict, n: int):
     """Reduce v against a triangular basis (keyed by index residue).
 
-    Returns (reduced vector, chain index) when stuck, or None when v reduces
-    to zero.  Each step cancels the leading u-term using the unique basis
-    vector in its residue class, when that vector's index is at least as
-    large; the index strictly decreases at each step.  Against the basis of
-    a genuine lattice this terminates for every Laurent vector: an infinite
-    descent would converge t-adically to an element of the completed module,
-    and a Laurent vector in the completion of a lattice already lies in it.
+    Returns None when v reduces to zero; otherwise the basis entry
+    (chain index, leading coefficient, reduced vector) where it got stuck.
+    Each step cancels the leading u-term using the unique basis vector in
+    its residue class, when that vector's index is at least as large; the
+    index strictly decreases at each step.  Against the basis of a genuine
+    lattice this terminates for every Laurent vector: an infinite descent
+    would converge t-adically to an element of the completed module, and a
+    Laurent vector in the completion of a lattice already lies in it.
     """
     steps = 0
     while True:
         lead = _lead(v, n)
         if lead is None:
             return None
-        idx, r0, coeff = lead
+        idx, coeff = lead
         entry = basis.get(idx % n)
         if entry is None or entry[0] < idx:
-            return v, idx
+            return idx, coeff, v
         hidx, hcoeff, hvec = entry
         s = (hidx - idx) // n
         factor = coeff / hcoeff
@@ -84,36 +86,23 @@ def _triangular_basis(vectors: list, n: int) -> dict:
     """Triangularize a basis of a rank-n module: one generator per index
     residue, each of maximal index in its class.
 
-    All operations are unimodular column operations, so the determinant of
-    the family is preserved; the sum of leading indices is bounded below in
-    terms of ord(det), which bounds the number of reduction steps.
+    Each vector is reduced against the basis so far and takes its residue
+    class; a generator it displaces goes back to the pool.  All operations
+    are unimodular column operations, so the determinant of the family is
+    preserved.  The loop ends because each displacement strictly raises the
+    index held in one class, and in the span of a full-rank family the
+    indices of each class are bounded above.
     """
     basis: dict = {}
     pool = [list(v) for v in vectors]
-    steps = 0
     while pool:
-        v = pool.pop()
-        while True:
-            lead = _lead(v, n)
-            if lead is None:
-                raise IdentityFailed("basis vectors cannot reduce to zero")
-            idx, r0, coeff = lead
-            key = idx % n
-            entry = basis.get(key)
-            if entry is None:
-                basis[key] = (idx, coeff, v)
-                break
-            hidx, hcoeff, hvec = entry
-            if hidx >= idx:
-                s = (hidx - idx) // n
-                v = [a - b.shift(s).scale(coeff / hcoeff) for a, b in zip(v, hvec)]
-            else:
-                basis[key] = (idx, coeff, v)
-                pool.append(hvec)
-                break
-            steps += 1
-            if steps > _MAX_REDUCTION_STEPS:
-                raise IdentityFailed("triangularization failed to terminate")
+        entry = _reduce(pool.pop(), basis, n)
+        if entry is None:
+            raise IdentityFailed("basis vectors cannot reduce to zero")
+        displaced = basis.get(entry[0] % n)
+        basis[entry[0] % n] = entry
+        if displaced is not None:
+            pool.append(displaced[2])
     return basis
 
 

@@ -12,6 +12,8 @@ integer, so it can never be mistaken for a pivot order.
 Matrices are square and immutable.  Entry accessors are 1-based, matching
 the usual E_{i,j} notation for elementary matrices; the sparse constructor
 ``LaurentMatrix.from_entries(n, {(i, j): p})`` builds ``p * E_{i,j}`` sums.
+`det` and `invert` run the same fraction-free (Bareiss) elimination step:
+`det` on the rows below each pivot, `invert` on every other row of [A | I].
 
 >>> p = LaurentPoly.t() ** 2 - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -413,39 +415,62 @@ class LaurentMatrix:
         return f"LaurentMatrix(\n {body})"
 
 
+def _into_k_t(M: LaurentMatrix) -> tuple[list, int]:
+    """The rows of t^-s M as lists, and s = min(0, least entry ord): the
+    shift that puts every entry in k[t]."""
+    shift = min(0, M.min_ord())
+    return [[p.shift(-shift) for p in row] for row in M.rows], shift
+
+
+def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
+    """One fraction-free elimination step at pivot column k, in place.
+
+    Swaps the first row from k down that is nonzero in column k into row k,
+    then sets a_ij = (piv*a_ij - a_ik*a_kj) / prev for i in `rows`, j > k,
+    a division exact by Sylvester's identity (columns <= k are not read
+    again).  Returns the sign of the swap, or 0 if there is no pivot.
+    """
+    r = next((r for r in range(k, len(a)) if a[r][k]), None)
+    if r is None:
+        return 0
+    a[k], a[r] = a[r], a[k]
+    top = a[k]
+    piv = top[k]
+    divide = prev != LaurentPoly.one()
+    for i in rows:
+        row = a[i]
+        f = row[k]
+        for j in range(k + 1, len(top)):
+            x, y = row[j], top[j]
+            if not (x or (f and y)):
+                continue
+            num = x * piv - f * y if f else x * piv
+            if divide:
+                num = laurent_exact_div(num, prev)
+                if num is None:
+                    raise IdentityFailed("Bareiss division must be exact")
+            row[j] = num
+    return 1 if r == k else -1
+
+
 @op
 def det(M: LaurentMatrix) -> LaurentPoly:
     """Exact determinant.
 
     Fraction-free Bareiss elimination over k[t] after clearing the global
-    power of t, then re-scaling.  Every internal division is exact, so no
-    rational-function intermediates appear.
+    power of t, updating the rows below each pivot, then re-scaling.  Every
+    internal division is exact, so no rational-function intermediates appear.
     """
     n = M.n
     if n == 0:
         return LaurentPoly.one()
-    shift = M.min_ord()
-    if shift is ORD_ZERO:
-        return LaurentPoly.zero()
-    shift = min(0, int(shift))
-    a = [[p.shift(-shift) for p in row] for row in M.rows]
+    a, shift = _into_k_t(M)
     sign = 1
     prev = LaurentPoly.one()
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                return LaurentPoly.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q = laurent_exact_div(num, prev) if not prev == LaurentPoly.one() else num
-                if q is None:
-                    raise IdentityFailed("Bareiss division must be exact")
-                a[i][j] = q
-            a[i][k] = LaurentPoly.zero()
+        sign *= _bareiss_step(a, k, range(k + 1, n), prev)
+        if not sign:
+            return LaurentPoly.zero()
         prev = a[k][k]
     result = a[n - 1][n - 1].shift(shift * n)
     return result if sign == 1 else -result
@@ -455,12 +480,10 @@ def det(M: LaurentMatrix) -> LaurentPoly:
 def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
-    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I], where A is M
-    shifted into k[t] as in `det`.  Step k replaces a_ij, in every row but
-    the pivot row, by (piv*a_ij - a_ik*a_kj) / prev, a division that is exact
-    by Sylvester's identity.  At the end the left block is d*I and the right
-    block d*A^-1, with d the last pivot; dividing by d and shifting back
-    gives M^-1.
+    One fraction-free Gauss-Jordan pass over [A | I], where A is M shifted
+    into k[t] as in `det`: step k updates every row but the pivot row.  At
+    the end the left block is d*I and the right block d*A^-1, with d the
+    last pivot; dividing by d and shifting back gives M^-1.
 
     Raises NotAUnit when det has two or more terms or is zero; in that case
     the inverse has entries outside k[t,t^-1].
@@ -468,44 +491,16 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
     n = M.n
     if n == 0:
         return LaurentMatrix([])
-    shift = M.min_ord()
-    if shift is ORD_ZERO:
-        raise NotAUnit("determinant 0 is not a monomial")
-    shift = min(0, int(shift))
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    a = [
-        [p.shift(-shift) for p in row] + [one if j == i else zero for j in range(n)]
-        for i, row in enumerate(M.rows)
-    ]
+    a, shift = _into_k_t(M)
+    for row, unit in zip(a, LaurentMatrix.identity(n).rows):
+        row += unit
     sign = 1
-    prev = one
+    prev = LaurentPoly.one()
     for k in range(n):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                raise NotAUnit("determinant 0 is not a monomial")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        top = a[k]
-        piv = top[k]
-        divide = not prev == one
-        for i in range(n):
-            if i == k:
-                continue
-            row = a[i]
-            f = row[k]
-            # Columns 0..k are settled (d*I on the left) and never read again.
-            for j in range(k + 1, 2 * n):
-                x, y = row[j], top[j]
-                if not (x or (f and y)):
-                    continue
-                num = x * piv - f * y if f else x * piv
-                if divide:
-                    num = laurent_exact_div(num, prev)
-                    if num is None:
-                        raise IdentityFailed("Bareiss division must be exact")
-                row[j] = num
-        prev = piv
+        sign *= _bareiss_step(a, k, [i for i in range(n) if i != k], prev)
+        if not sign:
+            raise NotAUnit("determinant 0 is not a monomial")
+        prev = a[k][k]
     if not prev.is_monomial():
         d = prev.shift(shift * n)
         raise NotAUnit(f"determinant {d if sign == 1 else -d!r} is not a monomial")

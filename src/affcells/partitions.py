@@ -84,6 +84,11 @@ class Composition:
             out.append(out[-1] + p)
         return tuple(out)
 
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """blocks[p - 1] is the block (1-based) holding position p."""
+        return tuple(i for i, part in enumerate(self.parts, start=1) for _ in range(part))
+
     def row(self, i: int) -> range:
         """The i-th consecutive block of {1, ..., n}, 1-based."""
         d = self.d

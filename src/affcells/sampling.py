@@ -1,9 +1,11 @@
 """Seeded random generators for property sweeps.
 
 Everything takes an explicit random.Random so runs are reproducible.
-Group-valued samples are built as products of elementary matrices and
+Group-valued samples are products of elementary matrices 1 + p E_ij and
 balanced diagonal pairs, which keeps determinants exactly one; a raw
-"identity plus noise" draw would almost never have unit determinant.
+"identity plus noise" draw would almost never have unit determinant.  Each
+factor is applied to the running product in place, as a column operation
+on its rows, so no matrix product is formed.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffinePermutation
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, invert
 from .partitions import Composition, Partition
 
 __all__ = [
@@ -30,8 +32,18 @@ _SMALL = (-2, -1, 1, 2)
 _UNITS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
-def _elementary(n: int, i: int, j: int, p: LaurentPoly) -> LaurentMatrix:
-    return LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): p})
+def _add_column(m: list, i: int, j: int, p: LaurentPoly) -> None:
+    """m <- m (1 + p E_ij) on a list of rows: add p times column i to column j."""
+    for row in m:
+        if row[i - 1]:
+            row[j - 1] = row[j - 1] + row[i - 1] * p
+
+
+def _scale_pair(m: list, i: int, j: int, u) -> None:
+    """m <- m D on a list of rows, D diagonal with u at i, 1/u at j, 1 elsewhere."""
+    for row in m:
+        row[i - 1] = row[i - 1].scale(u)
+        row[j - 1] = row[j - 1].scale(1 / u)
 
 
 def random_iwahori(rng: random.Random, n: int, factors: int | None = None) -> LaurentMatrix:
@@ -42,59 +54,49 @@ def random_iwahori(rng: random.Random, n: int, factors: int | None = None) -> La
     """
     if n == 1:
         return LaurentMatrix.identity(1)
-    out = LaurentMatrix.identity(n)
+    m = [list(row) for row in LaurentMatrix.identity(n).rows]
     for _ in range(factors if factors is not None else 2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0:
             i = rng.randrange(1, n)
             j = rng.randrange(i + 1, n + 1)
-            out = out * _elementary(n, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
+            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
         elif kind == 1:
             j = rng.randrange(1, n)
             i = rng.randrange(j + 1, n + 1)
-            out = out * _elementary(n, i, j, LaurentPoly.monomial(1, rng.choice(_SMALL)))
+            _add_column(m, i, j, LaurentPoly.monomial(1, rng.choice(_SMALL)))
         else:
             i = rng.randrange(1, n + 1)
             j = rng.randrange(1, n + 1)
-            if i == j:
-                continue
-            u = rng.choice(_UNITS)
-            diag = [LaurentPoly.one()] * n
-            diag[i - 1] = LaurentPoly.constant(u)
-            diag[j - 1] = LaurentPoly.constant(1 / u)
-            out = out * LaurentMatrix.diagonal(diag)
-    return out
+            if i != j:
+                _scale_pair(m, i, j, rng.choice(_UNITS))
+    return LaurentMatrix(m)
 
 
 def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
     """A random constant upper-triangular matrix with determinant one."""
-    out = LaurentMatrix.identity(n)
+    m = [list(row) for row in LaurentMatrix.identity(n).rows]
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             c = rng.choice(_SMALL + (0, 0))
             if c:
-                out = out * _elementary(n, i, j, LaurentPoly.constant(c))
+                _add_column(m, i, j, LaurentPoly.constant(c))
     for i in range(1, n):
-        u = rng.choice(_UNITS)
-        diag = [LaurentPoly.one()] * n
-        diag[i - 1] = LaurentPoly.constant(u)
-        diag[i] = LaurentPoly.constant(1 / u)
-        out = out * LaurentMatrix.diagonal(diag)
-    return out
+        _scale_pair(m, i, i + 1, rng.choice(_UNITS))
+    return LaurentMatrix(m)
 
 
 def random_sl(rng: random.Random, n: int, factors: int | None = None) -> LaurentMatrix:
     """A random constant matrix of determinant one (product of elementaries)."""
-    out = LaurentMatrix.identity(n)
     if n == 1:
-        return out
+        return LaurentMatrix.identity(1)
+    m = [list(row) for row in LaurentMatrix.identity(n).rows]
     for _ in range(factors if factors is not None else 2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
-        if i == j:
-            continue
-        out = out * _elementary(n, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
-    return out
+        if i != j:
+            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
+    return LaurentMatrix(m)
 
 
 def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
@@ -115,26 +117,19 @@ def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
 def random_parabolic(rng: random.Random, lam: Composition) -> LaurentMatrix:
     """A random constant block-upper-triangular matrix with determinant one."""
     n = lam.n
-    d = lam.d
-    block = [next(b for b in range(1, lam.r + 1) if d[b - 1] < p <= d[b]) for p in range(1, n + 1)]
-    out = LaurentMatrix.identity(n)
+    block = lam.blocks
+    m = [list(row) for row in LaurentMatrix.identity(n).rows]
     for _ in range(2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
-        if i == j or block[i - 1] > block[j - 1]:
-            continue
-        out = out * _elementary(n, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
+        if i != j and block[i - 1] <= block[j - 1]:
+            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
     for _ in range(2):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
-        if i == j:
-            continue
-        u = rng.choice(_UNITS)
-        diag = [LaurentPoly.one()] * n
-        diag[i - 1] = LaurentPoly.constant(u)
-        diag[j - 1] = LaurentPoly.constant(1 / u)
-        out = out * LaurentMatrix.diagonal(diag)
-    return out
+        if i != j:
+            _scale_pair(m, i, j, rng.choice(_UNITS))
+    return LaurentMatrix(m)
 
 
 def random_window(rng: random.Random, n: int, spread: int = 3) -> AffinePermutation:
@@ -160,7 +155,5 @@ def jordan_matrix(mu: Partition) -> LaurentMatrix:
 
 def random_conjugate_frame(rng: random.Random, n: int) -> tuple[LaurentMatrix, LaurentMatrix]:
     """A random determinant-one frame together with its exact inverse."""
-    from .laurent import invert
-
     g = random_sl(rng, n)
     return g, invert(g)

@@ -52,13 +52,6 @@ class Tableau:
     def n(self) -> int:
         return self.lam.n
 
-    def row_of(self, entry: int) -> int:
-        d = self.lam.d
-        for i in range(1, self.lam.r + 1):
-            if d[i - 1] < entry <= d[i]:
-                return i
-        raise ValueError(f"entry {entry} outside 1..{self.n}")
-
     def rows(self) -> dict[int, tuple[int, ...]]:
         return {i: tuple(self.lam.row(i)) for i in range(1, self.lam.r + 1)}
 

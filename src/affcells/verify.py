@@ -47,6 +47,7 @@ __all__ = [
     "run_suites",
     "coverage_gap",
     "report_obj",
+    "report_ok",
     "report_text",
 ]
 
@@ -585,7 +586,7 @@ def report_obj(results, nmax: int, seed: int, enforce_coverage: bool = False) ->
     counts as a failure.
     """
     gap = sorted(coverage_gap(results))
-    return {
+    obj = {
         "schema": 1,
         "nmax": nmax,
         "seed": seed,
@@ -608,8 +609,21 @@ def report_obj(results, nmax: int, seed: int, enforce_coverage: bool = False) ->
         ],
         "coverage_missing": gap,
         "coverage_enforced": enforce_coverage,
-        "ok": all(r.ok for r in results) and not (enforce_coverage and gap),
     }
+    obj["ok"] = report_ok(obj)
+    return obj
+
+
+def report_ok(obj: dict) -> bool:
+    """A report passes when it has a suite, each suite has a check that
+    passed, no check failed and no enforced coverage is missing."""
+    suites = obj["suites"]
+    return (
+        bool(suites)
+        and all(any(c["passed"] > 0 for c in s["checks"]) for s in suites)
+        and not any(c["failed"] for s in suites for c in s["checks"])
+        and not (obj.get("coverage_enforced") and obj.get("coverage_missing"))
+    )
 
 
 def report_text(obj: dict, duration: float | None = None) -> str:

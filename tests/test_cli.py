@@ -12,6 +12,9 @@ from affcells.cli import run
 from affcells.laurent import LaurentMatrix
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def capture(capsys):
     out = capsys.readouterr()
     return out.out
@@ -24,26 +27,6 @@ class TestJsonFormats:
         m = LaurentMatrix([[LaurentPoly({0: 1, -1: 2}), LaurentPoly.zero()],
                            [LaurentPoly.t(3), LaurentPoly.one()]])
         assert jsonio.matrix_from_obj(jsonio.matrix_to_obj(m)) == m
-
-    def test_window_roundtrip(self):
-        from affcells.affine import AffinePermutation
-
-        w = AffinePermutation((-1, 4))
-        assert jsonio.window_from_obj(jsonio.window_to_obj(w)) == w
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"n": 2, "window": [1.9, 2.2]},
-            {"n": 2, "window": ["3", 0]},
-            {"n": "2", "window": [2, 1]},
-            {"n": 3, "window": [2, 1]},
-            {"n": 0, "window": []},
-        ],
-    )
-    def test_window_rejects_non_integers_and_wrong_n(self, obj):
-        with pytest.raises(ValueError):
-            jsonio.window_from_obj(obj)
 
 
 class TestKappaCommand:
@@ -152,10 +135,12 @@ class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
         assert run(["verify", "--suite", "all", "--nmax", "3", "--seed", "7",
                     "--format", "json"]) == 0
-        obj = json.loads(capture(capsys))
+        out = capture(capsys)
+        obj = json.loads(out)
         assert obj["ok"] is True
         assert obj["schema"] == 1
         assert obj["coverage_missing"] == []
+        assert out == (GOLDEN / "verify_all_nmax3_seed7.json").read_text()
 
     def test_seed_determinism(self, capsys):
         run(["verify", "--suite", "kappa", "--nmax", "3", "--seed", "5",
@@ -216,6 +201,38 @@ class TestReportCommand:
         assert run(["report", "--in", str(tmp_path / "r.json"),
                     "--format", "text"]) == 0
         assert "ALL SUITES PASSED" in capture(capsys)
+
+    def test_roundtrip_json_is_identical(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        assert run(["verify", "--suite", "kappa", "--nmax", "3", "--seed", "1",
+                    "--format", "json", "--out", str(path)]) == 0
+        capture(capsys)
+        assert run(["report", "--in", str(path), "--format", "json"]) == 0
+        assert capture(capsys) == path.read_text()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"schema": 1, "ok": True, "suites": [
+                {"suite": "lengths", "passed": 0, "failed": 3,
+                 "checks": [{"name": "x", "passed": 0, "failed": 3, "witnesses": []}]}]},
+            {"schema": 1, "ok": True, "suites": []},
+            {"schema": 1, "ok": True, "suites": [
+                {"suite": "lengths", "passed": 0, "failed": 0, "checks": []}]},
+            {"schema": 1, "ok": True, "coverage_enforced": True,
+             "coverage_missing": ["cells.mv_flag"], "suites": [
+                 {"suite": "lengths", "passed": 1, "failed": 0,
+                  "checks": [{"name": "x", "passed": 1, "failed": 0, "witnesses": []}]}]},
+        ],
+        ids=["failed-check", "no-suites", "no-check-ran", "coverage-missing"],
+    )
+    def test_stored_ok_is_not_trusted(self, capsys, tmp_path, obj):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(obj))
+        assert run(["report", "--in", str(path)]) == 1
+        assert capture(capsys).endswith("FAILURES PRESENT\n")
+        assert run(["report", "--in", str(path), "--format", "json"]) == 1
+        assert json.loads(capture(capsys))["ok"] is False
 
     def test_failing_report_exits_one(self, capsys, tmp_path):
         failing = {
