@@ -35,6 +35,7 @@ from .laurent import (
     BOREL_PLUS,
     LaurentMatrix,
     LaurentPoly,
+    _quo,
     borel_membership,
     det,
 )
@@ -485,12 +486,12 @@ def divisor_witnesses(lam: Composition, i: int, a: Fraction) -> DivisorWitnesses
     k = data.k
     e_sign = data.lift.entry(n - d[i], d[i - 1] + 1).trailing_coeff()
 
-    b2 = LaurentMatrix.identity(n) + unit(n, k + 1, k, LaurentPoly.t(1).scale(e_sign / a))
-    b3 = LaurentMatrix.identity(n) + unit(n, d[i + 1], d[i - 1] + 1, LaurentPoly.t(1).scale(1 / a))
+    b2 = LaurentMatrix.identity(n) + unit(n, k + 1, k, LaurentPoly.t(1).scale(_quo(e_sign, a)))
+    b3 = LaurentMatrix.identity(n) + unit(n, d[i + 1], d[i - 1] + 1, LaurentPoly.t(1).scale(_quo(1, a)))
     diag = []
     for idx in range(1, n + 1):
         if idx == k:
-            diag.append(LaurentPoly.constant(e_sign / a))
+            diag.append(LaurentPoly.constant(_quo(e_sign, a)))
         elif idx == k + 1:
             diag.append(LaurentPoly.constant(e_sign * a))
         else:

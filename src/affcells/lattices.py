@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, det
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _quo, _raw, det
 from .ops import op
 from .partitions import Composition
 
@@ -44,11 +44,12 @@ def _lead(v: list[LaurentPoly], n: int):
     """
     best = None
     for r0, p in enumerate(v):
-        if p.is_zero():
-            continue
-        idx = (r0 + 1) - n * p.ord()
-        if best is None or idx > best[0]:
-            best = (idx, p.trailing_coeff())
+        terms = p._terms
+        if terms:
+            low = min(terms)
+            idx = (r0 + 1) - n * low
+            if best is None or idx > best[0]:
+                best = (idx, terms[low])
     return best
 
 
@@ -75,8 +76,9 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int):
             return idx, coeff, v
         hidx, hcoeff, hvec = entry
         s = (hidx - idx) // n
-        factor = coeff / hcoeff
-        v = [a - b.shift(s).scale(factor) for a, b in zip(v, hvec)]
+        factor = -_quo(coeff, hcoeff)
+        v = [_raw(_addmul(dict(a._terms), factor, s, b._terms)) if b else a
+             for a, b in zip(v, hvec)]
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise IdentityFailed("reduction failed to terminate; not a unit matrix?")

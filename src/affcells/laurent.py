@@ -1,8 +1,9 @@
 """Exact Laurent polynomials over the rationals, and dense square matrices.
 
-Every coefficient is a `fractions.Fraction`; plain ints are coerced on the
-way in.  No floating point appears anywhere: every operation is exact or
-raises.
+A coefficient is an `int` when it is integral and a `fractions.Fraction`
+otherwise, on the way in and after every operation; the one coefficient
+division, `_quo`, makes a Fraction only when a quotient is not integral.  No
+floating point appears anywhere: every operation is exact or raises.
 
 A Laurent polynomial is a sparse map ``{exponent: coefficient}`` with no zero
 coefficients stored; the zero polynomial is the empty map.  ``ord`` of the
@@ -46,12 +47,48 @@ ORD_ZERO = math.inf
 
 
 def _as_scalar(c):
-    """Coerce plain ints to Fraction; reject anything inexact."""
-    if isinstance(c, Fraction):
+    """An exact coefficient: an int when integral, else the Fraction;
+    anything inexact is rejected."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _quo(a, b):
+    """The exact quotient of two coefficients: a // b when b divides a,
+    else Fraction(a, b) (an int again when that is integral).  Every
+    coefficient division in the package goes through here."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _addmul(d: dict, c, s: int, b: dict) -> dict:
+    """d += c * t^s * b in place, for a coefficient c != 0, in one pass over b.
+
+    The one coefficient kernel: `+`, `-`, `*`, the Bareiss update and the
+    lattice reduction step are all built from it.  Cancelled terms are
+    deleted, so d stays normalized.
+    """
+    get = d.get
+    for e, v in b.items():
+        e += s
+        old = get(e)
+        v = c * v if old is None else old + c * v
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
+        if v:
+            d[e] = v
+        else:
+            del d[e]
+    return d
 
 
 class LaurentPoly:
@@ -64,7 +101,7 @@ class LaurentPoly:
         d = {}
         for e, c in terms.items():
             e = int(e)
-            c = d.pop(e, 0) + _as_scalar(c)
+            c = _as_scalar(d.pop(e, 0) + _as_scalar(c))
             if c:
                 d[e] = c
         self._terms = d
@@ -77,19 +114,20 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return _raw({0: Fraction(1)})
+        return _raw({0: 1})
 
     @classmethod
     def t(cls, exp: int = 1) -> "LaurentPoly":
-        return _raw({exp: Fraction(1)})
+        return _raw({exp: 1})
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, exp: int, c=1) -> "LaurentPoly":
-        return cls({exp: c})
+        c = _as_scalar(c)
+        return _raw({int(exp): c} if c else {})
 
     # -- inspection --------------------------------------------------------
 
@@ -108,7 +146,7 @@ class LaurentPoly:
         return max(self._terms) if self._terms else -ORD_ZERO
 
     def coeff(self, exp: int):
-        return self._terms.get(exp, Fraction(0))
+        return self._terms.get(exp, 0)
 
     def is_monomial(self) -> bool:
         """A single nonzero term c*t^k.  These are exactly the units of k[t,t^-1]."""
@@ -123,46 +161,28 @@ class LaurentPoly:
 
     def leading_coeff(self):
         """Coefficient of the highest power; 0 for the zero polynomial."""
-        return self._terms[max(self._terms)] if self._terms else Fraction(0)
+        return self._terms[max(self._terms)] if self._terms else 0
 
     def trailing_coeff(self):
         """Coefficient of the lowest power; 0 for the zero polynomial."""
-        return self._terms[min(self._terms)] if self._terms else Fraction(0)
+        return self._terms[min(self._terms)] if self._terms else 0
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            s = d.get(e)
-            s = c if s is None else s + c
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        return _raw(d)
+        return _raw(_addmul(dict(self._terms), 1, 0, self._coerce(other)._terms))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return _raw(_addmul(dict(self._terms), -1, 0, self._coerce(other)._terms))
 
     def __neg__(self):
         return _raw({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self._terms or not other._terms:
-            return LaurentPoly.zero()
+        other = self._coerce(other)._terms
         d = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = d.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
+        for e, c in self._terms.items():
+            _addmul(d, c, e, other)
         return _raw(d)
 
     __rmul__ = __mul__
@@ -187,18 +207,17 @@ class LaurentPoly:
 
     def scale(self, c) -> "LaurentPoly":
         c = _as_scalar(c)
-        if not c:
-            return LaurentPoly.zero()
-        return _raw({e: v * c for e, v in self._terms.items()})
+        return _raw(_addmul({}, c, 0, self._terms) if c else {})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         return _raw({e + k: c for e, c in self._terms.items()})
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, LaurentPoly):
             return other
-        return LaurentPoly.constant(other)
+        return LaurentPoly.monomial(0, other)
 
     # -- protocol ------------------------------------------------------------
 
@@ -243,15 +262,14 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         raise ZeroDivisionError("polynomial division by zero")
     if not (a.is_polynomial() and b.is_polynomial()):
         raise ValueError("poly_divmod requires arguments in k[t]")
-    q = LaurentPoly.zero()
-    r = a
+    q, r = {}, dict(a._terms)
     db = b.degree()
     lb = b.leading_coeff()
-    while not r.is_zero() and r.degree() >= db:
-        step = LaurentPoly.monomial(r.degree() - db, r.leading_coeff() / lb)
-        q = q + step
-        r = r - step * b
-    return q, r
+    while r and (dr := max(r)) >= db:
+        c = _quo(r[dr], lb)
+        q[dr - db] = c
+        _addmul(r, -c, dr - db, b._terms)
+    return _raw(q), _raw(r)
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -262,7 +280,7 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         return LaurentPoly.zero()
     if len(b._terms) == 1:
         ((e, c),) = b._terms.items()
-        return _raw({k - e: v / c for k, v in a._terms.items()})
+        return _raw({k - e: _quo(v, c) for k, v in a._terms.items()})
     oa, ob = a.ord(), b.ord()
     q, r = poly_divmod(a.shift(-oa), b.shift(-ob))
     if not r.is_zero():
@@ -286,11 +304,7 @@ class LaurentMatrix:
     def __setattr__(self, *args):
         raise AttributeError("LaurentMatrix is immutable")
 
-    @staticmethod
-    def _entry(p):
-        if isinstance(p, LaurentPoly):
-            return p
-        return LaurentPoly.constant(p)
+    _entry = staticmethod(LaurentPoly._coerce)
 
     # -- constructors --------------------------------------------------------
 
@@ -360,19 +374,18 @@ class LaurentMatrix:
             p = self._entry(other)
             return LaurentMatrix([[e * p for e in row] for row in self.rows])
         self._same_size(other)
-        n = self.n
-        cols = [[other.rows[k][j] for k in range(n)] for j in range(n)]
+        cols = [[p._terms for p in col] for col in zip(*other.rows)]
         out = []
-        for i in range(n):
-            row = self.rows[i]
+        for row in self.rows:
+            row = [p._terms.items() for p in row]
             out_row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                col = cols[j]
-                for k in range(n):
-                    if row[k] and col[k]:
-                        acc = acc + row[k] * col[k]
-                out_row.append(acc)
+            for col in cols:
+                d = {}
+                for x, y in zip(row, col):
+                    if y:
+                        for e, c in x:
+                            _addmul(d, c, e, y)
+                out_row.append(_raw(d))
             out.append(out_row)
         return LaurentMatrix(out)
 
@@ -435,16 +448,21 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
         return 0
     a[k], a[r] = a[r], a[k]
     top = a[k]
-    piv = top[k]
+    piv = top[k]._terms.items()
     divide = prev != LaurentPoly.one()
     for i in rows:
         row = a[i]
-        f = row[k]
+        f = row[k]._terms.items()
         for j in range(k + 1, len(top)):
-            x, y = row[j], top[j]
+            x, y = row[j]._terms, top[j]._terms
             if not (x or (f and y)):
                 continue
-            num = x * piv - f * y if f else x * piv
+            d = {}
+            for e, c in piv:
+                _addmul(d, c, e, x)
+            for e, c in f:
+                _addmul(d, -c, e, y)
+            num = _raw(d)
             if divide:
                 num = laurent_exact_div(num, prev)
                 if num is None:

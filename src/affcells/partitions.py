@@ -5,9 +5,9 @@ zero-extension.  A composition is any tuple of positive integers; its prefix
 sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 
 Jordan types of constant nilpotent matrices are computed by exact ranks of
-powers over the rationals (fraction-free elimination never enters: Fraction
-arithmetic is already exact).  `vector_rank` is the one exact rank routine of
-the package.
+powers over the rationals (fraction-free elimination never enters: every
+quotient goes through the exact `laurent._quo`).  `vector_rank` is the one
+exact rank routine of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import NotNilpotent, SizeMismatch
-from .laurent import LaurentMatrix
+from .laurent import LaurentMatrix, _quo
 from .ops import op
 
 __all__ = [
@@ -131,7 +131,7 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
 
 
 def vector_rank(vectors) -> int:
-    """Exact rank of a family of equal-length Fraction vectors, by forward
+    """Exact rank of a family of equal-length int/Fraction vectors, by forward
     Gaussian elimination (no back substitution)."""
     a = [list(v) for v in vectors]
     rows = len(a)
@@ -144,7 +144,7 @@ def vector_rank(vectors) -> int:
         inv = a[rank][col]
         for r in range(rank + 1, rows):
             if a[r][col]:
-                factor = a[r][col] / inv
+                factor = _quo(a[r][col], inv)
                 a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
         rank += 1
         if rank == rows:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffinePermutation
-from .laurent import LaurentMatrix, LaurentPoly, invert
+from .laurent import LaurentMatrix, LaurentPoly, _quo, invert
 from .partitions import Composition, Partition
 
 __all__ = [
@@ -43,7 +43,7 @@ def _scale_pair(m: list, i: int, j: int, u) -> None:
     """m <- m D on a list of rows, D diagonal with u at i, 1/u at j, 1 elsewhere."""
     for row in m:
         row[i - 1] = row[i - 1].scale(u)
-        row[j - 1] = row[j - 1].scale(1 / u)
+        row[j - 1] = row[j - 1].scale(_quo(1, u))
 
 
 def random_iwahori(rng: random.Random, n: int, factors: int | None = None) -> LaurentMatrix:

@@ -614,13 +614,21 @@ def report_obj(results, nmax: int, seed: int, enforce_coverage: bool = False) ->
     return obj
 
 
+def _check_totals(suite: dict) -> tuple[int, int]:
+    """(passed, failed) summed over a suite's checks."""
+    checks = suite["checks"]
+    return sum(c["passed"] for c in checks), sum(c["failed"] for c in checks)
+
+
 def report_ok(obj: dict) -> bool:
     """A report passes when it has a suite, each suite has a check that
-    passed, no check failed and no enforced coverage is missing."""
+    passed and stored totals equal to its checks' sums, no check failed and
+    no enforced coverage is missing."""
     suites = obj["suites"]
     return (
         bool(suites)
-        and all(any(c["passed"] > 0 for c in s["checks"]) for s in suites)
+        and all(any(c["passed"] > 0 for c in s["checks"])
+                and (s["passed"], s["failed"]) == _check_totals(s) for s in suites)
         and not any(c["failed"] for s in suites for c in s["checks"])
         and not (obj.get("coverage_enforced") and obj.get("coverage_missing"))
     )
@@ -637,8 +645,15 @@ def report_text(obj: dict, duration: float | None = None) -> str:
             )
             for w in check["witnesses"][:5]:
                 lines.append(f"      witness: {w}")
-        if suite["passed"] == 0 and suite["failed"] == 0:
+        totals = _check_totals(suite)
+        if totals == (0, 0):
             lines.append(f"FAIL  {suite['suite']}: no check ran")
+        if (suite["passed"], suite["failed"]) != totals:
+            lines.append(
+                f"FAIL  {suite['suite']}: totals passed={suite['passed']} "
+                f"failed={suite['failed']} disagree with its checks "
+                f"(passed={totals[0]} failed={totals[1]})"
+            )
     if obj.get("coverage_missing"):
         label = (
             "COVERAGE MISSING"

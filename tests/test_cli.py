@@ -234,6 +234,19 @@ class TestReportCommand:
         assert run(["report", "--in", str(path), "--format", "json"]) == 1
         assert json.loads(capture(capsys))["ok"] is False
 
+    def test_suite_totals_must_agree_with_checks(self, capsys, tmp_path):
+        # The suite's totals say no check ran while its one check passed twice.
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"schema": 1, "suites": [
+            {"suite": "x", "passed": 0, "failed": 0,
+             "checks": [{"name": "a", "passed": 2, "failed": 0, "witnesses": []}]}]}))
+        assert run(["report", "--in", str(path)]) == 1
+        out = capture(capsys)
+        assert "ALL SUITES PASSED" not in out
+        assert "FAIL  x: no check ran" not in out
+        assert "FAIL  x: totals passed=0 failed=0 disagree with its checks" in out
+        assert out.endswith("FAILURES PRESENT\n")
+
     def test_failing_report_exits_one(self, capsys, tmp_path):
         failing = {
             "schema": 1, "nmax": 2, "seed": 0, "ok": False,

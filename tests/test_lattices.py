@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,20 @@ class TestBareissOracle:
         scaled = Lattice.from_basis(b).scaled(k)
         assert scaled == Lattice.from_basis(b.scale_t(k))
         assert vdim(scaled) == -det(b).ord() - b.n * k
+
+
+class TestCoefficientType:
+    @given(_basis_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_from_columns_stores_exact_coefficients(self, pair):
+        # Nonzero, an int when integral and a Fraction otherwise: never a
+        # float, a bool or an integral Fraction.
+        for b in pair:
+            for _, lead, vector in Lattice.from_basis(b).basis.values():
+                coeffs = [lead] + [c for p in vector for c in p.terms.values()]
+                assert all(coeffs)
+                assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                           for c in coeffs)
 
 
 class TestMvFlagOracle:

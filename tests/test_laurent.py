@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -203,7 +204,7 @@ def cofactor_inverse(M):
             cof = leibniz_det(minor)
             if (i + j) % 2:
                 cof = -cof
-            out[j][i] = cof.scale(1 / coeff).shift(-exp)
+            out[j][i] = cof.scale(Fraction(1) / coeff).shift(-exp)
     return LaurentMatrix(out)
 
 
@@ -289,6 +290,86 @@ class TestSympyOracle:
     def test_invert(self, sympy, m):
         want = matrix_to_sympy(sympy, m).inv(method="DM")
         assert all(sympy.cancel(x) == 0 for x in want - matrix_to_sympy(sympy, invert(m)))
+
+
+def coefficients(*polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+def entries(M):
+    return [p for row in M.rows for p in row]
+
+
+def assert_exact(coeffs):
+    """Nonzero, an int when integral, otherwise a Fraction: never a float or
+    a bool, and never an integral Fraction."""
+    for c in coeffs:
+        assert type(c) in (int, Fraction), repr(c)
+        assert c != 0
+        assert type(c) is int or c.denominator != 1, repr(c)
+
+
+fraction_matrices = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(laurent_polys, min_size=n, max_size=n), min_size=n, max_size=n)
+).map(LaurentMatrix)
+
+
+@st.composite
+def integer_unimodular(draw):
+    """Integer-coefficient matrices with det +-t^k: elementary factors over
+    Z[t, t^-1] and one diagonal of +-t^k."""
+    n = draw(st.integers(1, 4))
+    m = LaurentMatrix.diagonal(
+        [LaurentPoly.monomial(draw(st.integers(-2, 2)), draw(st.sampled_from((1, -1))))
+         for _ in range(n)]
+    )
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        m = m * (LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): draw(small_polys)}))
+    return m
+
+
+class TestCoefficientType:
+    @given(laurent_polys, laurent_polys, st.fractions(min_value=-3, max_value=3), st.integers(-3, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic_stores_exact_coefficients(self, p, q, c, k):
+        assert_exact(coefficients(p, q, p + q, p - q, p * q, -p, p.scale(c), p.shift(k)))
+        assert_exact(coefficients(p + 1, 1 - p, p * 2, p.scale(Fraction(4, 2))))
+
+    @given(fraction_matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_det_stores_exact_coefficients(self, m):
+        assert_exact(coefficients(det(m)))
+
+    @given(unit_matrices())
+    @settings(max_examples=30, deadline=None)
+    def test_invert_stores_exact_coefficients(self, m):
+        assert_exact(coefficients(*entries(invert(m))))
+
+    @given(integer_unimodular())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_unimodular_stays_integer(self, m):
+        inv = invert(m)
+        assert all(type(c) is int for c in coefficients(det(m), *entries(inv)))
+        assert m * inv == LaurentMatrix.identity(m.n)
+
+    def test_inputs_are_normalized(self):
+        p = LaurentPoly({0: True, 1: Fraction(6, 3), 2: Fraction(1, 2)})
+        assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+        assert type(LaurentPoly.constant(Fraction(-4, 2)).coeff(0)) is int
+        assert type(LaurentPoly.one().coeff(5)) is int
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 1.0})
+        with pytest.raises(TypeError):
+            LaurentPoly.one().scale(0.5)
+
+    def test_quotients_are_int_when_integral(self):
+        six, two, three = (LaurentPoly.constant(c) for c in (6, 2, 3))
+        assert type(laurent_exact_div(six, two).coeff(0)) is int
+        assert laurent_exact_div(three, two).coeff(0) == Fraction(3, 2)
+        q, r = poly_divmod(t(2) * 3 + 1, t(1) * 2)
+        assert q.terms == {1: Fraction(3, 2)} and r.terms == {0: 1}
+        assert type(r.coeff(0)) is int
 
 
 class TestBorel:
