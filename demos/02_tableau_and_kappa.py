@@ -30,7 +30,7 @@ print(f"\nkappa window: {bundle.kappa.window}")
 print(f"translation part tau_q window: {bundle.tau_q.window}")
 print(f"finite part sigma window:      {bundle.sigma.window}")
 
-rep = check_kappa(lam)
+rep = check_kappa(bundle)
 print(f"\nlength(kappa) two ways: {rep.length} (direct) = "
       f"{rep.length_formula} (2 dim G/P + correction)")
 print(f"dim G/P = {dim_g_mod_p(lam)}")

@@ -34,7 +34,7 @@ for i in range(1, lam.r):
           f"gamma = ({data.gamma.i},{data.gamma.j})")
     print(f"  v_k window {data.v_k.window}, minimal representative "
           f"{data.v_k_min.window} of length {data.v_k_min.length()}")
-    wit = divisor_witnesses(lam, i, Fraction(3, 2))
+    wit = divisor_witnesses(data, Fraction(3, 2))
     print(f"  witness reduction gives the monomial matrix of "
           f"{window_from_matrix(wit.reduced).window}")
 

@@ -85,7 +85,7 @@ def _cmd_tableau(args) -> int:
 def _cmd_kappa(args) -> int:
     lam = _parse_lambda(args.lam)
     bundle = cons.kappa_bundle(lam)
-    rep = cons.check_kappa(lam)
+    rep = cons.check_kappa(bundle)
     tab = bundle.tableau
     obj = {
         "lambda": list(lam.parts),
@@ -109,7 +109,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_varpi(args) -> int:
     lam = _parse_lambda(args.lam)
     wit = cons.varpi_witness(lam)
-    w_g, w_p = cons.decompose_varpi(lam)
+    w_g, w_p = cons.decompose_varpi(cons.kappa_bundle(lam), wit.varpi)
     obj = {
         "lambda": list(lam.parts),
         "varpi_window": list(wit.varpi.window),
@@ -161,7 +161,7 @@ def _cmd_cell(args) -> int:
             return _usage(str(exc))
     try:
         M = jsonio.matrix_from_obj(json.loads(text))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         return _usage(f"bad matrix JSON: {exc}")
     try:
         w = cells.iwahori_cell(M)
@@ -208,7 +208,7 @@ def _cmd_report(args) -> int:
             return _usage(str(exc))
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return _usage(f"bad report JSON: {exc}")
     if not isinstance(obj, dict):
         return _usage("a report must be a JSON object")

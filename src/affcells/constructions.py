@@ -12,21 +12,25 @@ Everything here is a finite, exactly checkable computation:
   b (1 - t^-1 Z) c equal to a monomial lift of the cell element varpi.
   The corner column of c uses the index that makes the identity hold
   exactly; a deliberately wrong variant is kept for tests.
-* ``decompose_varpi``: finite w_g and block-preserving w_p with
-  varpi = w_g * kappa * w_p, exactly.
-* ``check_kappa``: minimality in its coset, left stability under the finite
-  simple reflections, and the closed-form length with its correction term.
-* ``divisor_data`` and ``divisor_witnesses``: the codimension-one data: the
-  reflection index k = n - d_i, the root gamma spanning the conormal
-  directions, the antidiagonal element v_k, and the diagonal/elementary
-  matrices that reduce a conormal point to the monomial matrix of the
-  minimal representative of v_k.
+* ``decompose_varpi(bundle, varpi)``: finite w_g and block-preserving w_p
+  with varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle.
+* ``check_kappa(bundle)``: minimality in its coset, left stability under the
+  finite simple reflections, and the closed-form length with its correction
+  term.
+* ``divisor_data`` and ``divisor_witnesses(data, a)``: the codimension-one
+  data: the reflection index k = n - d_i, the root gamma spanning the
+  conormal directions, the antidiagonal element v_k, and the
+  diagonal/elementary matrices that reduce a conormal point to the monomial
+  matrix of the minimal representative of v_k.
+
+Everything is derived once from a composition: ``kappa_bundle(lam)``,
+``varpi_witness(lam)`` and ``divisor_data(lam, i)`` build from lambda, and the
+functions that extend one of them take it instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import affine
 from .affine import AffinePermutation, Root, Side
@@ -35,6 +39,7 @@ from .laurent import (
     BOREL_PLUS,
     LaurentMatrix,
     LaurentPoly,
+    _as_scalar,
     _quo,
     borel_membership,
     det,
@@ -132,8 +137,11 @@ def richardson_element(lam: Composition) -> LaurentMatrix:
     Z sends the basis vector at f[i, j] to the one at f[i, j-1] (0 for j = 1),
     so each tableau column contributes one Jordan block of its height.
     """
-    tab = build(lam)
-    n = lam.n
+    return _richardson(build(lam))
+
+
+def _richardson(tab: Tableau) -> LaurentMatrix:
+    n = tab.n
     entries = {}
     for i in range(1, tab.s + 1):
         for j in range(1, tab.nu.part(i)):
@@ -141,6 +149,11 @@ def richardson_element(lam: Composition) -> LaurentMatrix:
     return (
         LaurentMatrix.from_entries(n, entries) if entries else LaurentMatrix.zero(n)
     )
+
+
+def _deformation(tab: Tableau) -> LaurentMatrix:
+    """1 - t^-1 Z for the Richardson element Z of the tableau."""
+    return LaurentMatrix.identity(tab.n) - _richardson(tab).scale_t(-1)
 
 
 @dataclass(frozen=True)
@@ -202,13 +215,10 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     the construction itself is wrong, not the input.
     """
     tab = build(lam)
-    n = lam.n
     b = _b_matrix(tab)
     c = _c_matrix(tab)
     lift = _varpi_lift(tab)
-    z = richardson_element(lam)
-    point = LaurentMatrix.identity(n) - z.scale_t(-1)
-    if b * point * c != lift:
+    if b * _deformation(tab) * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
     if BOREL_PLUS not in borel_membership(b) or BOREL_PLUS not in borel_membership(c):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
@@ -220,16 +230,18 @@ def broken_corner_witness(lam: Composition) -> bool:
     product identity.  Kept as a negative control; expected False whenever
     some column has height at least 2."""
     tab = build(lam)
-    n = lam.n
     c_bad = _c_matrix(tab, corner_row_offset=1)
-    z = richardson_element(lam)
-    point = LaurentMatrix.identity(n) - z.scale_t(-1)
-    return _b_matrix(tab) * point * c_bad == _varpi_lift(tab)
+    return _b_matrix(tab) * _deformation(tab) * c_bad == _varpi_lift(tab)
 
 
 @op
-def decompose_varpi(lam: Composition) -> tuple[AffinePermutation, AffinePermutation]:
+def decompose_varpi(
+    bundle: KappaBundle, varpi: AffinePermutation
+) -> tuple[AffinePermutation, AffinePermutation]:
     """Finite w_g and block-preserving w_p with varpi = w_g * kappa * w_p.
+
+    kappa and the tableau come from the bundle; varpi is the element of
+    ``varpi_witness`` for the same composition.
 
     w_g sends i to the bottom entry of column i (and i+s to the upstairs
     neighbor of the row-aligned enumeration); w_p carries the top-of-column
@@ -237,7 +249,7 @@ def decompose_varpi(lam: Composition) -> tuple[AffinePermutation, AffinePermutat
     blue one, so it preserves every row block.  Both the product identity
     and the block-preservation are verified exactly.
     """
-    tab = build(lam)
+    lam, tab = bundle.lam, bundle.tableau
     n, s = lam.n, tab.s
     wg_entries = {(tab.f[(i, tab.nu.part(i))], i): LaurentPoly.one() for i in range(1, s + 1)}
     for i in range(1, n - s + 1):
@@ -256,8 +268,6 @@ def decompose_varpi(lam: Composition) -> tuple[AffinePermutation, AffinePermutat
         if any(w_p(j) not in block for j in block):
             raise IdentityFailed("w_p must preserve the row blocks")
 
-    bundle = kappa_bundle(lam)
-    varpi = varpi_witness(lam).varpi
     if w_g * bundle.kappa * w_p != varpi:
         raise IdentityFailed("w_g * kappa * w_p != varpi")
     return w_g, w_p
@@ -277,8 +287,8 @@ class KappaReport:
 
 
 @op
-def check_kappa(lam: Composition) -> KappaReport:
-    """Minimality, left stability, and the closed-form length of kappa.
+def check_kappa(bundle: KappaBundle) -> KappaReport:
+    """Minimality, left stability, and the closed-form length of the bundle's kappa.
 
     * in_min_reps: kappa * s_i > kappa for every i in the block parabolic.
     * left_stable: for every finite i, s_i * kappa either descends or has the
@@ -288,9 +298,7 @@ def check_kappa(lam: Composition) -> KappaReport:
     * is_compactification: the two lengths agree with no correction term
       exactly when the composition has two parts.
     """
-    bundle = kappa_bundle(lam)
-    tab = bundle.tableau
-    kappa = bundle.kappa
+    lam, tab, kappa = bundle.lam, bundle.tableau, bundle.kappa
     n = lam.n
     sp = parabolic_subset(lam)
     lk = kappa.length()
@@ -362,22 +370,21 @@ def longest_min_rep(lam: Composition) -> AffinePermutation:
     return AffinePermutation(tuple(window))
 
 
-def lift_finite(w: AffinePermutation) -> LaurentMatrix:
+def lift_finite(w: AffinePermutation, column: int = 1) -> LaurentMatrix:
     """A determinant-one constant monomial lift of a finite element.
 
-    The permutation matrix gets its first column negated when the sign of
-    the permutation is -1; any other sign placement differs by a torus
-    element and lands in the same cells.
+    The permutation matrix gets its entry in the given column (1..n) negated
+    when the sign of the permutation is -1; any other sign placement differs
+    by a torus element and lands in the same cells.
     """
     if not w.is_finite():
         raise ValueError("lift_finite expects a finite element")
     n = w.n
     entries = {(w(j), j): LaurentPoly.one() for j in range(1, n + 1)}
     M = LaurentMatrix.from_entries(n, entries)
-    d = det(M)
-    if d == LaurentPoly.one():
+    if det(M) == LaurentPoly.one():
         return M
-    entries[(w(1), 1)] = -LaurentPoly.one()
+    entries[(w(column), column)] = -LaurentPoly.one()
     M = LaurentMatrix.from_entries(n, entries)
     if det(M) != LaurentPoly.one():
         raise IdentityFailed("could not normalize lift to determinant one")
@@ -399,8 +406,9 @@ class DivisorBundle:
 def divisor_data(lam: Composition, i: int) -> DivisorBundle:
     """All data attached to the i-th codimension-one stratum, verified.
 
-    Checks performed at construction: det(lift) = 1, the conormal directions
-    of w = s_k * longest_min_rep reduce to {gamma}, and the minimal
+    Checks performed at construction: the lift of w = s_k * longest_min_rep,
+    signed in column d_{i-1} + 1, has determinant one and lifts w, the
+    conormal directions of w reduce to {gamma}, and the minimal
     representative of v_k has length dim G/P.
     """
     if not 1 <= i <= lam.r - 1:
@@ -408,13 +416,10 @@ def divisor_data(lam: Composition, i: int) -> DivisorBundle:
     n = lam.n
     d = lam.d
     k = n - d[i]
-    w0p = longest_min_rep(lam)
-    w = affine.simple_reflection(n, k) * w0p
+    w = affine.simple_reflection(n, k) * longest_min_rep(lam)
     gamma = Root(d[i - 1] + 1, d[i + 1], n)
 
-    lift = _divisor_lift(lam, i)
-    if det(lift) != LaurentPoly.one():
-        raise IdentityFailed("divisor lift must have determinant one")
+    lift = lift_finite(w, d[i - 1] + 1)
     if affine.from_matrix(lift) != w:
         raise IdentityFailed("divisor lift does not lift s_k * longest_min_rep")
 
@@ -428,36 +433,15 @@ def divisor_data(lam: Composition, i: int) -> DivisorBundle:
             a = LaurentPoly.one()
         entries[(idx, n + 1 - idx)] = a
     v_k = affine.from_matrix(LaurentMatrix.from_entries(n, entries))
-    v_k_min = affine.min_coset_rep(v_k, parabolic_subset(lam), Side.RIGHT)
-
     sp = parabolic_subset(lam)
+    v_k_min = affine.min_coset_rep(v_k, sp, Side.RIGHT)
+
     if conormal_directions(w, sp) != frozenset({gamma}):
         raise IdentityFailed("conormal directions of the divisor are not {gamma}")
     if v_k_min.length() != dim_g_mod_p(lam):
         raise IdentityFailed("minimal representative length must be dim G/P")
 
     return DivisorBundle(i=i, k=k, w=w, lift=lift, gamma=gamma, v_k=v_k, v_k_min=v_k_min)
-
-
-def _divisor_lift(lam: Composition, i: int) -> LaurentMatrix:
-    """Signed monomial lift of s_k * longest_min_rep with the sign at
-    position (n - d_i, d_{i-1} + 1), chosen so the determinant is one."""
-    n = lam.n
-    d = lam.d
-    w0p = longest_min_rep(lam)
-    k = n - d[i]
-    w = affine.simple_reflection(n, k) * w0p
-    for sign in (1, -1):
-        entries = {}
-        for j in range(1, n + 1):
-            coeff = LaurentPoly.one()
-            if (w(j), j) == (n - d[i], d[i - 1] + 1):
-                coeff = coeff.scale(sign)
-            entries[(w(j), j)] = coeff
-        M = LaurentMatrix.from_entries(n, entries)
-        if det(M) == LaurentPoly.one():
-            return M
-    raise IdentityFailed("no sign placement gives determinant one")
 
 
 @dataclass(frozen=True)
@@ -468,26 +452,26 @@ class DivisorWitnesses:
     reduced: LaurentMatrix
 
 
-def divisor_witnesses(lam: Composition, i: int, a: Fraction) -> DivisorWitnesses:
+def divisor_witnesses(data: DivisorBundle, a) -> DivisorWitnesses:
     """The explicit Iwahori witnesses reducing the conormal point to a
     monomial matrix.
 
-    For the point lift * (1 - a t^-1 E_gamma) with a != 0, the product
-    b1 * b2 * lift * (1 - a t^-1 E_gamma) * b3 is a monomial matrix whose
-    normalized form is the minimal representative of v_k.  The construction
-    raises IdentityFailed if that fails, since it certifies the cell.
+    For the point lift * (1 - a t^-1 E_gamma) with an exact a != 0, the
+    product b1 * b2 * lift * (1 - a t^-1 E_gamma) * b3 is a monomial matrix
+    whose normalized form is the minimal representative of v_k.  The
+    construction raises IdentityFailed if that fails, since it certifies the
+    cell, and TypeError when a is not exact (a float).
     """
-    a = Fraction(a)
+    a = _as_scalar(a)
     if a == 0:
         raise ValueError("witness scale a must be nonzero")
-    data = divisor_data(lam, i)
-    n = lam.n
-    d = lam.d
-    k = data.k
-    e_sign = data.lift.entry(n - d[i], d[i - 1] + 1).trailing_coeff()
+    n = data.lift.n
+    k = data.k  # n - d_i
+    top, bottom = data.gamma.i, data.gamma.j  # d_{i-1} + 1 and d_{i+1}
+    e_sign = data.lift.entry(k, top).trailing_coeff()
 
     b2 = LaurentMatrix.identity(n) + unit(n, k + 1, k, LaurentPoly.t(1).scale(_quo(e_sign, a)))
-    b3 = LaurentMatrix.identity(n) + unit(n, d[i + 1], d[i - 1] + 1, LaurentPoly.t(1).scale(_quo(1, a)))
+    b3 = LaurentMatrix.identity(n) + unit(n, bottom, top, LaurentPoly.t(1).scale(_quo(1, a)))
     diag = []
     for idx in range(1, n + 1):
         if idx == k:
@@ -500,7 +484,7 @@ def divisor_witnesses(lam: Composition, i: int, a: Fraction) -> DivisorWitnesses
 
     point = data.lift * (
         LaurentMatrix.identity(n)
-        - unit(n, data.gamma.i, data.gamma.j, LaurentPoly.t(-1).scale(a))
+        - unit(n, top, bottom, LaurentPoly.t(-1).scale(a))
     )
     reduced = b1 * b2 * point * b3
     if affine.from_matrix(reduced) != data.v_k_min:

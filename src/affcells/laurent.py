@@ -58,6 +58,13 @@ def _as_scalar(c):
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _as_exp(e) -> int:
+    """An exponent: an int; anything else (a float, a Fraction) is rejected."""
+    if isinstance(e, int):
+        return int(e)
+    raise TypeError(f"not an integer exponent: {e!r}")
+
+
 def _quo(a, b):
     """The exact quotient of two coefficients: a // b when b divides a,
     else Fraction(a, b) (an int again when that is integral).  Every
@@ -100,7 +107,7 @@ class LaurentPoly:
         """From an {exponent: coefficient} dict; zero coefficients are dropped."""
         d = {}
         for e, c in terms.items():
-            e = int(e)
+            e = _as_exp(e)
             c = _as_scalar(d.pop(e, 0) + _as_scalar(c))
             if c:
                 d[e] = c
@@ -118,6 +125,8 @@ class LaurentPoly:
 
     @classmethod
     def t(cls, exp: int = 1) -> "LaurentPoly":
+        if type(exp) is not int:
+            exp = _as_exp(exp)
         return _raw({exp: 1})
 
     @classmethod
@@ -127,7 +136,9 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exp: int, c=1) -> "LaurentPoly":
         c = _as_scalar(c)
-        return _raw({int(exp): c} if c else {})
+        if type(exp) is not int:
+            exp = _as_exp(exp)
+        return _raw({exp: c} if c else {})
 
     # -- inspection --------------------------------------------------------
 
@@ -211,6 +222,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
+        if type(k) is not int:
+            k = _as_exp(k)
         return _raw({e + k: c for e, c in self._terms.items()})
 
     @staticmethod

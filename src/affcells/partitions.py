@@ -163,15 +163,16 @@ def constant_rank(M: LaurentMatrix) -> int:
 def jordan_type(X: LaurentMatrix) -> Partition:
     """Jordan type of a constant nilpotent matrix, by ranks of powers.
 
-    The conjugate partition has i-th entry dim ker X^i - dim ker X^{i-1}.
-    Raises NotNilpotent when X is not constant or X^n != 0.
+    The conjugate partition has i-th entry dim ker X^i - dim ker X^{i-1};
+    the powers stop at the first zero one.  Raises NotNilpotent when X is
+    not constant or X^n != 0.
     """
     if not X.is_constant():
         raise NotNilpotent("matrix is not constant")
     n = X.n
     ranks = [n]
     power = LaurentMatrix.identity(n)
-    for _ in range(n):
+    while ranks[-1] and len(ranks) <= n:
         power = power * X
         ranks.append(constant_rank(power))
     if ranks[-1] != 0:

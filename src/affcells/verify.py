@@ -242,7 +242,7 @@ def suite_kappa(nmax: int, seed: int, samples: int = 3) -> SuiteResult:
             bundle_ok.record(False, f"{tag}: {exc}")
             continue
 
-        rep = cons.check_kappa(lam)
+        rep = cons.check_kappa(bundle)
         report_ok.record(
             rep.in_min_reps and rep.left_stable and rep.lengths_match,
             f"{tag}: {rep}",
@@ -255,7 +255,7 @@ def suite_kappa(nmax: int, seed: int, samples: int = 3) -> SuiteResult:
             compact.record(rep.is_compactification, tag)
 
         try:
-            cons.decompose_varpi(lam)
+            cons.decompose_varpi(bundle, cons.varpi_witness(lam).varpi)
             varpi_dec.record(True)
         except Exception as exc:  # noqa: BLE001
             varpi_dec.record(False, f"{tag}: {exc}")
@@ -368,7 +368,7 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
                 a = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.choice([1, 2, 3]))
                 stag = f"{tag}, sample {s}, a={a}"
                 try:
-                    wit = cons.divisor_witnesses(lam, i, a)
+                    wit = cons.divisor_witnesses(data, a)
                     ok = (
                         BOREL_PLUS in borel_membership(wit.b1)
                         and BOREL_PLUS in borel_membership(wit.b2)
@@ -438,7 +438,7 @@ def suite_embeddings(
 
         # kappa = w_g^-1 * varpi * w_p^-1 with w_g finite, so the frame
         # lifting w_g^-1 carries the dense point into the top cell.
-        w_g, _ = cons.decompose_varpi(lam)
+        w_g, _ = cons.decompose_varpi(bundle, varpi)
         witness_frame = w_g.inverse()
         tag = f"lambda={lam.parts}"
         a = cons.lift_finite(witness_frame)

@@ -119,6 +119,12 @@ class TestCellCommand:
         assert run(["cell", "--matrix", str(path)]) == 2
         assert "bad matrix JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert run(["cell", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad matrix JSON")
+
     def test_reduction_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # [[1, 0], [1, 1]] needs at least one reduction step to triangularize
         path = tmp_path / "lower.json"
@@ -259,6 +265,12 @@ class TestReportCommand:
         path.write_text(json.dumps(failing))
         assert run(["report", "--in", str(path)]) == 1
         assert "FAIL" in capture(capsys)
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert run(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad report JSON")
 
     def test_bad_schema(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

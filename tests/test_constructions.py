@@ -127,42 +127,46 @@ class TestVarpiWitness:
                     assert not broken_corner_witness(lam)
 
 
+def _decompose(lam):
+    return decompose_varpi(kappa_bundle(lam), varpi_witness(lam).varpi)
+
+
 class TestDecomposeVarpi:
     def test_two_singletons(self):
-        w_g, w_p = decompose_varpi(Composition((1, 1)))
+        w_g, w_p = _decompose(Composition((1, 1)))
         assert w_g == affine.simple_reflection(2, 1)
         assert w_p == affine.identity(2)
 
     def test_single_row(self):
-        w_g, w_p = decompose_varpi(Composition((5,)))
+        w_g, w_p = _decompose(Composition((5,)))
         assert w_g == affine.identity(5)
         assert w_p == affine.identity(5)
 
     def test_product_identity_sweep(self):
         for n in range(1, 8):
             for lam in compositions_of(n):
-                w_g, w_p = decompose_varpi(lam)  # raises on failure
+                w_g, w_p = _decompose(lam)  # raises on failure
                 assert w_g.is_finite()
 
 
 class TestCheckKappa:
     def test_examples(self):
-        rep = check_kappa(Composition((1, 1)))
+        rep = check_kappa(kappa_bundle(Composition((1, 1))))
         assert (rep.length, rep.length_formula) == (2, 2)
         assert rep.is_compactification
 
-        rep = check_kappa(Composition((1, 1, 1)))
+        rep = check_kappa(kappa_bundle(Composition((1, 1, 1))))
         assert (rep.length, rep.length_formula) == (7, 7)
         assert not rep.is_compactification
 
-        rep = check_kappa(Composition((2, 1)))
+        rep = check_kappa(kappa_bundle(Composition((2, 1))))
         assert (rep.length, rep.length_formula) == (4, 4)
         assert rep.is_compactification
 
     def test_sweep(self):
         for n in range(1, 8):
             for lam in compositions_of(n):
-                rep = check_kappa(lam)
+                rep = check_kappa(kappa_bundle(lam))
                 assert rep.in_min_reps and rep.left_stable and rep.lengths_match
                 if lam.r >= 2:
                     assert rep.is_compactification == (lam.r == 2)
@@ -223,11 +227,30 @@ class TestDivisor:
                 data = divisor_data(lam, i)
                 for _ in range(3):
                     a = Fraction(rng.choice([1, 2, -3]), rng.choice([1, 2]))
-                    wit = divisor_witnesses(lam, i, a)
+                    wit = divisor_witnesses(data, a)
                     assert BOREL_PLUS in borel_membership(wit.b1)
                     assert BOREL_PLUS in borel_membership(wit.b2)
                     assert BOREL_PLUS in borel_membership(wit.b3)
                     assert affine.from_matrix(wit.reduced) == data.v_k_min
+
+    def test_witness_scale_must_be_exact(self):
+        data = divisor_data(Composition((2, 1)), 1)
+        with pytest.raises(TypeError):
+            divisor_witnesses(data, 0.1)
+        with pytest.raises(ValueError):
+            divisor_witnesses(data, 0)
+
+    def test_lift_signed_in_the_first_column_of_the_block(self):
+        for n in range(2, 7):
+            for lam in compositions_of(n):
+                d = lam.d
+                for i in range(1, lam.r):
+                    data = divisor_data(lam, i)
+                    off_sign = [
+                        (r, c) for r in range(1, n + 1) for c in range(1, n + 1)
+                        if data.lift.entry(r, c) == -LaurentPoly.one()
+                    ]
+                    assert off_sign in ([], [(n - d[i], d[i - 1] + 1)])
 
 
 class TestLift:
@@ -242,3 +265,13 @@ class TestLift:
             m = lift_finite(sigma)
             assert det(m) == LaurentPoly.one()
             assert affine.from_matrix(m) == sigma
+
+    def test_sign_goes_in_the_given_column(self):
+        odd = AffinePermutation((2, 1, 3))
+        for column in (1, 2, 3):
+            m = lift_finite(odd, column)
+            assert det(m) == LaurentPoly.one()
+            assert affine.from_matrix(m) == odd
+            assert m.entry(odd(column), column) == -LaurentPoly.one()
+        even = AffinePermutation((2, 3, 1))
+        assert lift_finite(even, 2) == even.to_matrix()

@@ -363,6 +363,16 @@ class TestCoefficientType:
         with pytest.raises(TypeError):
             LaurentPoly.one().scale(0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentPoly({1.5: 1}),
+        lambda: LaurentPoly.monomial(1.5, 2),
+        lambda: LaurentPoly.t(1.5),
+        lambda: LaurentPoly.one().shift(0.5),
+    ], ids=["init", "monomial", "t", "shift"])
+    def test_non_integer_exponent_is_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
     def test_quotients_are_int_when_integral(self):
         six, two, three = (LaurentPoly.constant(c) for c in (6, 2, 3))
         assert type(laurent_exact_div(six, two).coeff(0)) is int

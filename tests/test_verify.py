@@ -1,6 +1,7 @@
 import importlib
 
 from affcells import ops, verify
+from affcells.partitions import compositions_of
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
 
 
@@ -67,3 +68,29 @@ class TestReportInvariants:
         check = next(c for c in r.checks if c.name == "image_flags_satisfy_invariants")
         assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
         assert r.ok is False
+
+
+def _deltas(suite, nmax, seed):
+    before = dict(ops.CALLS)
+    verify.run_suite(suite, nmax, seed)
+    return {k: v - before[k] for k, v in ops.CALLS.items()}
+
+
+class TestDerivedOncePerComposition:
+    """Each construction is derived once per composition (or per divisor) and
+    passed on; the extensions do not rebuild it from lambda."""
+
+    def test_kappa_suite(self):
+        calls = _deltas("kappa", 7, 7)
+        assert calls["constructions.kappa_bundle"] == 127  # compositions of n <= 7
+        # kappa_bundle, varpi_witness and richardson_element build one each.
+        assert calls["tableau.build"] <= 3 * 127
+
+    def test_varpi_suite(self):
+        # varpi_witness and richardson_element, plus broken_corner_witness
+        # where a column has height two or more.
+        assert _deltas("varpi", 7, 7)["tableau.build"] <= 3 * 127
+
+    def test_divisors_suite(self):
+        pairs = sum(lam.r - 1 for n in range(1, 6) for lam in compositions_of(n))
+        assert _deltas("divisors", 5, 7)["constructions.divisor_data"] == pairs == 49
