@@ -8,12 +8,11 @@ identifies the double coset of M.  Concretely
 
     w(j) = min { i : M u_j  in  L_i + M Lambda_{j-1} }
 
-extended periodically.  Membership questions go to the chain-index
-reduction of `lattices`: a triangular basis of M Lambda_{j-1} holds one
-generator per index residue mod n, and reducing M u_j against it strictly
-decreases the chain index at each step and halts exactly at w(j).  Lattices
-are stored as the same triangular bases, so cells and flags share one
-echelon engine.
+extended periodically.  The chain walk of `lattices` triangularizes
+M Lambda_0 = t M V[t] once and adds one column per step; reducing M u_j
+against M Lambda_{j-1} strictly decreases the chain index and halts exactly
+at w(j).  `phi_map` reads its flags off the same walk, so cells and flags
+share one echelon engine.
 
 The chain orientation is a convention; it is pinned by witness tests
 (the monomial matrix of any w lands in cell w, and the certified products
@@ -25,14 +24,13 @@ from __future__ import annotations
 from . import affine
 from .affine import AffinePermutation
 from .errors import (
-    IdentityFailed,
     NotInNilradical,
     NotMaximalParabolic,
     NotNilpotent,
     NotUnimodular,
 )
 from .laurent import LaurentMatrix, LaurentPoly, det, invert
-from .lattices import AffineFlag, Lattice, _reduce, _triangular_basis
+from .lattices import AffineFlag, Lattice, chain_walk
 from .ops import op
 from .partitions import Composition
 
@@ -59,23 +57,14 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
     Requires det(M) to be a nonzero constant (order-zero unit); otherwise
     the columns do not span a chain of the right virtual dimensions.
 
-    For each j, the module M Lambda_{j-1} has the basis
-    {columns 1..j-1} + {t * columns j..n}; the chain index where column j
-    gets stuck when reduced against it is w(j).
+    M Lambda_{j-1} is spanned by columns 1..j-1 and t times columns j..n;
+    the chain walk reaches it from one triangularization of t M, and the
+    chain index where column j gets stuck against it is w(j).
     """
     d = det(M)
     if not (d.is_monomial() and d.ord() == 0):
         raise NotUnimodular(f"det {d!r} must be a nonzero constant")
-    n = M.n
-    cols = [list(M.column(j)) for j in range(1, n + 1)]
-    window = []
-    for j in range(n):
-        gens = cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]]
-        entry = _reduce(cols[j], _triangular_basis(gens, n), n)
-        if entry is None:
-            raise IdentityFailed("column cannot lie in the previous span")
-        window.append(entry[0])
-    return AffinePermutation(tuple(window))
+    return AffinePermutation(tuple(chain_walk(M)[0]))
 
 
 @op
@@ -109,26 +98,20 @@ def phi_point(g: LaurentMatrix, X: LaurentMatrix) -> LaurentMatrix:
 @op
 def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     """Embed a cotangent point: (point, flag) with L_i the image of the
-    standard step lattice under the point matrix.
+    standard step lattice under the point matrix, t^-1 point Lambda_{d_i},
+    read off the chain walk of the point.
 
     Preconditions: g constant with determinant 1; X constant carrying each
     standard block into the previous one.  The returned flag is validated.
     """
-    n = lam.n
     if not g.is_constant():
         raise NotUnimodular("frame g must be constant")
     if det(g) != LaurentPoly.one():
         raise NotUnimodular("frame g must have determinant one")
     _check_nilradical(X, lam)
     point = phi_point(g, X)
-    d = lam.d
-    lattices = []
-    for i in range(lam.r + 1):
-        scale = LaurentMatrix.diagonal(
-            [LaurentPoly.t(-1) if j < d[i] else LaurentPoly.one() for j in range(n)]
-        )
-        lattices.append(Lattice.from_basis(point * scale))
-    flag = AffineFlag(lattices=tuple(lattices), shape=lam)
+    chain = chain_walk(point)[1]
+    flag = AffineFlag(lattices=tuple(chain[d].scaled(-1) for d in lam.d), shape=lam)
     flag.validate()
     return point, flag
 

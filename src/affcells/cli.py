@@ -282,6 +282,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # argparse turns an option value of exactly "--", given as --opt=--,
+    # into [] past `type` and `choices`; no option here takes a list.
+    if any(isinstance(v, list) for v in vars(args).values()):
+        return _usage("an option value cannot be '--'")
     try:
         return args.func(args)
     except SystemExit as exc:

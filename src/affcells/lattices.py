@@ -17,8 +17,9 @@ index in its class among the elements of the lattice.  Against it:
   r in 1..n and r = h mod n; it equals minus the t-order of det(basis);
 * equality: the same leading indices plus one containment.
 
-One reduction loop does all of this; triangularizing a family is that loop
-plus displacement, and it also identifies cells in `cells.iwahori_cell`.
+One reduction loop does all of this.  Triangularizing a family is that loop
+plus displacement; `chain_walk` triangularizes t M once and then adds one
+column per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .laurent import LaurentMatrix, LaurentPoly, _addmul, _quo, _raw, det
 from .ops import op
 from .partitions import Composition
 
-__all__ = ["Lattice", "AffineFlag", "vdim", "quotient_dim"]
+__all__ = ["Lattice", "AffineFlag", "chain_walk", "vdim", "quotient_dim"]
 
 _MAX_REDUCTION_STEPS = 200_000
 
@@ -53,7 +54,7 @@ def _lead(v: list[LaurentPoly], n: int):
     return best
 
 
-def _reduce(v: list[LaurentPoly], basis: dict, n: int):
+def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
     """Reduce v against a triangular basis (keyed by index residue).
 
     Returns None when v reduces to zero; otherwise the basis entry
@@ -64,6 +65,9 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int):
     lattice this terminates for every Laurent vector: an infinite descent
     would converge t-adically to an element of the completed module, and a
     Laurent vector in the completion of a lattice already lies in it.
+
+    With ``track = (r, p)``, the steps on the generator of residue class r
+    add their multipliers into the term dict p.
     """
     steps = 0
     while True:
@@ -76,8 +80,10 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int):
             return idx, coeff, v
         hidx, hcoeff, hvec = entry
         s = (hidx - idx) // n
-        factor = -_quo(coeff, hcoeff)
-        v = [_raw(_addmul(dict(a._terms), factor, s, b._terms)) if b else a
+        factor = _quo(coeff, hcoeff)
+        if track is not None and idx % n == track[0]:
+            track[1][s] = track[1].get(s, 0) + factor
+        v = [_raw(_addmul(dict(a._terms), -factor, s, b._terms)) if b else a
              for a, b in zip(v, hvec)]
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
@@ -111,7 +117,11 @@ def _triangular_basis(vectors: list, n: int) -> dict:
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A lattice stored as its triangular basis:
-    index residue mod n -> (leading index, leading coefficient, vector)."""
+    index residue mod n -> (leading index, leading coefficient, vector).
+    A basis given directly (`scaled`, `chain_walk`) must span a genuine
+    lattice, as `from_columns` checks for outside input: `==` tests one
+    containment, which a proper sublattice with the same indices passes.
+    """
 
     n: int
     basis: dict
@@ -174,6 +184,33 @@ class Lattice:
 
     def __hash__(self):
         return hash((self.n, self._indices()))
+
+
+def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
+    """For a unit matrix M and Lambda_j = span{e_1..e_j} + t span{e_j+1..e_n}:
+    the chain index where column j gets stuck against M Lambda_{j-1} for
+    j = 1..n, and the lattices M Lambda_0 < ... < M Lambda_n.
+
+    t M is triangularized once.  Step j reduces column j to v, of index h + n
+    over the generator g of its class; t v reduces to zero with multiplier p
+    on g, p(0) != 0.  v - ((p - p(0))/t) g replaces g, which stays in the
+    span since t times it is p(0) g plus multiples of the other generators.
+    (v itself spans a proper sublattice unless p is constant.)
+    """
+    n = M.n
+    cols = [list(M.column(j)) for j in range(1, n + 1)]
+    basis = _triangular_basis([[p.shift(1) for p in c] for c in cols], n)
+    stuck, chain = [], [Lattice(n, dict(basis))]
+    for col in cols:
+        idx, coeff, v = _reduce(col, basis, n)  # never None: t M is nonsingular
+        r, p = idx % n, {}
+        if _reduce([a.shift(1) for a in v], basis, n, (r, p)) is not None:
+            raise IdentityFailed("t times the reduced column left the previous span")
+        q = LaurentPoly({e - 1: c for e, c in p.items() if e > 0})
+        basis[r] = (idx, coeff, [a - q * g for a, g in zip(v, basis[r][2])] if q else v)
+        stuck.append(idx)
+        chain.append(Lattice(n, dict(basis)))
+    return stuck, chain
 
 
 @op

@@ -136,6 +136,20 @@ class TestPhi:
             _, flag2 = phi_map(g * p, invert(p) * x * p, lam)
             assert flag == flag2
 
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 2, 1, 1)])
+    def test_lattices_are_the_scaled_point_images(self, parts):
+        # L_i = point * diag(t^-1 on the first d_i coordinates) V[t], each
+        # built anew from the point; both containments, since == checks one.
+        lam = Composition(parts)
+        n = lam.n
+        rng = random.Random(sum(parts) * 11 + len(parts))
+        for _ in range(4):
+            point, flag = phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
+            for d, walked in zip(lam.d, flag.lattices):
+                diag = [t(-1) if j < d else LaurentPoly.one() for j in range(n)]
+                rebuilt = Lattice.from_basis(point * LaurentMatrix.diagonal(diag))
+                assert walked == rebuilt and rebuilt.contains_lattice(walked)
+
     def test_rejects_bad_inputs(self):
         lam = Composition((2, 1))
         low = LaurentMatrix.from_entries(3, {(3, 1): LaurentPoly.one()})

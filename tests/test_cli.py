@@ -178,6 +178,22 @@ class TestVerifyCommand:
         assert "affine.quad_minimum" in obj["coverage_missing"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tableau", "--lambda=--"],
+    ["kappa", "--lambda=2,1", "--format=--"],
+    ["divisor", "--lambda=2,1", "--i=--"],
+    ["cell", "--matrix=--"],
+    ["report", "--in=--"],
+    ["verify", "--nmax=--"],
+])
+def test_double_dash_option_value_is_usage_error(argv, capsys):
+    # argparse reads --opt=-- as an empty list, which once reached the
+    # commands and raised AttributeError or TypeError out of run.
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestModuleEntryPoints:
     def _run_module(self, module):
         env = dict(os.environ)

@@ -1,10 +1,15 @@
-"""Contract fuzzing of the JSON the CLI reads: `cell --matrix` and `report --in`.
+"""Contract fuzzing of what the CLI reads: the JSON of `cell --matrix` and
+`report --in`, and the arguments of `tableau`, `kappa`, `varpi` and `divisor`.
 
-Inputs are arbitrary recursive JSON values, near-valid mutations of valid
+JSON inputs are arbitrary recursive values, near-valid mutations of valid
 matrices and reports, and textual damage (truncation, a stray character) to
-valid JSON.  Whatever the input, `run` keeps the exit-code contract: 0, 1 or
-2, no traceback, parseable output on exit 0, a one-line `error:` on exit 2,
-and for `report` the verdict of `verify.report_ok` recomputed from the input.
+valid JSON.  Arguments are compositions of n <= 5 with textual damage (empty
+parts, signs, floats, spaces, stray commas) and small or out-of-range divisor
+indices; the damage never makes a composition larger, so no large
+computation starts.  Whatever the input, `run` keeps the exit-code contract:
+0, 1 or 2, no traceback, parseable output on exit 0, an `error:` line on
+exit 2 (the only line for `cell` and `report`), and for `report` the verdict
+of `verify.report_ok` recomputed from the input.
 """
 
 import copy
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from affcells import ops, verify
 from affcells.cli import run
+from affcells.partitions import compositions_of
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -35,13 +41,13 @@ NEARBY = st.sampled_from(
     [0, 1, -1, 2, 4, 2**63, -(2**63), 1.5, 1.0, float("nan"), "1", True, None, [], {}])
 
 
-def _run(argv, text):
-    """run(argv + ["-"]) on stdin text; (exit code, stdout, stderr)."""
+def _run(argv, text=""):
+    """run(argv) on stdin text; (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv + ["-"])
+            code = run(argv)
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -153,7 +159,7 @@ def test_cell_keeps_the_contract(text, fmt, parabolic):
     argv = ["cell", "--format", fmt]
     if parabolic is not None:
         argv += ["--parabolic", parabolic]
-    code, out, err = _run(argv + ["--matrix"], text)
+    code, out, err = _run(argv + ["--matrix", "-"], text)
     _check_contract(code, out, err)
     assert code != 1  # cell verifies nothing, so it never reports a failure
     if code == 0:
@@ -167,7 +173,7 @@ def test_cell_keeps_the_contract(text, fmt, parabolic):
 @given(text=_texts(reports()), fmt=st.sampled_from(["json", "text"]))
 @FUZZ
 def test_report_keeps_the_contract(text, fmt):
-    code, out, err = _run(["report", "--format", fmt, "--in"], text)
+    code, out, err = _run(["report", "--format", fmt, "--in", "-"], text)
     _check_contract(code, out, err)
     if code == 2:
         return
@@ -177,3 +183,48 @@ def test_report_keeps_the_contract(text, fmt):
         assert json.loads(out)["ok"] is verdict
     else:
         assert out.endswith(("ALL SUITES PASSED\n" if verdict else "FAILURES PRESENT\n"))
+
+
+COMPOSITIONS = [lam.parts for n in range(1, 6) for lam in compositions_of(n)]
+
+
+@st.composite
+def lambda_texts(draw):
+    """A composition of n <= 5 as --lambda text, usually with one kind of
+    damage.  No damage joins two parts or adds a digit other than 0."""
+    parts = [str(p) for p in draw(st.sampled_from(COMPOSITIONS))]
+    k = draw(st.integers(0, len(parts) - 1))
+    kind = draw(st.sampled_from(["none", "comma", "sign", "float", "space", "zero", "junk"]))
+    if kind == "comma":  # an empty part, or a leading or trailing comma
+        parts.insert(draw(st.integers(0, len(parts))), "")
+    elif kind == "sign":
+        parts[k] = draw(st.sampled_from("+-")) + parts[k]
+    elif kind == "float":
+        parts[k] += draw(st.sampled_from([".0", ".5", "e0", "."]))
+    elif kind == "space":
+        space = draw(st.sampled_from([" ", "\t", "\n"]))
+        parts[k] = draw(st.sampled_from([space + parts[k], parts[k] + space, space]))
+    elif kind == "zero":
+        parts[k] = "0"
+    elif kind == "junk":
+        return draw(st.text(alphabet=",+-. e0x", max_size=5))
+    return ",".join(parts)
+
+
+@given(command=st.sampled_from(["tableau", "kappa", "varpi", "divisor"]),
+       lam=lambda_texts(), i=st.sampled_from(["-1", "0", "1", "2", "3", "4", "9", str(2**64), "x"]),
+       fmt=st.sampled_from(["json", "text"]))
+@FUZZ
+def test_lambda_commands_keep_the_contract(command, lam, i, fmt):
+    argv = [command, f"--lambda={lam}", "--format", fmt]
+    if command == "divisor":
+        argv.append(f"--i={i}")
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+        if fmt == "json":
+            json.loads(out)
+    else:
+        assert code == 2 and "error:" in err

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affcells import lattices
 from affcells.cells import mv_flag
 from affcells.errors import FlagInvariantError, NotContained
-from affcells.lattices import AffineFlag, Lattice, quotient_dim, vdim
+from affcells.lattices import AffineFlag, Lattice, chain_walk, quotient_dim, vdim
 from affcells.laurent import LaurentMatrix, LaurentPoly, det, invert
 from affcells.partitions import Composition
-from affcells.sampling import random_nilradical, random_sl
+from affcells.sampling import random_iwahori, random_nilradical, random_sl, random_window
 
 t = LaurentPoly.t
 ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
@@ -227,3 +228,63 @@ class TestMvFlagOracle:
                 generators += [low.column(k) for k in range(1, lam.d[i] + 1)]
                 assert all(lat.contains(v) for v in generators)
                 assert vdim(lat) == lam.d[i]
+
+
+# The chain walk against its explicit generators.  M Lambda_j is spanned by
+# columns 1..j of M and t times columns j+1..n; the walk reaches it by one
+# column step at a time from a single triangularization.  Lattice.__eq__
+# checks one containment only, which a proper sublattice with the same
+# leading indices passes, so the oracle checks both directions and rebuilds
+# each walked basis through from_columns, which rejects a span that is not a
+# lattice.
+
+
+@st.composite
+def _unit_matrices(draw):
+    """b1 * w * b2 with b1, b2 in the Iwahori: a unit matrix in the cell of w."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    w = random_window(rng, n, spread=draw(st.integers(0, 3)))
+    return w, random_iwahori(rng, n) * w.to_matrix() * random_iwahori(rng, n)
+
+
+def _check_chain(m, stuck, chain):
+    n = m.n
+    cols = [list(m.column(j)) for j in range(1, n + 1)]
+    assert len(stuck) == n and len(chain) == n + 1
+    for j, walked in enumerate(chain):
+        rebuilt = Lattice.from_columns([v for _, _, v in walked.basis.values()], n)
+        explicit = Lattice.from_columns(
+            cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]], n)
+        assert explicit.contains_lattice(walked) and walked.contains_lattice(explicit)
+        assert vdim(walked) == vdim(rebuilt) == vdim(explicit)
+
+
+class TestChainWalk:
+    @given(_unit_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_is_the_explicit_lattice(self, drawn):
+        w, m = drawn
+        stuck, chain = chain_walk(m)
+        assert tuple(stuck) == w.window
+        _check_chain(m, stuck, chain)
+
+    def test_naive_step_is_caught(self, monkeypatch):
+        # The unsound step stores the reduced column itself: with the
+        # multiplier on the displaced generator never recorded, the walk
+        # keeps v in place of v - ((p - p(0))/t) g.
+        reduce = lattices._reduce
+        monkeypatch.setattr(lattices, "_reduce",
+                            lambda v, basis, n, track=None:
+                            None if track else reduce(v, basis, n))
+        rng = random.Random(5)
+        caught = 0
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            m = random_iwahori(rng, n) * random_window(rng, n, 2).to_matrix() \
+                * random_iwahori(rng, n)
+            try:
+                _check_chain(m, *chain_walk(m))
+            except (AssertionError, ValueError):
+                caught += 1
+        assert caught

@@ -94,3 +94,15 @@ class TestDerivedOncePerComposition:
     def test_divisors_suite(self):
         pairs = sum(lam.r - 1 for n in range(1, 6) for lam in compositions_of(n))
         assert _deltas("divisors", 5, 7)["constructions.divisor_data"] == pairs == 49
+
+
+class TestDeterminantCounts:
+    """phi_map reads its r + 1 lattices off one chain walk, so it computes no
+    determinant per lattice; the counts are deterministic for a seed (they
+    were 2,435 and 427 when every lattice went through from_columns)."""
+
+    def test_embeddings_suite(self):
+        assert _deltas("embeddings", 3, 7)["laurent.det"] == 1269
+
+    def test_divisors_suite(self):
+        assert _deltas("divisors", 3, 7)["laurent.det"] == 257
