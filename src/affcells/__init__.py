@@ -43,7 +43,7 @@ from .constructions import (
     richardson_element,
     varpi_witness,
 )
-from .laurent import BOREL_PLUS, LaurentMatrix, LaurentPoly, borel_membership, det, invert
+from .laurent import LaurentMatrix, LaurentPoly, borel_membership, det, invert
 from .lattices import AffineFlag, Lattice, quotient_dim, vdim
 from .partitions import (
     Composition,

@@ -36,7 +36,6 @@ from . import affine
 from .affine import AffinePermutation, Root, Side
 from .errors import BadDivisorIndex, IdentityFailed
 from .laurent import (
-    BOREL_PLUS,
     LaurentMatrix,
     LaurentPoly,
     _as_scalar,
@@ -220,7 +219,7 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     lift = _varpi_lift(tab)
     if b * _deformation(tab) * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
-    if BOREL_PLUS not in borel_membership(b) or BOREL_PLUS not in borel_membership(c):
+    if not (borel_membership(b) and borel_membership(c)):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
     return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c)
 

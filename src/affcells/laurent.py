@@ -13,10 +13,12 @@ integer, so it can never be mistaken for a pivot order.
 Matrices are square and immutable.  Entry accessors are 1-based, matching
 the usual E_{i,j} notation for elementary matrices; the sparse constructor
 ``LaurentMatrix.from_entries(n, {(i, j): p})`` builds ``p * E_{i,j}`` sums.
-`det` and `invert` run the same fraction-free (Bareiss) elimination step:
-`det` on the rows below each pivot, `invert` on every other row of [A | I].
+`det` and `invert` run the same fraction-free (Bareiss) elimination step on
+the Laurent entries as given: `det` on the rows below each pivot, `invert` on
+every other row of [M | I].  k[t,t^-1] is an integral domain, so each Bareiss
+division is exact there (Sylvester's identity) and `laurent_exact_div` does it.
 
->>> p = LaurentPoly.t() ** 2 - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
+>>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
 (-1, 2)
 >>> LaurentPoly.zero().ord()
@@ -39,7 +41,6 @@ __all__ = [
     "det",
     "invert",
     "borel_membership",
-    "BOREL_PLUS",
 ]
 
 #: ord of the zero polynomial; compares greater than every integer.
@@ -203,18 +204,6 @@ class LaurentPoly:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: use invert on a monomial instead")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def scale(self, c) -> "LaurentPoly":
         c = _as_scalar(c)
@@ -420,10 +409,6 @@ class LaurentMatrix:
     def is_constant(self) -> bool:
         return all(p.is_constant() for row in self.rows for p in row)
 
-    def min_ord(self):
-        """Least entry ord over the whole matrix (ORD_ZERO for the zero matrix)."""
-        return min((p.ord() for row in self.rows for p in row), default=ORD_ZERO)
-
     # -- protocol --------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -439,13 +424,6 @@ class LaurentMatrix:
     def __repr__(self):
         body = ",\n ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.rows)
         return f"LaurentMatrix(\n {body})"
-
-
-def _into_k_t(M: LaurentMatrix) -> tuple[list, int]:
-    """The rows of t^-s M as lists, and s = min(0, least entry ord): the
-    shift that puts every entry in k[t]."""
-    shift = min(0, M.min_ord())
-    return [[p.shift(-shift) for p in row] for row in M.rows], shift
 
 
 def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
@@ -488,43 +466,35 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
 def det(M: LaurentMatrix) -> LaurentPoly:
     """Exact determinant.
 
-    Fraction-free Bareiss elimination over k[t] after clearing the global
-    power of t, updating the rows below each pivot, then re-scaling.  Every
-    internal division is exact, so no rational-function intermediates appear.
+    Fraction-free Bareiss elimination on the entries as given, updating the
+    rows below each pivot; the last pivot is +-det.  Every internal division
+    is exact in k[t,t^-1], so no rational-function intermediates appear.
     """
     n = M.n
-    if n == 0:
-        return LaurentPoly.one()
-    a, shift = _into_k_t(M)
+    a = [list(row) for row in M.rows]
     sign = 1
     prev = LaurentPoly.one()
-    for k in range(n - 1):
+    for k in range(n):
         sign *= _bareiss_step(a, k, range(k + 1, n), prev)
         if not sign:
             return LaurentPoly.zero()
         prev = a[k][k]
-    result = a[n - 1][n - 1].shift(shift * n)
-    return result if sign == 1 else -result
+    return prev if sign == 1 else -prev
 
 
 @op
 def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
-    One fraction-free Gauss-Jordan pass over [A | I], where A is M shifted
-    into k[t] as in `det`: step k updates every row but the pivot row.  At
-    the end the left block is d*I and the right block d*A^-1, with d the
-    last pivot; dividing by d and shifting back gives M^-1.
+    One fraction-free Gauss-Jordan pass over [M | I]: step k updates every
+    row but the pivot row.  At the end the left block is d*I and the right
+    block d*M^-1, with d the last pivot, +-det; dividing by d gives M^-1.
 
     Raises NotAUnit when det has two or more terms or is zero; in that case
     the inverse has entries outside k[t,t^-1].
     """
     n = M.n
-    if n == 0:
-        return LaurentMatrix([])
-    a, shift = _into_k_t(M)
-    for row, unit in zip(a, LaurentMatrix.identity(n).rows):
-        row += unit
+    a = [list(row) + list(unit) for row, unit in zip(M.rows, LaurentMatrix.identity(n).rows)]
     sign = 1
     prev = LaurentPoly.one()
     for k in range(n):
@@ -533,34 +503,21 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
             raise NotAUnit("determinant 0 is not a monomial")
         prev = a[k][k]
     if not prev.is_monomial():
-        d = prev.shift(shift * n)
-        raise NotAUnit(f"determinant {d if sign == 1 else -d!r} is not a monomial")
-    return LaurentMatrix(
-        [[laurent_exact_div(p, prev).shift(-shift) for p in row[n:]] for row in a]
-    )
-
-
-#: Label for membership in the standard Iwahori subgroup.
-BOREL_PLUS = "B+"
+        raise NotAUnit(f"determinant {prev if sign == 1 else -prev!r} is not a monomial")
+    return LaurentMatrix([[laurent_exact_div(p, prev) for p in row[n:]] for row in a])
 
 
 @op
-def borel_membership(M: LaurentMatrix) -> frozenset:
-    """Classify M against the standard Iwahori subgroup.
-
-    Returns frozenset({BOREL_PLUS}) when all entries lie in k[t], det is a
-    nonzero constant, and M mod t is upper triangular; the empty set
-    otherwise.
-    """
+def borel_membership(M: LaurentMatrix) -> bool:
+    """Membership in the standard Iwahori subgroup: all entries lie in k[t],
+    det is a nonzero constant, and M mod t is upper triangular."""
     d = det(M)
-    if (
+    return (
         d.is_monomial()
         and d.ord() == 0
         and all(p.is_polynomial() for row in M.rows for p in row)
         and _upper_at_zero(M)
-    ):
-        return frozenset({BOREL_PLUS})
-    return frozenset()
+    )
 
 
 def _upper_at_zero(M: LaurentMatrix) -> bool:

@@ -46,7 +46,7 @@ def _scale_pair(m: list, i: int, j: int, u) -> None:
         row[j - 1] = row[j - 1].scale(_quo(1, u))
 
 
-def random_iwahori(rng: random.Random, n: int, factors: int | None = None) -> LaurentMatrix:
+def random_iwahori(rng: random.Random, n: int) -> LaurentMatrix:
     """A random element of the standard Iwahori with determinant one.
 
     Product of constant upper elementaries, t-multiple lower elementaries,
@@ -55,7 +55,7 @@ def random_iwahori(rng: random.Random, n: int, factors: int | None = None) -> La
     if n == 1:
         return LaurentMatrix.identity(1)
     m = [list(row) for row in LaurentMatrix.identity(n).rows]
-    for _ in range(factors if factors is not None else 2 * n + 2):
+    for _ in range(2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0:
             i = rng.randrange(1, n)
@@ -86,12 +86,12 @@ def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
     return LaurentMatrix(m)
 
 
-def random_sl(rng: random.Random, n: int, factors: int | None = None) -> LaurentMatrix:
+def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
     """A random constant matrix of determinant one (product of elementaries)."""
     if n == 1:
         return LaurentMatrix.identity(1)
     m = [list(row) for row in LaurentMatrix.identity(n).rows]
-    for _ in range(factors if factors is not None else 2 * n):
+    for _ in range(2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:

@@ -127,6 +127,17 @@ class TestAffineFlag:
         with pytest.raises(FlagInvariantError):
             flag.validate()
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_t_L_r_with_the_indices_of_L_0_is_another_lattice(self, swap):
+        # The pair of test_two_bases_of_a_three_generator_span: leading
+        # indices 1 and 4 in both, but neither contains the other.
+        first = Lattice.from_basis(LaurentMatrix([[t(-1), ZERO], [t(-1), ONE]]))
+        other = Lattice.from_basis(LaurentMatrix.diagonal([ONE, t(-1)]))
+        L0, tLr = (other, first) if swap else (first, other)
+        flag = AffineFlag(lattices=(L0, tLr.scaled(-1)), shape=Composition((2,)))
+        with pytest.raises(FlagInvariantError, match="t L_r != L_0"):
+            flag.validate()
+
 
 # An oracle that shares no code with the chain-index engine: for bases B, B'
 # (unit matrices times diagonal t-powers), B' V[t] lies in B V[t] iff
