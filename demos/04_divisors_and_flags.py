@@ -40,7 +40,7 @@ for i in range(1, lam.r):
 
 print("\nLattice flags:")
 z = richardson_element(lam)
-point, flag = phi_map(LaurentMatrix.identity(n), z, lam)
+point, flag, _ = phi_map(LaurentMatrix.identity(n), z, lam)
 print(f"  the image flag of the dense point validates: vdim(L_0) = "
       f"{vdim(flag.lattices[0])}, steps "
       f"{[quotient_dim(flag.lattices[k + 1], flag.lattices[k]) for k in range(lam.r)]}")

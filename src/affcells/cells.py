@@ -11,8 +11,8 @@ identifies the double coset of M.  Concretely
 extended periodically.  The chain walk of `lattices` triangularizes
 M Lambda_0 = t M V[t] once and adds one column per step; reducing M u_j
 against M Lambda_{j-1} strictly decreases the chain index and halts exactly
-at w(j).  `phi_map` reads its flags off the same walk, so cells and flags
-share one echelon engine.
+at w(j).  `phi_map` reads its flags and its cell off the same walk, so a
+cotangent point is walked once; `iwahori_cell` is for matrices from outside.
 
 The chain orientation is a convention; it is pinned by witness tests
 (the monomial matrix of any w lands in cell w, and the certified products
@@ -69,7 +69,10 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
 
 @op
 def parabolic_cell(M: LaurentMatrix, J) -> AffinePermutation:
-    """Minimal representative of the Iwahori cell modulo the parabolic J."""
+    """Minimal representative of the Iwahori cell modulo the parabolic J.
+
+    For a `phi_map` point, take `min_coset_rep` of the cell it returned.
+    """
     return affine.min_coset_rep(iwahori_cell(M), J, affine.Side.RIGHT)
 
 
@@ -97,12 +100,13 @@ def phi_point(g: LaurentMatrix, X: LaurentMatrix) -> LaurentMatrix:
 
 @op
 def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
-    """Embed a cotangent point: (point, flag) with L_i the image of the
+    """Embed a cotangent point: (point, flag, w) with L_i the image of the
     standard step lattice under the point matrix, t^-1 point Lambda_{d_i},
-    read off the chain walk of the point.
+    and w its Iwahori cell, both read off one chain walk of the point.
 
     Preconditions: g constant with determinant 1; X constant carrying each
-    standard block into the previous one.  The returned flag is validated.
+    standard block into the previous one.  Together they give det(point) = 1,
+    so w needs no determinant.  The returned flag is validated.
     """
     if not g.is_constant():
         raise NotUnimodular("frame g must be constant")
@@ -110,10 +114,10 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
         raise NotUnimodular("frame g must have determinant one")
     _check_nilradical(X, lam)
     point = phi_point(g, X)
-    chain = chain_walk(point)[1]
+    stuck, chain = chain_walk(point)
     flag = AffineFlag(lattices=tuple(chain[d].scaled(-1) for d in lam.d), shape=lam)
     flag.validate()
-    return point, flag
+    return point, flag, AffinePermutation(tuple(stuck))
 
 
 @op

@@ -130,10 +130,7 @@ def _cmd_varpi(args) -> int:
 
 def _cmd_divisor(args) -> int:
     lam = _parse_lambda(args.lam)
-    try:
-        data = cons.divisor_data(lam, args.i)
-    except AffcellsError as exc:
-        return _usage(str(exc))
+    data = cons.divisor_data(lam, args.i)
     obj = {
         "lambda": list(lam.parts),
         "i": data.i,
@@ -163,10 +160,7 @@ def _cmd_cell(args) -> int:
         M = jsonio.matrix_from_obj(json.loads(text))
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         return _usage(f"bad matrix JSON: {exc}")
-    try:
-        w = cells.iwahori_cell(M)
-    except AffcellsError as exc:
-        return _usage(str(exc))
+    w = cells.iwahori_cell(M)
     obj = {"window": list(w.window), "n": w.n}
     if w.is_identity():
         obj["name"] = "e"

@@ -234,6 +234,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its coefficient (see __eq__), so it hashes like it.
+        if self.is_constant():
+            return hash(self.coeff(0))
         return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self):

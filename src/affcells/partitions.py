@@ -181,7 +181,7 @@ def jordan_type(X: LaurentMatrix) -> Partition:
     cols = tuple(d for d in diffs if d > 0)
     if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
         raise NotNilpotent("kernel dimensions not monotone; not nilpotent")
-    return conjugate(Partition(cols)) if cols else Partition((1,) * n if n else ())
+    return conjugate(Partition(cols))
 
 
 def partitions_of(n: int, _max: int | None = None) -> Iterator[Partition]:

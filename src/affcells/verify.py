@@ -377,10 +377,8 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
                 b = random_finite_borel(rng, n)
                 x = cons.unit(n, data.gamma.i, data.gamma.j, LaurentPoly.constant(a))
                 try:
-                    point, _ = cells.phi_map(b * data.lift, x, lam)
-                    random_cells.expect_equal(
-                        cells.parabolic_cell(point, sp), data.v_k_min, stag
-                    )
+                    cell = cells.phi_map(b * data.lift, x, lam)[2]
+                    random_cells.expect_equal(affine.min_coset_rep(cell, sp), data.v_k_min, stag)
                 except Exception as exc:  # noqa: BLE001
                     random_cells.record(False, f"{stag}: {exc}")
 
@@ -440,11 +438,11 @@ def suite_embeddings(
         a = cons.lift_finite(witness_frame)
         # phi_map validates the flag it returns; validate raises these two.
         try:
-            point, _ = cells.phi_map(a, z, lam)
+            cell = cells.phi_map(a, z, lam)[2]
         except (FlagInvariantError, NotContained) as exc:
             flag_inv.record(False, f"{tag}: {exc}")
             continue
-        witness_cell.expect_equal(cells.parabolic_cell(point, sp), kappa, tag)
+        witness_cell.expect_equal(affine.min_coset_rep(cell, sp), kappa, tag)
         flag_inv.record(True)
 
         for s in range(samples):
@@ -452,24 +450,19 @@ def suite_embeddings(
             x = random_nilradical(rng, lam)
             stag = f"{tag}, sample {s}"
             try:
-                point, flag = cells.phi_map(g, x, lam)
+                point, flag, cell = cells.phi_map(g, x, lam)
             except (FlagInvariantError, NotContained) as exc:
                 flag_inv.record(False, f"{stag}: {exc}")
                 continue
-            cell = cells.parabolic_cell(point, sp)
-            bounded.record(affine.bruhat_leq(cell, kappa), stag)
+            bounded.record(affine.bruhat_leq(affine.min_coset_rep(cell, sp), kappa), stag)
             flag_inv.record(True)
             if s == 0 and n >= 2:
                 b1 = random_iwahori(rng, n)
                 b2 = random_iwahori(rng, n)
-                cell_invariance.expect_equal(
-                    cells.iwahori_cell(b1 * point * b2),
-                    cells.iwahori_cell(point),
-                    stag,
-                )
+                cell_invariance.expect_equal(cells.iwahori_cell(b1 * point * b2), cell, stag)
                 p = random_parabolic(rng, lam)
                 pinv = invert(p)
-                _, flag2 = cells.phi_map(g * p, pinv * x * p, lam)
+                flag2 = cells.phi_map(g * p, pinv * x * p, lam)[1]
                 equivariance.expect_equal(flag2, flag, stag)
 
         if lam.r == 2:
@@ -480,7 +473,7 @@ def suite_embeddings(
                 ginv = invert(g)
                 conj = g * x * ginv
                 mv = cells.mv_flag(conj, lam, frame=g)
-                _, flag = cells.phi_map(g, x, lam)
+                flag = cells.phi_map(g, x, lam)[1]
                 mv_match.expect_equal(cells.beta(mv, lam), flag, stag)
 
     for n in range(2, min(5, nmax) + 1):
@@ -489,7 +482,8 @@ def suite_embeddings(
             base = jordan_matrix(mu)
             lam_conj = Composition(parts=tuple(parts.conjugate(mu).parts))
             tau = cons.kappa_bundle(lam_conj).tau_q
-            base_cell = cells.parabolic_cell(cells.psi_map(base)[0], finite)
+            base_point, base_lat = cells.psi_map(base)
+            base_cell = cells.parabolic_cell(base_point, finite)
             psi_bound.record(
                 affine.bruhat_leq(base_cell, tau), f"mu={mu.parts} base cell {base_cell.window}"
             )
@@ -508,9 +502,7 @@ def suite_embeddings(
                 x = g * base * ginv
                 point, lat = cells.psi_map(x)
                 psi_equiv.expect_equal(
-                    lat,
-                    cells.psi_map(base)[1].transformed(g),
-                    f"mu={mu.parts}, conjugate {c}",
+                    lat, base_lat.transformed(g), f"mu={mu.parts}, conjugate {c}"
                 )
                 cell = cells.parabolic_cell(point, finite)
                 psi_conj.expect_equal(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from affcells import affine
+from affcells import affine, cells
 from affcells.affine import AffinePermutation
 from affcells.cells import (
     beta,
@@ -28,7 +28,7 @@ from affcells.errors import (
 )
 from affcells.lattices import Lattice, quotient_dim
 from affcells.laurent import LaurentMatrix, LaurentPoly
-from affcells.partitions import Composition
+from affcells.partitions import Composition, compositions_of
 from affcells.sampling import (
     random_iwahori,
     random_nilradical,
@@ -104,7 +104,7 @@ class TestParabolicCell:
 class TestPhi:
     def test_base_point(self):
         lam = Composition((2, 1))
-        point, flag = phi_map(LaurentMatrix.identity(3), LaurentMatrix.zero(3), lam)
+        point, flag, _ = phi_map(LaurentMatrix.identity(3), LaurentMatrix.zero(3), lam)
         assert point == LaurentMatrix.identity(3)
         expected = []
         for i in range(lam.r + 1):
@@ -114,12 +114,12 @@ class TestPhi:
 
     def test_point_formula(self):
         lam = Composition((2, 1))
-        point, _ = phi_map(LaurentMatrix.identity(3), richardson_element(lam), lam)
+        point, _, _ = phi_map(LaurentMatrix.identity(3), richardson_element(lam), lam)
         assert point == deformation(lam)
 
     def test_step_dimensions(self):
         lam = Composition((2, 1))
-        _, flag = phi_map(LaurentMatrix.identity(3), richardson_element(lam), lam)
+        _, flag, _ = phi_map(LaurentMatrix.identity(3), richardson_element(lam), lam)
         assert quotient_dim(flag.lattices[1], flag.lattices[0]) == 2
 
     def test_equivariance_classes(self):
@@ -132,8 +132,8 @@ class TestPhi:
             g = random_sl(rng, 4)
             x = random_nilradical(rng, lam)
             p = random_parabolic(rng, lam)
-            _, flag = phi_map(g, x, lam)
-            _, flag2 = phi_map(g * p, invert(p) * x * p, lam)
+            _, flag, _ = phi_map(g, x, lam)
+            _, flag2, _ = phi_map(g * p, invert(p) * x * p, lam)
             assert flag == flag2
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 2, 1, 1)])
@@ -144,7 +144,7 @@ class TestPhi:
         n = lam.n
         rng = random.Random(sum(parts) * 11 + len(parts))
         for _ in range(4):
-            point, flag = phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
+            point, flag, _ = phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
             for d, walked in zip(lam.d, flag.lattices):
                 diag = [t(-1) if j < d else LaurentPoly.one() for j in range(n)]
                 rebuilt = Lattice.from_basis(point * LaurentMatrix.diagonal(diag))
@@ -159,6 +159,35 @@ class TestPhi:
                                          LaurentPoly.one(), LaurentPoly.one()])
         with pytest.raises(NotUnimodular):
             phi_map(not_sl, LaurentMatrix.zero(3), lam)
+
+
+def _walked_cell_mismatches():
+    """phi_map points, n <= 5, whose returned cell is not iwahori_cell of the
+    point (which walks it afresh after checking its determinant)."""
+    rng = random.Random(41)
+    bad = []
+    for n in range(1, 6):
+        for lam in compositions_of(n):
+            for _ in range(3):
+                point, _, w = cells.phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
+                if w != iwahori_cell(point):
+                    bad.append((lam.parts, w.window))
+    return bad
+
+
+class TestWalkedCell:
+    def test_phi_map_cell_is_the_iwahori_cell(self):
+        assert _walked_cell_mismatches() == []
+
+    def test_a_reversed_window_is_caught(self, monkeypatch):
+        phi = cells.phi_map
+
+        def reversed_window(g, X, lam):
+            point, flag, w = phi(g, X, lam)
+            return point, flag, AffinePermutation(w.window[::-1])
+
+        monkeypatch.setattr(cells, "phi_map", reversed_window)
+        assert _walked_cell_mismatches()
 
 
 class TestPsi:
@@ -203,7 +232,7 @@ class TestMvFlag:
     def test_agrees_with_phi_for_two_steps(self):
         lam = Composition((1, 1))
         z = richardson_element(lam)
-        _, flag = phi_map(LaurentMatrix.identity(2), z, lam)
+        _, flag, _ = phi_map(LaurentMatrix.identity(2), z, lam)
         assert beta(mv_flag(z, lam), lam) == flag
 
     def test_beta_needs_two_steps(self):

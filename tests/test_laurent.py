@@ -74,6 +74,12 @@ class TestPolyArithmetic:
         assert laurent_exact_div(t(1) + 1, t(1)) == LaurentPoly.one() + t(-1)
         assert laurent_exact_div((t(1) + 1) * (t(-2) + 2), t(1) + 1) == t(-2) + 2
 
+    @pytest.mark.parametrize("c", [0, 1, -2, Fraction(1, 2)])
+    def test_constant_hashes_like_the_scalar_it_equals(self, c):
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+
 
 class TestDet:
     def test_identity(self):
