@@ -11,8 +11,9 @@ identifies the double coset of M.  Concretely
 extended periodically.  The chain walk of `lattices` triangularizes
 M Lambda_0 = t M V[t] once and adds one column per step; reducing M u_j
 against M Lambda_{j-1} strictly decreases the chain index and halts exactly
-at w(j).  `phi_map` reads its flags and its cell off the same walk, so a
-cotangent point is walked once; `iwahori_cell` is for matrices from outside.
+at w(j).  `phi_map` reads its flags and `psi_map` its lattice off the walk
+that gives their cell, so an embedded point is walked once; `iwahori_cell`
+is for matrices from outside.
 
 The chain orientation is a convention; it is pinned by witness tests
 (the monomial matrix of any w lands in cell w, and the certified products
@@ -28,6 +29,7 @@ from .errors import (
     NotMaximalParabolic,
     NotNilpotent,
     NotUnimodular,
+    SizeMismatch,
 )
 from .laurent import LaurentMatrix, LaurentPoly, det, invert
 from .lattices import AffineFlag, Lattice, chain_walk
@@ -71,7 +73,8 @@ def iwahori_cell(M: LaurentMatrix) -> AffinePermutation:
 def parabolic_cell(M: LaurentMatrix, J) -> AffinePermutation:
     """Minimal representative of the Iwahori cell modulo the parabolic J.
 
-    For a `phi_map` point, take `min_coset_rep` of the cell it returned.
+    For a `phi_map` or `psi_map` point, take `min_coset_rep` of the cell it
+    returned.
     """
     return affine.min_coset_rep(iwahori_cell(M), J, affine.Side.RIGHT)
 
@@ -108,6 +111,8 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     standard block into the previous one.  Together they give det(point) = 1,
     so w needs no determinant.  The returned flag is validated.
     """
+    if not g.n == X.n == lam.n:
+        raise SizeMismatch(f"frame {g.n}, X {X.n} and lambda {lam.n} must agree")
     if not g.is_constant():
         raise NotUnimodular("frame g must be constant")
     if det(g) != LaurentPoly.one():
@@ -122,7 +127,8 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
 
 @op
 def psi_map(X: LaurentMatrix):
-    """Embed a nilpotent into the affine Grassmannian: (point, lattice)."""
+    """Embed a nilpotent into the affine Grassmannian: (point, lattice, w),
+    point V[t] and its cell read off one chain walk (X^n = 0: det(point) = 1)."""
     n = X.n
     if not X.is_constant():
         raise NotNilpotent("X must be constant")
@@ -132,7 +138,8 @@ def psi_map(X: LaurentMatrix):
     if power != LaurentMatrix.zero(n):
         raise NotNilpotent("X^n != 0")
     point = LaurentMatrix.identity(n) - X.scale_t(-1)
-    return point, Lattice.from_basis(point)
+    stuck, chain = chain_walk(point)
+    return point, chain[0].scaled(-1), AffinePermutation(tuple(stuck))
 
 
 @op

@@ -101,8 +101,7 @@ def kappa_bundle(lam: Composition) -> KappaBundle:
 
     kappa has matrix sum_i t^{nu_i - 1} E_{i, l(i)} + sum_i t^-1 E_{i+s, m(i)};
     tau_q is its diagonal of t-orders and sigma the underlying permutation,
-    so that kappa = tau_q * sigma with the translation acting first... rather,
-    multiplied on the left.
+    so that kappa = tau_q * sigma, with the translation tau_q on the left.
     """
     tab = build(lam)
     n, s = lam.n, tab.s

@@ -26,7 +26,8 @@ class BadIndices(AffcellsError):
 
 
 class SizeMismatch(AffcellsError):
-    """Partitions of different totals compared under dominance."""
+    """Sizes that must agree do not: partition totals under dominance, or
+    the frame, nilpotent and composition of a cotangent point."""
 
 
 class NotNilpotent(AffcellsError):

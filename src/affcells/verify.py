@@ -12,13 +12,14 @@ no run_suite result called.  A suite that records no check fails.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from . import affine, cells, constructions as cons, lattices, ops, partitions as parts
 from .affine import Side
-from .errors import FlagInvariantError, NotContained
+from .errors import AffcellsError
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -67,6 +68,15 @@ class CheckResult:
 
     def expect_equal(self, got, want, witness: str) -> None:
         self.record(got == want, f"{witness}: got {got!r}, want {want!r}")
+
+    @contextmanager
+    def guard(self, witness: str):
+        """Record a package error raised in the block as a failure of this
+        check, so that one bad input does not abort the sweep."""
+        try:
+            yield
+        except AffcellsError as exc:
+            self.record(False, f"{witness}: {exc}")
 
 
 @dataclass
@@ -436,10 +446,10 @@ def suite_embeddings(
         witness_frame = w_g.inverse()
         tag = f"lambda={lam.parts}"
         a = cons.lift_finite(witness_frame)
-        # phi_map validates the flag it returns; validate raises these two.
+        # phi_map validates the flag it returns.
         try:
             cell = cells.phi_map(a, z, lam)[2]
-        except (FlagInvariantError, NotContained) as exc:
+        except AffcellsError as exc:
             flag_inv.record(False, f"{tag}: {exc}")
             continue
         witness_cell.expect_equal(affine.min_coset_rep(cell, sp), kappa, tag)
@@ -451,7 +461,7 @@ def suite_embeddings(
             stag = f"{tag}, sample {s}"
             try:
                 point, flag, cell = cells.phi_map(g, x, lam)
-            except (FlagInvariantError, NotContained) as exc:
+            except AffcellsError as exc:
                 flag_inv.record(False, f"{stag}: {exc}")
                 continue
             bounded.record(affine.bruhat_leq(affine.min_coset_rep(cell, sp), kappa), stag)
@@ -459,11 +469,13 @@ def suite_embeddings(
             if s == 0 and n >= 2:
                 b1 = random_iwahori(rng, n)
                 b2 = random_iwahori(rng, n)
-                cell_invariance.expect_equal(cells.iwahori_cell(b1 * point * b2), cell, stag)
+                with cell_invariance.guard(stag):
+                    cell_invariance.expect_equal(cells.iwahori_cell(b1 * point * b2), cell, stag)
                 p = random_parabolic(rng, lam)
                 pinv = invert(p)
-                flag2 = cells.phi_map(g * p, pinv * x * p, lam)[1]
-                equivariance.expect_equal(flag2, flag, stag)
+                with equivariance.guard(stag):
+                    flag2 = cells.phi_map(g * p, pinv * x * p, lam)[1]
+                    equivariance.expect_equal(flag2, flag, stag)
 
         if lam.r == 2:
             for s in range(flag_samples):
@@ -472,9 +484,10 @@ def suite_embeddings(
                 stag = f"{tag}, mv sample {s}"
                 ginv = invert(g)
                 conj = g * x * ginv
-                mv = cells.mv_flag(conj, lam, frame=g)
-                flag = cells.phi_map(g, x, lam)[1]
-                mv_match.expect_equal(cells.beta(mv, lam), flag, stag)
+                with mv_match.guard(stag):
+                    mv = cells.mv_flag(conj, lam, frame=g)
+                    flag = cells.phi_map(g, x, lam)[1]
+                    mv_match.expect_equal(cells.beta(mv, lam), flag, stag)
 
     for n in range(2, min(5, nmax) + 1):
         finite = cons.finite_subset(n)
@@ -482,8 +495,14 @@ def suite_embeddings(
             base = jordan_matrix(mu)
             lam_conj = Composition(parts=tuple(parts.conjugate(mu).parts))
             tau = cons.kappa_bundle(lam_conj).tau_q
-            base_point, base_lat = cells.psi_map(base)
-            base_cell = cells.parabolic_cell(base_point, finite)
+            # The base point's cell is walked afresh, through iwahori_cell's
+            # determinant, as the reference each conjugate's walked cell meets.
+            try:
+                base_point, base_lat, _ = cells.psi_map(base)
+                base_cell = cells.parabolic_cell(base_point, finite)
+            except AffcellsError as exc:
+                psi_bound.record(False, f"mu={mu.parts} base: {exc}")
+                continue
             psi_bound.record(
                 affine.bruhat_leq(base_cell, tau), f"mu={mu.parts} base cell {base_cell.window}"
             )
@@ -499,21 +518,15 @@ def suite_embeddings(
             )
             for c in range(conjugates):
                 g, ginv = random_conjugate_frame(rng, n)
-                x = g * base * ginv
-                point, lat = cells.psi_map(x)
-                psi_equiv.expect_equal(
-                    lat, base_lat.transformed(g), f"mu={mu.parts}, conjugate {c}"
-                )
-                cell = cells.parabolic_cell(point, finite)
-                psi_conj.expect_equal(
-                    affine.min_double_coset_rep(cell, finite),
-                    base_two_sided,
-                    f"mu={mu.parts}, conjugate {c}",
-                )
-                psi_bound.record(
-                    affine.bruhat_leq(cell, tau),
-                    f"mu={mu.parts}, conjugate {c} cell {cell.window}",
-                )
+                ctag = f"mu={mu.parts}, conjugate {c}"
+                with psi_equiv.guard(ctag):
+                    _, lat, w = cells.psi_map(g * base * ginv)
+                    psi_equiv.expect_equal(lat, base_lat.transformed(g), ctag)
+                    cell = affine.min_coset_rep(w, finite)
+                    psi_conj.expect_equal(
+                        affine.min_double_coset_rep(cell, finite), base_two_sided, ctag
+                    )
+                    psi_bound.record(affine.bruhat_leq(cell, tau), f"{ctag} cell {cell.window}")
 
     return SuiteResult(
         "embeddings",

@@ -25,11 +25,14 @@ from affcells.errors import (
     NotMaximalParabolic,
     NotNilpotent,
     NotUnimodular,
+    SizeMismatch,
 )
 from affcells.lattices import Lattice, quotient_dim
 from affcells.laurent import LaurentMatrix, LaurentPoly
-from affcells.partitions import Composition, compositions_of
+from affcells.partitions import Composition, compositions_of, partitions_of
 from affcells.sampling import (
+    jordan_matrix,
+    random_conjugate_frame,
     random_iwahori,
     random_nilradical,
     random_sl,
@@ -159,6 +162,11 @@ class TestPhi:
                                          LaurentPoly.one(), LaurentPoly.one()])
         with pytest.raises(NotUnimodular):
             phi_map(not_sl, LaurentMatrix.zero(3), lam)
+        # matrices smaller, or larger, than the composition
+        with pytest.raises(SizeMismatch):
+            phi_map(LaurentMatrix.identity(2), LaurentMatrix.zero(2), lam)
+        with pytest.raises(SizeMismatch):
+            phi_map(LaurentMatrix.identity(3), LaurentMatrix.zero(3), Composition((1, 1)))
 
 
 def _walked_cell_mismatches():
@@ -175,9 +183,29 @@ def _walked_cell_mismatches():
     return bad
 
 
+def _walked_psi_mismatches():
+    """psi_map points, three conjugates of each Jordan type with n <= 5,
+    whose returned cell is not iwahori_cell of the point or whose lattice is
+    not the span of the point (both containments, since == checks one)."""
+    rng = random.Random(43)
+    bad = []
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            for _ in range(3):
+                g, ginv = random_conjugate_frame(rng, n)
+                point, lat, w = cells.psi_map(g * jordan_matrix(mu) * ginv)
+                fresh = Lattice.from_basis(point)
+                if w != iwahori_cell(point) or not (lat == fresh and fresh.contains_lattice(lat)):
+                    bad.append((mu.parts, w.window))
+    return bad
+
+
 class TestWalkedCell:
     def test_phi_map_cell_is_the_iwahori_cell(self):
         assert _walked_cell_mismatches() == []
+
+    def test_psi_map_cell_and_lattice_are_the_fresh_ones(self):
+        assert _walked_psi_mismatches() == []
 
     def test_a_reversed_window_is_caught(self, monkeypatch):
         phi = cells.phi_map
@@ -189,29 +217,48 @@ class TestWalkedCell:
         monkeypatch.setattr(cells, "phi_map", reversed_window)
         assert _walked_cell_mismatches()
 
+    def test_a_reversed_psi_window_is_caught(self, monkeypatch):
+        psi = cells.psi_map
+
+        def reversed_window(X):
+            point, lat, w = psi(X)
+            return point, lat, AffinePermutation(w.window[::-1])
+
+        monkeypatch.setattr(cells, "psi_map", reversed_window)
+        assert _walked_psi_mismatches()
+
+    def test_a_shifted_psi_lattice_is_caught(self, monkeypatch):
+        psi = cells.psi_map
+
+        def shifted_lattice(X):
+            point, lat, w = psi(X)
+            return point, lat.scaled(1), w
+
+        monkeypatch.setattr(cells, "psi_map", shifted_lattice)
+        assert _walked_psi_mismatches()
+
 
 class TestPsi:
     def test_zero(self):
-        point, lat = psi_map(LaurentMatrix.zero(3))
+        point, lat, w = psi_map(LaurentMatrix.zero(3))
         assert point == LaurentMatrix.identity(3)
         assert lat == Lattice.standard(3)
+        assert w == affine.identity(3)
 
     def test_dense_nilpotent_lattice(self):
         z = richardson_element(Composition((1, 1)))
-        _, lat = psi_map(z)
+        _, lat, _ = psi_map(z)
         expected = Lattice.from_basis(
             LaurentMatrix([[LaurentPoly.one(), -t(-1)], [LaurentPoly.zero(), LaurentPoly.one()]])
         )
         assert lat == expected
 
     def test_equivariance(self):
-        from affcells.sampling import random_conjugate_frame
-
         rng = random.Random(37)
         z = richardson_element(Composition((2, 1)))
         for _ in range(5):
             g, ginv = random_conjugate_frame(rng, 3)
-            _, lat = psi_map(g * z * ginv)
+            _, lat, _ = psi_map(g * z * ginv)
             assert lat == psi_map(z)[1].transformed(g)
 
     def test_rejects_non_nilpotent(self):

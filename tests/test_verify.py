@@ -1,4 +1,5 @@
 import importlib
+import json
 
 from affcells import ops, verify
 from affcells.partitions import compositions_of
@@ -69,6 +70,22 @@ class TestReportInvariants:
         assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
         assert r.ok is False
 
+    def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys):
+        from affcells import cells, cli
+        from affcells.errors import FlagInvariantError
+
+        def broken(flags, lam):
+            raise FlagInvariantError("planted")
+
+        monkeypatch.setattr(cells, "beta", broken)
+        code = cli.run(["verify", "--suite", "embeddings", "--nmax", "2", "--format", "json"])
+        assert code == 1
+        obj = json.loads(capsys.readouterr().out)
+        check = next(c for c in obj["suites"][0]["checks"]
+                     if c["name"] == "two_step_flag_models_agree")
+        assert check["passed"] == 0 and check["failed"] == 20
+        assert check["witnesses"][0] == "lambda=(1, 1), mv sample 0: planted"
+
 
 def _deltas(suite, nmax, seed):
     before = dict(ops.CALLS)
@@ -97,13 +114,22 @@ class TestDerivedOncePerComposition:
 
 
 class TestDeterminantCounts:
-    """phi_map reads its r + 1 lattices and its cell off one chain walk, so it
-    computes no determinant per lattice and the suites none per phi point;
-    the counts are deterministic for a seed (they were 2,435 and 427 when
-    every lattice went through from_columns)."""
+    """phi_map reads its r + 1 lattices and its cell off one chain walk, and
+    psi_map its lattice and cell, so they compute no determinant per lattice
+    and the suites none per embedded point; the counts are deterministic for
+    a seed (they were 2,435 and 427 when every lattice went through
+    from_columns, and embeddings was 856 while psi_map built its lattice by
+    from_basis and the suite walked each psi point again)."""
 
     def test_embeddings_suite(self):
-        assert _deltas("embeddings", 3, 7)["laurent.det"] == 856
+        assert _deltas("embeddings", 3, 7)["laurent.det"] == 751
+
+    def test_embeddings_suite_walks_each_point_once(self):
+        # iwahori_cell: one per lambda with n >= 2 (cell_invariance) and one
+        # per Jordan type's base point; parabolic_cell: the base points only.
+        calls = _deltas("embeddings", 3, 7)
+        assert calls["cells.iwahori_cell"] == 11
+        assert calls["cells.parabolic_cell"] == 5
 
     def test_divisors_suite(self):
         assert _deltas("divisors", 3, 7)["laurent.det"] == 207
