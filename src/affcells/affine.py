@@ -9,6 +9,10 @@ column i of the matrix holds ``t^{c_i}`` in row ``sigma(i)``.
 
 The window is the canonical representation here; matrices are derived views.
 Composition ``u * v`` means "u after v" and matches the matrix product.
+Length and descents are read off the window: the Coxeter length is the sum
+over 1 <= i < j <= n of ``|floor((w(j) - w(i)) / n)|``, and s_i is a right
+descent (w s_i < w) iff w(i) > w(i + 1), a left descent (s_i w < w) iff
+w^-1(i) > w^-1(i + 1).
 
 Roots are pairs (i, j) with i != j mod n, taken modulo the simultaneous
 shift (i, j) ~ (i + kn, j + kn); the canonical representative has
@@ -46,18 +50,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffinePermutation:
-    """An affine permutation stored by its window ``(w(1), ..., w(n))``."""
+    """An affine permutation stored by its window ``(w(1), ..., w(n))``, a
+    tuple of ints; any sequence of ints is accepted and stored as a tuple."""
 
     window: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.window)
+        window = tuple(self.window)
+        object.__setattr__(self, "window", window)
+        n = len(window)
         if n == 0:
             raise BadWindow("empty window")
-        if len({v % n for v in self.window}) != n:
-            raise BadWindow(f"window residues not distinct mod {n}: {self.window}")
-        if sum(self.window) != n * (n + 1) // 2:
-            raise BadWindow(f"window does not sum to 1+...+n: {self.window}")
+        try:
+            total = sum(window)
+        except TypeError:
+            total = None
+        # a float or Fraction entry makes the sum a float or a Fraction
+        if type(total) is not int:
+            raise BadWindow(f"window entries must be integers: {window}")
+        if len({v % n for v in window}) != n:
+            raise BadWindow(f"window residues not distinct mod {n}: {window}")
+        if total != n * (n + 1) // 2:
+            raise BadWindow(f"window does not sum to 1+...+n: {window}")
 
     @property
     def n(self) -> int:
@@ -65,17 +79,21 @@ class AffinePermutation:
 
     def __call__(self, i: int) -> int:
         """Value at any integer, via the periodic extension."""
-        n = self.n
-        r = (i - 1) % n
+        r = (i - 1) % len(self.window)
         return self.window[r] + (i - 1 - r)
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         """Composition "self after other"; agrees with the matrix product."""
         if not isinstance(other, AffinePermutation):
             return NotImplemented
-        if other.n != self.n:
-            raise PeriodMismatch(f"periods {self.n} and {other.n}")
-        return AffinePermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
+        win, n = self.window, len(self.window)
+        if len(other.window) != n:
+            raise PeriodMismatch(f"periods {n} and {other.n}")
+        out = []
+        for v in other.window:
+            r = (v - 1) % n
+            out.append(win[r] + (v - 1 - r))
+        return AffinePermutation(tuple(out))
 
     def inverse(self) -> "AffinePermutation":
         n = self.n
@@ -111,14 +129,13 @@ class AffinePermutation:
         return LaurentMatrix.from_entries(self.n, entries)
 
     def length(self) -> int:
-        """Coxeter length, as a sum of |c_i - c_j - f_sigma(i,j)| over i < j."""
-        sigma, c = self.sigma_and_orders()
-        n = self.n
+        """Coxeter length off the window: the sum over 1 <= i < j <= n of
+        |floor((w(j) - w(i)) / n)| (Bjorner-Brenti, Prop. 8.3.1)."""
+        w, n = self.window, len(self.window)
         total = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = 1 if sigma[i] > sigma[j] else 0
-                total += abs(c[i] - c[j] - f)
+        for i, wi in enumerate(w):
+            for wj in w[i + 1:]:
+                total += abs((wj - wi) // n)
         return total
 
     @op
@@ -145,8 +162,12 @@ class AffinePermutation:
         return self(i) > self(i + 1)
 
     def left_descent(self, i: int) -> bool:
-        """Whether s_i * w < w, for 0 <= i <= n-1."""
-        return self.inverse().right_descent(i)
+        """Whether s_i * w < w, for 0 <= i <= n-1: w^-1(i) > w^-1(i + 1),
+        where w^-1(i) = a + 1 + i - w(a + 1) for w(a + 1) = i mod n."""
+        w, n = self.window, len(self.window)
+        res = [(v - i) % n for v in w]
+        a, b = res.index(0), res.index(1 % n)
+        return a - w[a] > b - w[b] + 1
 
     def __repr__(self):
         return f"AffinePermutation({self.window})"
@@ -309,24 +330,26 @@ def min_coset_rep(
     """The unique minimal representative of w modulo the parabolic on `side`.
 
     RIGHT strips generators of J from the right (cosets w * W_J, the P-side
-    of a cell B w P); LEFT strips from the left.  J scans in increasing
-    index order; the result does not depend on that choice.
+    of a cell B w P); LEFT strips from the left.  A generator s_j is
+    stripped whenever j is a descent on that side, since w * s_j < w iff
+    w(j) > w(j + 1) and s_j * w < w iff w^-1(j) > w^-1(j + 1); no length is
+    computed.  J scans in increasing index order; the result does not
+    depend on that choice.
     """
     J = sorted(set(J))
     n = w.n
     if any(not 0 <= j <= n - 1 for j in J):
         raise BadIndices(f"parabolic subset {J} for period {n}")
     current = w
-    lcur = w.length()
     changed = True
     while changed:
         changed = False
         for j in J:
-            s = simple_reflection(n, j)
-            cand = current * s if side is Side.RIGHT else s * current
-            lc = cand.length()
-            if lc < lcur:
-                current, lcur = cand, lc
+            if side is Side.RIGHT and current.right_descent(j):
+                current = current * simple_reflection(n, j)
+                changed = True
+            elif side is Side.LEFT and current.left_descent(j):
+                current = simple_reflection(n, j) * current
                 changed = True
     return current
 

@@ -32,7 +32,7 @@ from .errors import (
     SizeMismatch,
 )
 from .laurent import LaurentMatrix, LaurentPoly, det, invert
-from .lattices import AffineFlag, Lattice, chain_walk
+from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
 
@@ -161,15 +161,15 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # X F_i <= F_{i-1} says that X in frame coordinates lies in the nilradical.
     _check_nilradical(invert(frame) * X * frame, lam)
     # L_i has the basis {t^-1 f_k : k <= d_i} + {(1 - t^-1 X) f_k : k > d_i}
-    # over the frame columns f_k.  It spans all of (1 - t^-1 X) V[t]: for
-    # k <= d_i, (1 - t^-1 X) f_k = t (t^-1 f_k) - t^-1 X f_k, and X f_k lies
-    # in F_{i-1} by the check above.
+    # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,
+    # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
+    # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
     point = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
     low = frame.scale_t(-1)
     return tuple(
-        Lattice.from_columns(
+        Lattice(n, _triangular_basis(
             [low.column(k) if k <= lam.d[i] else point.column(k) for k in range(1, n + 1)], n
-        )
+        ))
         for i in range(lam.r + 1)
     )
 

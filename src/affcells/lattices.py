@@ -118,8 +118,8 @@ def _triangular_basis(vectors: list, n: int) -> dict:
 class Lattice:
     """A lattice stored as its triangular basis:
     index residue mod n -> (leading index, leading coefficient, vector).
-    A basis given directly (`scaled`, `chain_walk`) must span a genuine
-    lattice, as `from_columns` checks for outside input: `==` tests one
+    A basis given directly (`scaled`, `chain_walk`, `cells.mv_flag`) must span
+    a genuine lattice, as `from_columns` checks for outside input: `==` tests one
     containment, which a proper sublattice with the same indices passes.
     """
 

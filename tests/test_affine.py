@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affcells import affine
 from affcells.affine import (
@@ -35,6 +37,22 @@ def kappa_11():
     return AffinePermutation((-1, 4))
 
 
+@st.composite
+def _windows(draw, n):
+    """A window of period n whose orders c_i (w(i) = sigma(i) - c_i n) lie
+    in -3..3, so their spread is at most 6."""
+    sigma = draw(st.permutations(range(1, n + 1)))
+    c = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    while sum(c) > 0:
+        c[c.index(max(c))] -= 1
+    while sum(c) < 0:
+        c[c.index(min(c))] += 1
+    return AffinePermutation(tuple(sigma[i] - c[i] * n for i in range(n)))
+
+
+_sizes = st.integers(1, 8)
+
+
 class TestWindowMatrix:
     def test_identity_roundtrip(self):
         for n in (1, 2, 5):
@@ -57,9 +75,11 @@ class TestWindowMatrix:
         with pytest.raises(NotMonomialPermutation):
             affine.from_matrix(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.one()]))
 
-    @pytest.mark.parametrize("window", [(), (1, 3), (1, 2, 6)])
+    @pytest.mark.parametrize(
+        "window", [(), (1, 3), (1, 2, 6), (0.5, 2.5, 3.0), (1.0, 2), ("1", "2")]
+    )
     def test_bad_window_is_a_package_value_error(self, window):
-        # empty, repeated residue, wrong sum
+        # empty, repeated residue, wrong sum, non-integer entries
         with pytest.raises(BadWindow) as info:
             AffinePermutation(window)
         assert isinstance(info.value, AffcellsError) and isinstance(info.value, ValueError)
@@ -69,6 +89,16 @@ class TestWindowMatrix:
         for _ in range(25):
             w = random_window(rng, rng.randint(2, 5))
             assert affine.from_matrix(w.to_matrix()) == w
+
+    def test_any_integer_sequence_is_a_window(self):
+        assert AffinePermutation([2, 1]) == AffinePermutation((2, 1))
+        assert AffinePermutation([2, 1]).window == (2, 1)
+        # the Bruhat cache keys on windows, which must be hashable
+        assert bruhat_leq(AffinePermutation([2, 1, 3]), AffinePermutation([3, 2, 1]))
+
+    def test_rejects_a_non_integer_translation(self):
+        with pytest.raises(BadWindow):
+            translation(2, [0.5, -0.5])
 
 
 class TestCompose:
@@ -105,6 +135,12 @@ class TestCompose:
             assert w * w.inverse() == identity(w.n)
             assert w.inverse() * w == identity(w.n)
 
+    @given(_sizes.flatmap(lambda n: st.tuples(_windows(n), _windows(n))))
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_the_matrix_product(self, pair):
+        w, v = pair
+        assert w * v == affine.from_matrix(w.to_matrix() * v.to_matrix())
+
 
 class TestLength:
     def test_identity(self):
@@ -126,6 +162,18 @@ class TestLength:
         for _ in range(60):
             w = random_window(rng, rng.randint(2, 6), spread=4)
             assert w.length() == w.length_oracle()
+
+    @given(_sizes.flatmap(_windows))
+    @settings(max_examples=150, deadline=None)
+    def test_window_formula_is_the_inversion_count(self, w):
+        assert w.length() == w.length_oracle()
+
+    @given(_sizes.flatmap(_windows))
+    @settings(max_examples=150, deadline=None)
+    def test_left_descents_are_right_descents_of_the_inverse(self, w):
+        inv = w.inverse()
+        for i in range(w.n):
+            assert w.left_descent(i) == inv.right_descent(i)
 
     def test_step_by_one(self):
         rng = random.Random(7)
@@ -219,6 +267,37 @@ class TestCosets:
         expected = affine.from_matrix(m)
         v = AffinePermutation((3, -1, 4))
         assert min_coset_rep(v, {1}, Side.RIGHT) == expected
+
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        _windows(n),
+        st.lists(st.integers(0, n - 1), max_size=min(n - 1, 5), unique=True),
+        st.sampled_from(Side),
+    )))
+    @settings(max_examples=60, deadline=None)
+    def test_rep_is_the_unique_shortest_coset_element(self, case):
+        # J is a proper subset of the n nodes, so W_J is finite (at most 6!
+        # elements here); walk the whole coset breadth-first.
+        w, J, side = case
+        n = w.n
+        gens = [simple_reflection(n, j) for j in J]
+        seen, layer = {w}, {w}
+        while layer:
+            layer = {u * s if side is Side.RIGHT else s * u for u in layer for s in gens} - seen
+            seen |= layer
+        shortest = min(x.length() for x in seen)
+        (unique,) = [x for x in seen if x.length() == shortest]
+        assert min_coset_rep(w, J, side) == unique
+
+    def test_rep_computes_no_length(self, monkeypatch):
+        def no_length(self):
+            raise AssertionError("min_coset_rep computed a length")
+
+        rng = random.Random(12)
+        cases = [(random_window(rng, n), set(rng.sample(range(n), n - 1)), side)
+                 for n in (2, 4, 6) for side in Side for _ in range(3)]
+        monkeypatch.setattr(AffinePermutation, "length", no_length)
+        for w, J, side in cases:
+            min_coset_rep(w, J, side)
 
     def test_double_coset_rep(self):
         tau = kappa_11()

@@ -266,7 +266,44 @@ class TestPsi:
             psi_map(LaurentMatrix.identity(2))
 
 
+def _mv_flag_mismatches():
+    """mv_flag lattices, three random inputs for each two-part lambda with
+    n <= 5, that are not Lattice.from_columns of the same columns (both
+    containments, since == checks one)."""
+    rng = random.Random(53)
+    bad = []
+    for n in range(2, 6):
+        for lam in compositions_of(n):
+            if lam.r != 2:
+                continue
+            for _ in range(3):
+                g, ginv = random_conjugate_frame(rng, n)
+                x = g * random_nilradical(rng, lam) * ginv
+                point = (LaurentMatrix.identity(n) - x.scale_t(-1)) * g
+                for i, lat in enumerate(mv_flag(x, lam, frame=g)):
+                    cols = [[p.shift(-1) for p in g.column(k)] if k <= lam.d[i]
+                            else point.column(k) for k in range(1, n + 1)]
+                    fresh = Lattice.from_columns(cols, n)
+                    if not (lat == fresh and fresh.contains_lattice(lat)):
+                        bad.append((lam.parts, i))
+    return bad
+
+
 class TestMvFlag:
+    def test_lattices_are_the_spans_of_their_columns(self):
+        assert _mv_flag_mismatches() == []
+
+    def test_a_shifted_column_is_caught(self, monkeypatch):
+        triangular = cells._triangular_basis
+
+        def shifted_first_column(vectors, n):
+            vectors = list(vectors)
+            vectors[0] = [p.shift(1) for p in vectors[0]]
+            return triangular(vectors, n)
+
+        monkeypatch.setattr(cells, "_triangular_basis", shifted_first_column)
+        assert _mv_flag_mismatches()
+
     def test_base_point(self):
         lam = Composition((1, 1))
         flags = mv_flag(LaurentMatrix.zero(2), lam)
