@@ -285,7 +285,7 @@ def bruhat_leq(v: AffinePermutation, w: AffinePermutation) -> bool:
     """Bruhat order via the lifting property, memoized.
 
     If v = e, true.  Otherwise pick a left descent s of w; then
-    v <= w iff min(v, sv) <= sw, where min is in length.
+    v <= w iff min(v, sv) <= sw, where sv < v iff s is a left descent of v.
     """
     if v.n != w.n:
         raise PeriodMismatch(f"periods {v.n} and {w.n}")
@@ -306,10 +306,8 @@ def _bruhat_leq(v, w, lv, lw) -> bool:
     i = next(i for i in range(v.n) if w.left_descent(i))
     s = simple_reflection(v.n, i)
     sw = s * w
-    sv = s * v
-    lsv = sv.length()
-    if lsv < lv:
-        result = _bruhat_leq(sv, sw, lsv, lw - 1)
+    if v.left_descent(i):
+        result = _bruhat_leq(s * v, sw, lv - 1, lw - 1)
     else:
         result = _bruhat_leq(v, sw, lv, lw - 1)
     if len(_BRUHAT_CACHE) >= _BRUHAT_CACHE_MAX:

@@ -31,7 +31,7 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, det, invert
+from .laurent import LaurentMatrix, LaurentPoly, _integral, det, invert
 from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
@@ -164,14 +164,10 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
     # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
-    point = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
-    low = frame.scale_t(-1)
-    return tuple(
-        Lattice(n, _triangular_basis(
-            [low.column(k) if k <= lam.d[i] else point.column(k) for k in range(1, n + 1)], n
-        ))
-        for i in range(lam.r + 1)
-    )
+    image = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
+    low, point = ([_integral(m.column(k))[0] for k in range(1, n + 1)]
+                  for m in (frame.scale_t(-1), image))
+    return tuple(Lattice(n, _triangular_basis(low[:d] + point[d:], n)) for d in lam.d)
 
 
 def beta(lattice_flag, lam: Composition) -> AffineFlag:

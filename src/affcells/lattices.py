@@ -20,6 +20,8 @@ index in its class among the elements of the lattice.  Against it:
 One reduction loop does all of this.  Triangularizing a family is that loop
 plus displacement; `chain_walk` triangularizes t M once and then adds one
 column per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
+It runs on integer coefficients: every vector enters scaled to integers, and
+a step multiplies by an integer instead of dividing by a leading coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _quo, _raw, det
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _quo, _raw, det
 from .ops import op
 from .partitions import Composition
 
@@ -59,15 +61,20 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
 
     Returns None when v reduces to zero; otherwise the basis entry
     (chain index, leading coefficient, reduced vector) where it got stuck.
-    Each step cancels the leading u-term using the unique basis vector in
-    its residue class, when that vector's index is at least as large; the
-    index strictly decreases at each step.  Against the basis of a genuine
-    lattice this terminates for every Laurent vector: an infinite descent
-    would converge t-adically to an element of the completed module, and a
-    Laurent vector in the completion of a lattice already lies in it.
+    Each step cancels the leading u-term, of coefficient c, using the unique
+    basis vector h in its residue class when h's index is at least as large:
+    v becomes a v - b t^s h, where b/a = c/(h's leading coefficient) in
+    lowest terms and a > 0.  The factor a keeps memberships and spans; every
+    vector comes in through `_integral`, so no rational coefficient reaches
+    the step.  The index strictly decreases at each step.  Against the basis
+    of a genuine lattice this terminates for every Laurent vector: an
+    infinite descent would converge t-adically to an element of the
+    completed module, and a Laurent vector in the completion of a lattice
+    already lies in it.
 
-    With ``track = (r, p)``, the steps on the generator of residue class r
-    add their multipliers into the term dict p.
+    With ``track = [r, P, lam]``, every step multiplies lam and the term
+    dict P by a, and a step on the generator g of class r adds b at t^s into
+    P: lam times v as given stays the current v plus P g plus the others.
     """
     steps = 0
     while True:
@@ -80,19 +87,28 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
             return idx, coeff, v
         hidx, hcoeff, hvec = entry
         s = (hidx - idx) // n
-        factor = _quo(coeff, hcoeff)
-        if track is not None and idx % n == track[0]:
-            track[1][s] = track[1].get(s, 0) + factor
-        v = [_raw(_addmul(dict(a._terms), -factor, s, b._terms)) if b else a
-             for a, b in zip(v, hvec)]
+        q = _quo(coeff, hcoeff)
+        a, b = q.denominator, q.numerator
+        if track is not None:
+            if a != 1:
+                track[1] = {e: a * c for e, c in track[1].items()}
+                track[2] *= a
+            if idx % n == track[0]:
+                track[1][s] = track[1].get(s, 0) + b
+        if a == 1:
+            v = [_raw(_addmul(dict(x._terms), -b, s, y._terms)) if y else x
+                 for x, y in zip(v, hvec)]
+        else:
+            v = [_raw(_addmul({e: a * c for e, c in x._terms.items()}, -b, s, y._terms))
+                 for x, y in zip(v, hvec)]
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise IdentityFailed("reduction failed to terminate; not a unit matrix?")
 
 
 def _triangular_basis(vectors: list, n: int) -> dict:
-    """Triangularize a basis of a rank-n module: one generator per index
-    residue, each of maximal index in its class.
+    """Triangularize a basis of a rank-n module, given as integer vectors:
+    one generator per index residue, each of maximal index in its class.
 
     Each vector is reduced against the basis so far and takes its residue
     class; a generator it displaces goes back to the pool.  All operations
@@ -129,7 +145,7 @@ class Lattice:
     @classmethod
     def from_columns(cls, cols: list, n: int) -> "Lattice":
         """Span of n Laurent columns of length n whose determinant is a monomial."""
-        cols = [list(c) for c in cols]
+        cols = [_integral(list(c))[0] for c in cols]
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError(f"a lattice basis is {n} columns of length {n}")
         if not det(LaurentMatrix([[c[i] for c in cols] for i in range(n)])).is_monomial():
@@ -155,10 +171,14 @@ class Lattice:
         })
 
     def transformed(self, M: LaurentMatrix) -> "Lattice":
-        """The lattice M * L, for M with unit determinant."""
+        """The lattice M * L, for M with unit determinant.  The basis of L
+        already has a monomial determinant, so only det(M) is checked."""
+        if not det(M).is_monomial():
+            raise ValueError("determinant is not a power of t; M * L is not a lattice")
         vecs = [v for _, _, v in self.basis.values()]
-        basis = LaurentMatrix([[v[i] for v in vecs] for i in range(self.n)])
-        return Lattice.from_basis(M * basis)
+        image = M * LaurentMatrix([[v[i] for v in vecs] for i in range(self.n)])
+        cols = [_integral(image.column(j))[0] for j in range(1, self.n + 1)]
+        return Lattice(self.n, _triangular_basis(cols, self.n))
 
     def _indices(self) -> tuple[int, ...]:
         return tuple(sorted(h for h, _, _ in self.basis.values()))
@@ -168,7 +188,7 @@ class Lattice:
         v = list(v)
         if len(v) != self.n:
             raise ValueError(f"vector of length {len(v)} in a rank-{self.n} lattice")
-        return _reduce(v, self.basis, self.n) is None
+        return _reduce(_integral(v)[0], self.basis, self.n) is None
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(v) for _, _, v in other.basis.values())
@@ -191,23 +211,27 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
     the chain index where column j gets stuck against M Lambda_{j-1} for
     j = 1..n, and the lattices M Lambda_0 < ... < M Lambda_n.
 
-    t M is triangularized once.  Step j reduces column j to v, of index h + n
-    over the generator g of its class; t v reduces to zero with multiplier p
-    on g, p(0) != 0.  v - ((p - p(0))/t) g replaces g, which stays in the
-    span since t times it is p(0) g plus multiples of the other generators.
-    (v itself spans a proper sublattice unless p is constant.)
+    t M, its columns scaled to integers, is triangularized once.  Step j
+    reduces column j to v, of index h + n over the generator g of its class;
+    t v reduces to zero with lam t v = P g + multiples of the other
+    generators, P(0) != 0.  lam v - ((P - P(0))/t) g replaces g, which stays
+    in the span since t times it is P(0) g plus multiples of the others.
+    (v itself spans a proper sublattice unless P is constant.)
     """
     n = M.n
-    cols = [list(M.column(j)) for j in range(1, n + 1)]
+    cols = [_integral(M.column(j))[0] for j in range(1, n + 1)]
     basis = _triangular_basis([[p.shift(1) for p in c] for c in cols], n)
     stuck, chain = [], [Lattice(n, dict(basis))]
     for col in cols:
         idx, coeff, v = _reduce(col, basis, n)  # never None: t M is nonsingular
-        r, p = idx % n, {}
-        if _reduce([a.shift(1) for a in v], basis, n, (r, p)) is not None:
+        track = [idx % n, {}, 1]
+        if _reduce([a.shift(1) for a in v], basis, n, track) is not None:
             raise IdentityFailed("t times the reduced column left the previous span")
+        r, p, lam = track
         q = LaurentPoly({e - 1: c for e, c in p.items() if e > 0})
-        basis[r] = (idx, coeff, [a - q * g for a, g in zip(v, basis[r][2])] if q else v)
+        if q:
+            v, coeff = [a.scale(lam) - q * g for a, g in zip(v, basis[r][2])], coeff * lam
+        basis[r] = (idx, coeff, v)
         stuck.append(idx)
         chain.append(Lattice(n, dict(basis)))
     return stuck, chain

@@ -13,9 +13,9 @@ integer, so it can never be mistaken for a pivot order.
 Matrices are square and immutable.  Entry accessors are 1-based, matching
 the usual E_{i,j} notation for elementary matrices; the sparse constructor
 ``LaurentMatrix.from_entries(n, {(i, j): p})`` builds ``p * E_{i,j}`` sums.
-`det` and `invert` run the same fraction-free (Bareiss) elimination step on
-the Laurent entries as given: `det` on the rows below each pivot, `invert` on
-every other row of [M | I].  k[t,t^-1] is an integral domain, so each Bareiss
+`det` and `invert` scale each row to integers and run the same fraction-free
+(Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
+every other row of [M | I].  Z[t,t^-1] is an integral domain, so each Bareiss
 division is exact there (Sylvester's identity) and `laurent_exact_div` does it.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
@@ -97,6 +97,16 @@ def _addmul(d: dict, c, s: int, b: dict) -> dict:
         else:
             del d[e]
     return d
+
+
+def _integral(polys) -> tuple[list, int]:
+    """(polys times s, s) for s the lcm of their coefficient denominators."""
+    s = 1
+    for p in polys:
+        for c in p._terms.values():
+            if type(c) is not int:
+                s = math.lcm(s, c.denominator)
+    return [_raw(_addmul({}, s, 0, p._terms)) for p in polys] if s > 1 else list(polys), s
 
 
 class LaurentPoly:
@@ -469,12 +479,13 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
 def det(M: LaurentMatrix) -> LaurentPoly:
     """Exact determinant.
 
-    Fraction-free Bareiss elimination on the entries as given, updating the
-    rows below each pivot; the last pivot is +-det.  Every internal division
-    is exact in k[t,t^-1], so no rational-function intermediates appear.
+    Fraction-free Bareiss elimination on the rows scaled to integers, below
+    each pivot; the last pivot is +-det times the product of the row scales.
+    Every internal division is exact in Z[t,t^-1].
     """
     n = M.n
-    a = [list(row) for row in M.rows]
+    rows = [_integral(row) for row in M.rows]
+    a, scale = [row for row, _ in rows], math.prod(s for _, s in rows)
     sign = 1
     prev = LaurentPoly.one()
     for k in range(n):
@@ -482,22 +493,25 @@ def det(M: LaurentMatrix) -> LaurentPoly:
         if not sign:
             return LaurentPoly.zero()
         prev = a[k][k]
-    return prev if sign == 1 else -prev
+    d = prev if sign == 1 else -prev
+    return d if scale == 1 else laurent_exact_div(d, LaurentPoly.constant(scale))
 
 
 @op
 def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
-    One fraction-free Gauss-Jordan pass over [M | I]: step k updates every
-    row but the pivot row.  At the end the left block is d*I and the right
-    block d*M^-1, with d the last pivot, +-det; dividing by d gives M^-1.
+    One fraction-free Gauss-Jordan pass over D [M | I], D the diagonal of row
+    scales to integers: step k updates every row but the pivot row.  At the
+    end the left block is d*I and the right block d*(D M)^-1 D = d*M^-1, with
+    d the last pivot, +-det(D M); dividing by d gives M^-1.
 
     Raises NotAUnit when det has two or more terms or is zero; in that case
     the inverse has entries outside k[t,t^-1].
     """
     n = M.n
-    a = [list(row) + list(unit) for row, unit in zip(M.rows, LaurentMatrix.identity(n).rows)]
+    rows = [_integral(row + unit) for row, unit in zip(M.rows, LaurentMatrix.identity(n).rows)]
+    a, scale = [row for row, _ in rows], math.prod(s for _, s in rows)
     sign = 1
     prev = LaurentPoly.one()
     for k in range(n):
@@ -506,7 +520,8 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
             raise NotAUnit("determinant 0 is not a monomial")
         prev = a[k][k]
     if not prev.is_monomial():
-        raise NotAUnit(f"determinant {prev if sign == 1 else -prev!r} is not a monomial")
+        d = laurent_exact_div(prev if sign == 1 else -prev, LaurentPoly.constant(scale))
+        raise NotAUnit(f"determinant {d!r} is not a monomial")
     return LaurentMatrix([[laurent_exact_div(p, prev) for p in row[n:]] for row in a])
 
 

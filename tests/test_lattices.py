@@ -150,14 +150,14 @@ def _polynomial(m: LaurentMatrix) -> bool:
 
 
 @st.composite
-def _bases(draw, n, entries, exponents):
+def _bases(draw, n, entries, exponents, units=(1, -1, 2)):
     m = LaurentMatrix.identity(n)
     for _ in range(draw(st.integers(0, 5)) if n > 1 else 0):
         i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         p = LaurentPoly(draw(st.dictionaries(entries, st.integers(-3, 3), max_size=2)))
         m = m * (LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): p}))
     return m * LaurentMatrix.diagonal(
-        [LaurentPoly.monomial(draw(exponents), draw(st.sampled_from((1, -1, 2))))
+        [LaurentPoly.monomial(draw(exponents), draw(st.sampled_from(units)))
          for _ in range(n)]
     )
 
@@ -206,6 +206,28 @@ class TestBareissOracle:
         scaled = Lattice.from_basis(b).scaled(k)
         assert scaled == Lattice.from_basis(b.scale_t(k))
         assert vdim(scaled) == -det(b).ord() - b.n * k
+
+
+@st.composite
+def _transform_pairs(draw):
+    """(B, M): a lattice basis and a unit matrix of the same size."""
+    n = draw(st.integers(1, 3))
+    laurent = st.integers(-2, 2)
+    return draw(_bases(n, laurent, laurent)), draw(_bases(n, laurent, laurent))
+
+
+class TestTransformed:
+    @given(_transform_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_from_basis(self, pair):
+        b, m = pair
+        got, want = Lattice.from_basis(b).transformed(m), Lattice.from_basis(m * b)
+        assert got.contains_lattice(want) and want.contains_lattice(got)
+        assert vdim(got) == vdim(want)
+
+    def test_rejects_non_unit(self):
+        with pytest.raises(ValueError):
+            Lattice.standard(2).transformed(LaurentMatrix.diagonal([ONE + t(1), ONE]))
 
 
 class TestCoefficientType:
@@ -279,6 +301,21 @@ class TestChainWalk:
         stuck, chain = chain_walk(m)
         assert tuple(stuck) == w.window
         _check_chain(m, stuck, chain)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: _bases(n, st.integers(-2, 2), st.integers(-2, 2), units=(1, -1))))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_input_stays_integer(self, m):
+        # Unimodular over Z[t, t^-1]: the reduction step multiplies by a
+        # positive integer instead of dividing by a leading coefficient, and
+        # det and invert scale rows.
+        stuck, chain = chain_walk(m)
+        _check_chain(m, stuck, chain)
+        coeffs = [c for lat in chain for _, lead, v in lat.basis.values()
+                  for c in [lead] + [c for p in v for c in p.terms.values()]]
+        coeffs += [c for p in [det(m)] + [p for row in invert(m).rows for p in row]
+                   for c in p.terms.values()]
+        assert all(type(c) is int for c in coeffs)
 
     def test_naive_step_is_caught(self, monkeypatch):
         # The unsound step stores the reduced column itself: with the

@@ -123,13 +123,13 @@ square_matrices = st.integers(0, 4).flatmap(
 
 
 @st.composite
-def unit_matrices(draw):
+def unit_matrices(draw, units=(1, -1, 2, -3), polys=small_polys):
     """Products of elementary matrices and one diagonal of monomials c*t^k,
     so the determinant is a unit by construction."""
     n = draw(st.integers(1, 4))
     m = LaurentMatrix.diagonal(
         [
-            LaurentPoly.monomial(draw(st.integers(-2, 2)), draw(st.sampled_from((1, -1, 2, -3))))
+            LaurentPoly.monomial(draw(st.integers(-2, 2)), draw(st.sampled_from(units)))
             for _ in range(n)
         ]
     )
@@ -137,7 +137,7 @@ def unit_matrices(draw):
         return m
     for _ in range(draw(st.integers(0, 6))):
         i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-        p = draw(small_polys)
+        p = draw(polys)
         m = m * (LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): p}))
     return m
 
@@ -349,6 +349,41 @@ def integer_unimodular(draw):
         i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         m = m * (LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i, j): draw(small_polys)}))
     return m
+
+
+fraction_polys = st.dictionaries(
+    st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=2
+).map(LaurentPoly)
+
+
+class TestFractionRows:
+    """det and invert scale each row to integers before Bareiss, and det
+    divides the row scales back out: on rows holding Fractions they agree
+    with the Leibniz and cofactor oracles, which scale nothing."""
+
+    @given(fraction_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_leibniz(self, m):
+        assert det(m) == leibniz_det(m)
+
+    @given(unit_matrices(units=(1, -1, Fraction(1, 2), Fraction(-2, 3)), polys=fraction_polys))
+    @settings(max_examples=60, deadline=None)
+    def test_invert_matches_cofactor_adjugate(self, m):
+        assert invert(m) == cofactor_inverse(m)
+
+    @pytest.mark.parametrize("m, message", [
+        (LaurentMatrix([[t(1).scale(Fraction(1, 2)) + Fraction(1, 3), Fraction(1, 5)],
+                        [LaurentPoly.zero(), Fraction(3, 4)]]),
+         "determinant 1/4 + 3/8*t is not a monomial"),
+        # a row swap, and row scales 4 and 30 to divide back out
+        (LaurentMatrix([[LaurentPoly.zero(), Fraction(3, 4)],
+                        [t(1).scale(Fraction(1, 2)) + Fraction(1, 3), Fraction(1, 5)]]),
+         "determinant -1/4 + -3/8*t is not a monomial"),
+    ], ids=["upper", "swapped"])
+    def test_non_unit_message_names_det(self, m, message):
+        with pytest.raises(NotAUnit) as err:
+            invert(m)
+        assert str(err.value) == message
 
 
 class TestCoefficientType:
