@@ -46,6 +46,17 @@ def _usage(msg: str) -> int:
     return USAGE_ERROR
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file, or of stdin for ``-``; a usage error if unreadable."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(_usage(f"cannot read {path}: {exc}"))
+
+
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(jsonio.dumps(obj))
@@ -148,14 +159,7 @@ def _cmd_divisor(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.matrix, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            return _usage(str(exc))
+    text = _read(args.matrix)
     try:
         M = jsonio.matrix_from_obj(json.loads(text))
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
@@ -182,8 +186,11 @@ def _cmd_verify(args) -> int:
     obj = verify.report_obj(results, args.nmax, args.seed,
                             enforce_coverage=args.suite == "all")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(obj) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(jsonio.dumps(obj) + "\n")
+        except OSError as exc:
+            return _usage(f"cannot write {args.out}: {exc}")
     if args.format == "json":
         print(jsonio.dumps(obj))
     else:
@@ -192,14 +199,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.infile == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            return _usage(str(exc))
+    text = _read(args.infile)
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -52,9 +52,6 @@ class Tableau:
     def n(self) -> int:
         return self.lam.n
 
-    def rows(self) -> dict[int, tuple[int, ...]]:
-        return {i: tuple(self.lam.row(i)) for i in range(1, self.lam.r + 1)}
-
 
 @op
 def build(lam: Composition) -> Tableau:

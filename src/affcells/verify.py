@@ -1,9 +1,14 @@
 """Verification suites: every structural identity as a seeded sweep.
 
-Each suite returns a SuiteResult holding per-check pass/fail counts and the
-failing witnesses (inputs), so one bad composition is enough to locate a
-regression.  Suites take nmax and a seed; all randomness flows through
-random.Random(seed), so reports are reproducible byte for byte.
+run_suite makes a SuiteResult for nmax and a seed and hands it to the suite,
+which declares its checks with suite.check in report order and records into
+them per-check pass/fail counts and the failing witnesses (inputs), so one
+bad composition is enough to locate a regression.  All randomness flows
+through random.Random(seed), so reports are reproducible byte for byte.
+
+An error raised inside a check's guard is a failure of that check, and the
+sweep goes on.  An error that escapes a suite ends it: it becomes the one
+failure of a suite_completed check, added after the counts recorded so far.
 
 Coverage is measured: coverage_gap() lists the ``@op`` operations (ops.CALLS)
 no run_suite result called.  A suite that records no check fails.
@@ -19,7 +24,6 @@ from itertools import combinations
 
 from . import affine, cells, constructions as cons, lattices, ops, partitions as parts
 from .affine import Side
-from .errors import AffcellsError
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -71,12 +75,20 @@ class CheckResult:
 
     @contextmanager
     def guard(self, witness: str):
-        """Record a package error raised in the block as a failure of this
-        check, so that one bad input does not abort the sweep."""
+        """Record an error raised in the block as a failure of this check,
+        so that one bad input does not abort the sweep."""
         try:
             yield
-        except AffcellsError as exc:
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the sweep
             self.record(False, f"{witness}: {exc}")
+
+    def attempt(self, witness: str, build, *args):
+        """build(*args) recorded as a pass, or None once it failed."""
+        with self.guard(witness):
+            value = build(*args)
+            self.record(True)
+            return value
+        return None
 
 
 @dataclass
@@ -84,9 +96,15 @@ class SuiteResult:
     suite: str
     nmax: int
     seed: int
-    checks: list
+    checks: list = field(default_factory=list)
     # Registered operations the run called; set by run_suite, not reported.
     ops: frozenset = frozenset()
+
+    def check(self, name: str) -> CheckResult:
+        """A new check, reported after those declared before it."""
+        check = CheckResult(name)
+        self.checks.append(check)
+        return check
 
     @property
     def failed(self) -> int:
@@ -95,10 +113,6 @@ class SuiteResult:
     @property
     def passed(self) -> int:
         return sum(c.passed for c in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0 and self.passed > 0
 
 
 def _comps(nmax: int):
@@ -111,18 +125,18 @@ def _comps(nmax: int):
 # ---------------------------------------------------------------------------
 
 
-def suite_lengths(nmax: int, seed: int, samples: int = 200) -> SuiteResult:
-    rng = random.Random(seed)
-    oracle = CheckResult("length_equals_inversion_count")
-    step = CheckResult("length_changes_by_one_under_simple_factors")
-    roundtrip = CheckResult("window_matrix_roundtrip")
-    root_sign = CheckResult("root_sign_matches_length_step")
-    translate = CheckResult("translation_decomposition")
+def suite_lengths(suite: SuiteResult, samples: int = 200) -> None:
+    rng = random.Random(suite.seed)
+    oracle = suite.check("length_equals_inversion_count")
+    step = suite.check("length_changes_by_one_under_simple_factors")
+    roundtrip = suite.check("window_matrix_roundtrip")
+    root_sign = suite.check("root_sign_matches_length_step")
+    translate = suite.check("translation_decomposition")
 
     pool = []
-    for n in range(2, min(4, nmax) + 1):
+    for n in range(2, min(4, suite.nmax) + 1):
         pool.extend(affine.bruhat_ball(n, 6))
-    for n in range(5, min(6, nmax) + 1):
+    for n in range(5, min(6, suite.nmax) + 1):
         pool.extend(random_window(rng, n) for _ in range(samples))
 
     for w in pool:
@@ -141,8 +155,6 @@ def suite_lengths(nmax: int, seed: int, samples: int = 200) -> SuiteResult:
         sigma, q = affine.decompose_translation(w)
         ok = sigma.is_finite() and sum(q) == 0 and sigma * affine.translation(n, q) == w
         translate.record(ok, f"window {w.window}")
-
-    return SuiteResult("lengths", nmax, seed, [oracle, step, roundtrip, root_sign, translate])
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +186,12 @@ def _subword_leq(v, word: list[int]) -> bool:
     return False
 
 
-def suite_bruhat(nmax: int, seed: int, ball_radius: int = 5) -> SuiteResult:
-    agreement = CheckResult("bruhat_matches_subword_oracle")
-    quad_cases = CheckResult("two_reflection_case_split")
-    quad_chains = CheckResult("two_reflection_chains_confirmed")
+def suite_bruhat(suite: SuiteResult, ball_radius: int = 5) -> None:
+    agreement = suite.check("bruhat_matches_subword_oracle")
+    quad_cases = suite.check("two_reflection_case_split")
+    quad_chains = suite.check("two_reflection_chains_confirmed")
 
-    for n in range(2, min(3, nmax) + 1):
+    for n in range(2, min(3, suite.nmax) + 1):
         ball = affine.bruhat_ball(n, ball_radius)
         words = [_reduced_word(w) for w in ball]
         for v in ball:
@@ -190,7 +202,7 @@ def suite_bruhat(nmax: int, seed: int, ball_radius: int = 5) -> SuiteResult:
                     f"n={n}, v={v.window}, w={w.window}",
                 )
 
-    for n in range(2, min(4, nmax) + 1):
+    for n in range(2, min(4, suite.nmax) + 1):
         ball = affine.bruhat_ball(n, ball_radius)
         for w in ball:
             sigma, c = w.sigma_and_orders()
@@ -223,36 +235,31 @@ def suite_bruhat(nmax: int, seed: int, ball_radius: int = 5) -> SuiteResult:
                         )
                     quad_chains.record(ok, tag)
 
-    return SuiteResult("bruhat", nmax, seed, [agreement, quad_cases, quad_chains])
-
 
 # ---------------------------------------------------------------------------
 # kappa
 # ---------------------------------------------------------------------------
 
 
-def suite_kappa(nmax: int, seed: int, samples: int = 3) -> SuiteResult:
-    rng = random.Random(seed)
-    bundle_ok = CheckResult("kappa_bundle_identities")
-    report_ok = CheckResult("kappa_minimal_stable_length")
-    compact = CheckResult("compactification_iff_two_parts")
-    varpi_dec = CheckResult("varpi_equals_wg_kappa_wp")
-    tau_len = CheckResult("translation_length_is_twice_dim")
-    jordan = CheckResult("richardson_jordan_type")
-    dominance = CheckResult("nilradical_types_below_richardson")
-    conj_inv = CheckResult("conjugate_involution")
+def suite_kappa(suite: SuiteResult, samples: int = 3) -> None:
+    rng = random.Random(suite.seed)
+    bundle_ok = suite.check("kappa_bundle_identities")
+    minimal = suite.check("kappa_minimal_stable_length")
+    compact = suite.check("compactification_iff_two_parts")
+    varpi_dec = suite.check("varpi_equals_wg_kappa_wp")
+    tau_len = suite.check("translation_length_is_twice_dim")
+    jordan = suite.check("richardson_jordan_type")
+    dominance = suite.check("nilradical_types_below_richardson")
+    conj_inv = suite.check("conjugate_involution")
 
-    for lam in _comps(nmax):
+    for lam in _comps(suite.nmax):
         tag = f"lambda={lam.parts}"
-        try:
-            bundle = cons.kappa_bundle(lam)
-            bundle_ok.record(True)
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the sweep
-            bundle_ok.record(False, f"{tag}: {exc}")
+        bundle = bundle_ok.attempt(tag, cons.kappa_bundle, lam)
+        if bundle is None:
             continue
 
         rep = cons.check_kappa(bundle)
-        report_ok.record(
+        minimal.record(
             rep.in_min_reps and rep.left_stable and rep.lengths_match,
             f"{tag}: {rep}",
         )
@@ -263,11 +270,9 @@ def suite_kappa(nmax: int, seed: int, samples: int = 3) -> SuiteResult:
         else:
             compact.record(rep.is_compactification, tag)
 
-        try:
-            cons.decompose_varpi(bundle, cons.varpi_witness(lam).varpi)
-            varpi_dec.record(True)
-        except Exception as exc:  # noqa: BLE001
-            varpi_dec.record(False, f"{tag}: {exc}")
+        varpi_dec.attempt(
+            tag, lambda: cons.decompose_varpi(bundle, cons.varpi_witness(lam).varpi)
+        )
 
         tau_len.expect_equal(bundle.tau_q.length(), 2 * cons.dim_g_mod_p(lam), tag)
         tau_len.expect_equal(
@@ -288,33 +293,23 @@ def suite_kappa(nmax: int, seed: int, samples: int = 3) -> SuiteResult:
                 f"{tag}: X={x!r}",
             )
 
-    return SuiteResult(
-        "kappa",
-        nmax,
-        seed,
-        [bundle_ok, report_ok, compact, varpi_dec, tau_len, jordan, dominance, conj_inv],
-    )
-
 
 # ---------------------------------------------------------------------------
 # varpi
 # ---------------------------------------------------------------------------
 
 
-def suite_varpi(nmax: int, seed: int) -> SuiteResult:
-    identity_ok = CheckResult("iwahori_certificate_product")
-    borel_ok = CheckResult("witnesses_in_standard_iwahori")
-    negative = CheckResult("corner_column_off_by_one_fails")
-    unit_det = CheckResult("deformation_determinant_one")
-    inverse_ok = CheckResult("nilpotent_deformation_inverse")
+def suite_varpi(suite: SuiteResult) -> None:
+    identity_ok = suite.check("iwahori_certificate_product")
+    borel_ok = suite.check("witnesses_in_standard_iwahori")
+    negative = suite.check("corner_column_off_by_one_fails")
+    unit_det = suite.check("deformation_determinant_one")
+    inverse_ok = suite.check("nilpotent_deformation_inverse")
 
-    for lam in _comps(nmax):
+    for lam in _comps(suite.nmax):
         tag = f"lambda={lam.parts}"
-        try:
-            wit = cons.varpi_witness(lam)
-            identity_ok.record(True)
-        except Exception as exc:  # noqa: BLE001
-            identity_ok.record(False, f"{tag}: {exc}")
+        wit = identity_ok.attempt(tag, cons.varpi_witness, lam)
+        if wit is None:
             continue
         borel_ok.record(borel_membership(wit.b) and borel_membership(wit.c), tag)
         nu = lam.column_partition()
@@ -335,24 +330,22 @@ def suite_varpi(nmax: int, seed: int) -> SuiteResult:
             series = series + power.scale_t(-k)
         inverse_ok.expect_equal(inv, series, tag)
 
-    return SuiteResult("varpi", nmax, seed, [identity_ok, borel_ok, negative, unit_det, inverse_ok])
-
 
 # ---------------------------------------------------------------------------
 # divisors
 # ---------------------------------------------------------------------------
 
 
-def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
-    rng = random.Random(seed)
-    data_ok = CheckResult("divisor_bundle_identities")
-    below = CheckResult("divisor_rep_below_kappa")
-    full_len = CheckResult("antidiagonal_length_is_dim_flag")
-    witness_red = CheckResult("witness_reduction_to_monomial")
-    random_cells = CheckResult("random_conormal_points_hit_divisor_cell")
-    fiber_full = CheckResult("identity_coset_conormal_count")
+def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
+    rng = random.Random(suite.seed)
+    data_ok = suite.check("divisor_bundle_identities")
+    below = suite.check("divisor_rep_below_kappa")
+    full_len = suite.check("antidiagonal_length_is_dim_flag")
+    witness_red = suite.check("witness_reduction_to_monomial")
+    random_cells = suite.check("random_conormal_points_hit_divisor_cell")
+    fiber_full = suite.check("identity_coset_conormal_count")
 
-    for lam in _comps(nmax):
+    for lam in _comps(suite.nmax):
         if lam.r < 2:
             continue
         n = lam.n
@@ -362,18 +355,15 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
         fiber_full.expect_equal(len(fiber), cons.dim_g_mod_p(lam), f"lambda={lam.parts}")
         for i in range(1, lam.r):
             tag = f"lambda={lam.parts}, i={i}"
-            try:
-                data = cons.divisor_data(lam, i)
-                data_ok.record(True)
-            except Exception as exc:  # noqa: BLE001
-                data_ok.record(False, f"{tag}: {exc}")
+            data = data_ok.attempt(tag, cons.divisor_data, lam, i)
+            if data is None:
                 continue
             below.record(affine.bruhat_leq(data.v_k_min, kappa), tag)
             full_len.expect_equal(data.v_k.length(), n * (n - 1) // 2, tag)
             for s in range(samples):
                 a = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.choice([1, 2, 3]))
                 stag = f"{tag}, sample {s}, a={a}"
-                try:
+                with witness_red.guard(stag):
                     wit = cons.divisor_witnesses(data, a)
                     ok = (
                         borel_membership(wit.b1)
@@ -382,22 +372,11 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
                         and affine.from_matrix(wit.reduced) == data.v_k_min
                     )
                     witness_red.record(ok, stag)
-                except Exception as exc:  # noqa: BLE001
-                    witness_red.record(False, f"{stag}: {exc}")
                 b = random_finite_borel(rng, n)
                 x = cons.unit(n, data.gamma.i, data.gamma.j, LaurentPoly.constant(a))
-                try:
+                with random_cells.guard(stag):
                     cell = cells.phi_map(b * data.lift, x, lam)[2]
                     random_cells.expect_equal(affine.min_coset_rep(cell, sp), data.v_k_min, stag)
-                except Exception as exc:  # noqa: BLE001
-                    random_cells.record(False, f"{stag}: {exc}")
-
-    return SuiteResult(
-        "divisors",
-        nmax,
-        seed,
-        [data_ok, below, full_len, witness_red, random_cells, fiber_full],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +385,23 @@ def suite_divisors(nmax: int, seed: int, samples: int = 10) -> SuiteResult:
 
 
 def suite_embeddings(
-    nmax: int,
-    seed: int,
+    suite: SuiteResult,
     samples: int = 50,
     conjugates: int = 10,
     flag_samples: int = 20,
-) -> SuiteResult:
-    rng = random.Random(seed)
-    witness_cell = CheckResult("dense_point_hits_kappa_cell")
-    bounded = CheckResult("cotangent_image_below_kappa")
-    flag_inv = CheckResult("image_flags_satisfy_invariants")
-    equivariance = CheckResult("phi_constant_on_orbit_classes")
-    psi_equiv = CheckResult("psi_lattice_equivariance")
-    psi_conj = CheckResult("psi_cell_depends_only_on_jordan_type")
-    psi_bound = CheckResult("psi_cell_below_translation")
-    mv_match = CheckResult("two_step_flag_models_agree")
-    lattice_axioms = CheckResult("lattice_dimension_identities")
-    cell_invariance = CheckResult("cell_invariant_under_iwahori_factors")
+) -> None:
+    nmax = suite.nmax
+    rng = random.Random(suite.seed)
+    witness_cell = suite.check("dense_point_hits_kappa_cell")
+    bounded = suite.check("cotangent_image_below_kappa")
+    flag_inv = suite.check("image_flags_satisfy_invariants")
+    equivariance = suite.check("phi_constant_on_orbit_classes")
+    psi_equiv = suite.check("psi_lattice_equivariance")
+    psi_conj = suite.check("psi_cell_depends_only_on_jordan_type")
+    psi_bound = suite.check("psi_cell_below_translation")
+    mv_match = suite.check("two_step_flag_models_agree")
+    lattice_axioms = suite.check("lattice_dimension_identities")
+    cell_invariance = suite.check("cell_invariant_under_iwahori_factors")
 
     for n in range(1, nmax + 1):
         e_lat = lattices.Lattice.standard(n)
@@ -438,19 +417,16 @@ def suite_embeddings(
         bundle = cons.kappa_bundle(lam)
         kappa = bundle.kappa
         z = cons.richardson_element(lam)
-        varpi = cons.varpi_witness(lam).varpi
+        tag = f"lambda={lam.parts}"
 
         # kappa = w_g^-1 * varpi * w_p^-1 with w_g finite, so the frame
-        # lifting w_g^-1 carries the dense point into the top cell.
-        w_g, _ = cons.decompose_varpi(bundle, varpi)
-        witness_frame = w_g.inverse()
-        tag = f"lambda={lam.parts}"
-        a = cons.lift_finite(witness_frame)
-        # phi_map validates the flag it returns.
-        try:
-            cell = cells.phi_map(a, z, lam)[2]
-        except AffcellsError as exc:
-            flag_inv.record(False, f"{tag}: {exc}")
+        # lifting w_g^-1 carries the dense point into the top cell.  phi_map
+        # validates the flag it returns; the pass is recorded after the cell's.
+        cell = None
+        with flag_inv.guard(tag):
+            w_g, _ = cons.decompose_varpi(bundle, cons.varpi_witness(lam).varpi)
+            cell = cells.phi_map(cons.lift_finite(w_g.inverse()), z, lam)[2]
+        if cell is None:
             continue
         witness_cell.expect_equal(affine.min_coset_rep(cell, sp), kappa, tag)
         flag_inv.record(True)
@@ -459,10 +435,10 @@ def suite_embeddings(
             g = random_sl(rng, n)
             x = random_nilradical(rng, lam)
             stag = f"{tag}, sample {s}"
-            try:
+            cell = None
+            with flag_inv.guard(stag):
                 point, flag, cell = cells.phi_map(g, x, lam)
-            except AffcellsError as exc:
-                flag_inv.record(False, f"{stag}: {exc}")
+            if cell is None:
                 continue
             bounded.record(affine.bruhat_leq(affine.min_coset_rep(cell, sp), kappa), stag)
             flag_inv.record(True)
@@ -497,11 +473,11 @@ def suite_embeddings(
             tau = cons.kappa_bundle(lam_conj).tau_q
             # The base point's cell is walked afresh, through iwahori_cell's
             # determinant, as the reference each conjugate's walked cell meets.
-            try:
+            base_cell = None
+            with psi_bound.guard(f"mu={mu.parts} base"):
                 base_point, base_lat, _ = cells.psi_map(base)
                 base_cell = cells.parabolic_cell(base_point, finite)
-            except AffcellsError as exc:
-                psi_bound.record(False, f"mu={mu.parts} base: {exc}")
+            if base_cell is None:
                 continue
             psi_bound.record(
                 affine.bruhat_leq(base_cell, tau), f"mu={mu.parts} base cell {base_cell.window}"
@@ -528,24 +504,6 @@ def suite_embeddings(
                     )
                     psi_bound.record(affine.bruhat_leq(cell, tau), f"{ctag} cell {cell.window}")
 
-    return SuiteResult(
-        "embeddings",
-        nmax,
-        seed,
-        [
-            witness_cell,
-            bounded,
-            flag_inv,
-            equivariance,
-            psi_equiv,
-            psi_conj,
-            psi_bound,
-            mv_match,
-            lattice_axioms,
-            cell_invariance,
-        ],
-    )
-
 
 # ---------------------------------------------------------------------------
 # driver
@@ -566,11 +524,19 @@ def coverage_gap(results) -> set:
     return set(ops.CALLS).difference(*(r.ops for r in results))
 
 
-def run_suite(name: str, nmax: int, seed: int, **kwargs) -> SuiteResult:
+def run_suite(name: str, nmax: int, seed: int, **sizes) -> SuiteResult:
+    """Run one suite.  An error that escapes it ends the suite as the failure
+    of a trailing suite_completed check, which a suite that ran to the end
+    does not report."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    result = SuiteResult(name, nmax, seed)
+    completed = CheckResult("suite_completed")
     before = dict(ops.CALLS)
-    result = SUITES[name](nmax, seed, **kwargs)
+    with completed.guard(f"nmax={nmax}, seed={seed}"):
+        SUITES[name](result, **sizes)
+    if completed.failed:
+        result.checks.append(completed)
     result.ops = frozenset(k for k, v in ops.CALLS.items() if v > before[k])
     return result
 

@@ -177,6 +177,26 @@ class TestVerifyCommand:
         assert obj["ok"] is False
         assert "affine.quad_minimum" in obj["coverage_missing"]
 
+    @pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, out):
+        path = tmp_path / out
+        assert run(["verify", "--suite", "varpi", "--nmax", "2", "--out", str(path)]) == 2
+        _assert_usage_error(capsys, "cannot write")
+
+
+def _assert_usage_error(capsys, text):
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {text}") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["cell", "--matrix"], ["report", "--in"]],
+                         ids=["cell", "report"])
+def test_undecodable_input_file_is_usage_error(command, capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"n":1}')
+    assert run(command + [str(path)]) == 2
+    _assert_usage_error(capsys, "cannot read")
+
 
 @pytest.mark.parametrize("argv", [
     ["tableau", "--lambda=--"],

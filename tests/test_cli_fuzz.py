@@ -2,11 +2,11 @@
 `report --in`, and the arguments of `tableau`, `kappa`, `varpi` and `divisor`.
 
 JSON inputs are arbitrary recursive values, near-valid mutations of valid
-matrices and reports, and textual damage (truncation, a stray character) to
-valid JSON.  Arguments are compositions of n <= 5 with textual damage (empty
-parts, signs, floats, spaces, stray commas) and small or out-of-range divisor
-indices; the damage never makes a composition larger, so no large
-computation starts.  Whatever the input, `run` keeps the exit-code contract:
+matrices and reports, textual damage (truncation, a stray character) to
+valid JSON, and files of arbitrary bytes.  Arguments are compositions of
+n <= 5 with textual damage (empty parts, signs, floats, spaces, stray
+commas) and small or out-of-range divisor indices; the damage never makes a
+composition larger, so no large computation starts.  Whatever the input, `run` keeps the exit-code contract:
 0, 1 or 2, no traceback, parseable output on exit 0, an `error:` line on
 exit 2 (the only line for `cell` and `report`), and for `report` the verdict
 of `verify.report_ok` recomputed from the input.
@@ -183,6 +183,15 @@ def test_report_keeps_the_contract(text, fmt):
         assert json.loads(out)["ok"] is verdict
     else:
         assert out.endswith(("ALL SUITES PASSED\n" if verdict else "FAILURES PRESENT\n"))
+
+
+@given(data=st.binary(max_size=64), command=st.sampled_from(["cell", "report"]))
+@FUZZ
+def test_file_of_arbitrary_bytes_keeps_the_contract(data, command, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "bytes.json"
+    path.write_bytes(data)
+    flag = "--matrix" if command == "cell" else "--in"
+    _check_contract(*_run([command, flag, str(path)]))
 
 
 COMPOSITIONS = [lam.parts for n in range(1, 6) for lam in compositions_of(n)]

@@ -36,3 +36,23 @@ def test_no_true_division_outside_the_exact_quotient():
                   and isinstance(node.op, ast.Div) and id(node) not in exempt]
     assert helpers == 1
     assert found == []
+
+
+def test_verify_has_one_failure_path():
+    # An error in a suite becomes a failed check in one place, CheckResult.guard,
+    # and checks are declared through suite.check, never built by a suite.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    check_result = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "CheckResult")
+    guard = next(node for node in check_result.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "guard")
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1 and handlers[0] in set(ast.walk(guard))
+    found = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("suite_"):
+            found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Try)
+                      or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id in ("SuiteResult", "CheckResult"))]
+    assert found == []

@@ -27,7 +27,6 @@ class TestWorkedExample:
 class TestSmallCases:
     def test_two_singletons(self):
         tab = build(Composition((1, 1)))
-        assert tab.rows() == {1: (1,), 2: (2,)}
         assert tab.f[(1, 1)] == 1 and tab.f[(1, 2)] == 2
         assert tab.s1 == frozenset({1})
         assert tab.red[1] == (1,) and tab.blue[2] == (2,)

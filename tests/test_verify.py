@@ -1,7 +1,10 @@
 import importlib
 import json
 
+import pytest
+
 from affcells import ops, verify
+from affcells.errors import FlagInvariantError, IdentityFailed
 from affcells.partitions import compositions_of
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
 
@@ -58,7 +61,6 @@ class TestReportInvariants:
         assert strict["ok"] is False and strict["coverage_missing"]
 
     def test_flag_validation_failure_is_recorded(self, monkeypatch):
-        from affcells.errors import FlagInvariantError
         from affcells.lattices import AffineFlag
 
         def broken(flag):
@@ -68,14 +70,14 @@ class TestReportInvariants:
         r = verify.run_suite("embeddings", nmax=1, seed=0)
         check = next(c for c in r.checks if c.name == "image_flags_satisfy_invariants")
         assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
-        assert r.ok is False
+        assert report_obj([r], 1, 0)["ok"] is False
 
-    def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [FlagInvariantError, ValueError])
+    def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys, error):
         from affcells import cells, cli
-        from affcells.errors import FlagInvariantError
 
         def broken(flags, lam):
-            raise FlagInvariantError("planted")
+            raise error("planted")
 
         monkeypatch.setattr(cells, "beta", broken)
         code = cli.run(["verify", "--suite", "embeddings", "--nmax", "2", "--format", "json"])
@@ -85,6 +87,72 @@ class TestReportInvariants:
                      if c["name"] == "two_step_flag_models_agree")
         assert check["passed"] == 0 and check["failed"] == 20
         assert check["witnesses"][0] == "lambda=(1, 1), mv sample 0: planted"
+
+
+def _verify_all(capsys):
+    from affcells import cli
+
+    code = cli.run(["verify", "--suite", "all", "--nmax", "2", "--format", "json"])
+    obj = json.loads(capsys.readouterr().out)
+    assert [s["suite"] for s in obj["suites"]] == list(verify.SUITES)
+    checks = {f"{s['suite']}.{c['name']}": c for s in obj["suites"] for c in s["checks"]}
+    return code, obj, checks
+
+
+class TestOneFailurePath:
+    """Any error raised in a suite is a recorded failure: the run exits 1 with
+    a report of every suite, never 2 (the usage-error code) or a traceback."""
+
+    def test_an_error_escaping_a_suite_ends_it_as_a_recorded_failure(
+        self, monkeypatch, capsys
+    ):
+        from affcells import constructions
+
+        def broken(w, sp):
+            raise IdentityFailed("planted")
+
+        monkeypatch.setattr(constructions, "conormal_directions", broken)
+        code, obj, checks = _verify_all(capsys)
+        assert code == 1 and obj["ok"] is False
+        stopped = checks["divisors.suite_completed"]
+        assert (stopped["passed"], stopped["failed"]) == (0, 1)
+        assert stopped["witnesses"] == ["nmax=2, seed=0: planted"]
+        assert [name for name in checks if name.endswith(".suite_completed")] == [
+            "divisors.suite_completed"
+        ]
+
+    def test_a_suite_that_stops_early_keeps_its_counts(self, monkeypatch):
+        from affcells import constructions
+
+        real = constructions.conormal_directions
+
+        def broken_at_three(w, sp):
+            if w.n == 3:
+                raise IdentityFailed("planted")
+            return real(w, sp)
+
+        monkeypatch.setattr(constructions, "conormal_directions", broken_at_three)
+        r = verify.run_suite("divisors", nmax=3, seed=0)
+        counts = {c.name: (c.passed, c.failed) for c in r.checks}
+        # lambda = (1, 1) ran to the end; lambda = (1, 2) stopped the suite.
+        assert counts["divisor_bundle_identities"] == (1, 0)
+        assert counts["identity_coset_conormal_count"] == (1, 0)
+        assert r.checks[-1].name == "suite_completed"
+        assert r.checks[-1].witnesses == ["nmax=3, seed=0: planted"]
+
+    def test_a_failed_construction_is_recorded_where_it_is_used(self, monkeypatch, capsys):
+        from affcells import constructions
+
+        def broken(bundle, varpi):
+            raise IdentityFailed("planted")
+
+        monkeypatch.setattr(constructions, "decompose_varpi", broken)
+        code, obj, checks = _verify_all(capsys)
+        assert code == 1 and obj["ok"] is False
+        assert "lambda=(1,): planted" in checks["kappa.varpi_equals_wg_kappa_wp"]["witnesses"]
+        assert any("lambda=(1,): planted" in c["witnesses"]
+                   for name, c in checks.items() if name.startswith("embeddings."))
+        assert not any(name.endswith("suite_completed") for name in checks)
 
 
 def _deltas(suite, nmax, seed):
