@@ -72,8 +72,14 @@ class TestReportInvariants:
         assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
         assert report_obj([r], 1, 0)["ok"] is False
 
-    @pytest.mark.parametrize("error", [FlagInvariantError, ValueError])
-    def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys, error):
+    def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys):
+        self._assert_raising_beta_is_recorded(monkeypatch, capsys, FlagInvariantError)
+
+    def test_any_exception_in_a_check_is_recorded_not_fatal(self, monkeypatch, capsys):
+        self._assert_raising_beta_is_recorded(monkeypatch, capsys, ValueError)
+
+    @staticmethod
+    def _assert_raising_beta_is_recorded(monkeypatch, capsys, error):
         from affcells import cells, cli
 
         def broken(flags, lam):
