@@ -165,8 +165,8 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
     # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
     image = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
-    low, point = ([_integral(m.column(k))[0] for k in range(1, n + 1)]
-                  for m in (frame.scale_t(-1), image))
+    low = [(_integral(frame.column(k))[0], -1) for k in range(1, n + 1)]
+    point = [(_integral(image.column(k))[0], 0) for k in range(1, n + 1)]
     return tuple(Lattice(n, _triangular_basis(low[:d] + point[d:], n)) for d in lam.d)
 
 

@@ -179,16 +179,21 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # --out is opened before any suite runs, so a bad path costs no sweep.
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        return _usage(f"cannot write {args.out}: {exc}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
     results = verify.run_suites(names, args.nmax, args.seed)
     duration = time.monotonic() - start
     obj = verify.report_obj(results, args.nmax, args.seed,
                             enforce_coverage=args.suite == "all")
-    if args.out:
+    if out is not None:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(jsonio.dumps(obj) + "\n")
+            with out:
+                out.write(jsonio.dumps(obj) + "\n")
         except OSError as exc:
             return _usage(f"cannot write {args.out}: {exc}")
     if args.format == "json":

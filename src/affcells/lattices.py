@@ -22,6 +22,8 @@ plus displacement; `chain_walk` triangularizes t M once and then adds one
 column per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
 It runs on integer coefficients: every vector enters scaled to integers, and
 a step multiplies by an integer instead of dividing by a leading coefficient.
+A basis entry (chain index, leading coefficient, vector, offset k) stands for
+t^k times the stored vector, so t^j moves only offsets (+j) and indices (-nj).
 """
 
 from __future__ import annotations
@@ -38,33 +40,34 @@ __all__ = ["Lattice", "AffineFlag", "chain_walk", "vdim", "quotient_dim"]
 _MAX_REDUCTION_STEPS = 200_000
 
 
-def _lead(v: list[LaurentPoly], n: int):
-    """Leading u-term of a vector: (chain index, coefficient).
+def _lead(v: list[LaurentPoly], k: int, n: int):
+    """Leading u-term of t^k v: (chain index, coefficient).
 
-    The chain index of t^{-q} e_r is qn + r; for a general vector it is the
-    maximum of r - n*ord(v_r) over nonzero coordinates, achieved at exactly
-    one coordinate because the candidates differ mod n.
+    The chain index of t^{-q} e_r is qn + r; for t^k v it is the maximum of
+    r - n*(ord(v_r) + k) over nonzero coordinates, achieved at exactly one
+    coordinate because the candidates differ mod n.
     """
     best = None
-    for r0, p in enumerate(v):
+    for r, p in enumerate(v, 1 - n * k):
         terms = p._terms
         if terms:
             low = min(terms)
-            idx = (r0 + 1) - n * low
+            idx = r - n * low
             if best is None or idx > best[0]:
                 best = (idx, terms[low])
     return best
 
 
-def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
-    """Reduce v against a triangular basis (keyed by index residue).
+def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
+    """Reduce t^k v against a triangular basis (keyed by index residue).
 
-    Returns None when v reduces to zero; otherwise the basis entry
-    (chain index, leading coefficient, reduced vector) where it got stuck.
+    Returns None when it reduces to zero; otherwise the basis entry
+    (chain index, leading coefficient, reduced vector, k) where it got stuck.
     Each step cancels the leading u-term, of coefficient c, using the unique
     basis vector h in its residue class when h's index is at least as large:
-    v becomes a v - b t^s h, where b/a = c/(h's leading coefficient) in
-    lowest terms and a > 0.  The factor a keeps memberships and spans; every
+    t^k v becomes a t^k v - b t^s h, where b/a = c/(h's leading coefficient)
+    in lowest terms and a > 0; the stored v steps by t^(s + k_h - k) times
+    h's stored vector.  The factor a keeps memberships and spans; every
     vector comes in through `_integral`, so no rational coefficient reaches
     the step.  The index strictly decreases at each step.  Against the basis
     of a genuine lattice this terminates for every Laurent vector: an
@@ -74,18 +77,18 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
 
     With ``track = [r, P, lam]``, every step multiplies lam and the term
     dict P by a, and a step on the generator g of class r adds b at t^s into
-    P: lam times v as given stays the current v plus P g plus the others.
+    P: lam t^k v as given stays the current t^k v plus P g plus the others.
     """
     steps = 0
     while True:
-        lead = _lead(v, n)
+        lead = _lead(v, k, n)
         if lead is None:
             return None
         idx, coeff = lead
         entry = basis.get(idx % n)
         if entry is None or entry[0] < idx:
-            return idx, coeff, v
-        hidx, hcoeff, hvec = entry
+            return idx, coeff, v, k
+        hidx, hcoeff, hvec, hk = entry
         s = (hidx - idx) // n
         q = _quo(coeff, hcoeff)
         a, b = q.denominator, q.numerator
@@ -95,6 +98,7 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
                 track[2] *= a
             if idx % n == track[0]:
                 track[1][s] = track[1].get(s, 0) + b
+        s += hk - k
         if a == 1:
             v = [_raw(_addmul(dict(x._terms), -b, s, y._terms)) if y else x
                  for x, y in zip(v, hvec)]
@@ -107,7 +111,7 @@ def _reduce(v: list[LaurentPoly], basis: dict, n: int, track=None):
 
 
 def _triangular_basis(vectors: list, n: int) -> dict:
-    """Triangularize a basis of a rank-n module, given as integer vectors:
+    """Triangularize (integer vector, offset) pairs spanning a rank-n module:
     one generator per index residue, each of maximal index in its class.
 
     Each vector is reduced against the basis so far and takes its residue
@@ -118,25 +122,25 @@ def _triangular_basis(vectors: list, n: int) -> dict:
     indices of each class are bounded above.
     """
     basis: dict = {}
-    pool = [list(v) for v in vectors]
+    pool = list(vectors)
     while pool:
-        entry = _reduce(pool.pop(), basis, n)
+        entry = _reduce(*pool.pop(), basis, n)
         if entry is None:
             raise IdentityFailed("basis vectors cannot reduce to zero")
         displaced = basis.get(entry[0] % n)
         basis[entry[0] % n] = entry
         if displaced is not None:
-            pool.append(displaced[2])
+            pool.append(displaced[2:])
     return basis
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A lattice stored as its triangular basis:
-    index residue mod n -> (leading index, leading coefficient, vector).
-    A basis given directly (`scaled`, `chain_walk`, `cells.mv_flag`) must span
-    a genuine lattice, as `from_columns` checks for outside input: `==` tests one
-    containment, which a proper sublattice with the same indices passes.
+    """A lattice stored as its triangular basis: index residue mod n ->
+    (leading index, leading coefficient, vector, offset k), the generator
+    t^k * vector.  A basis given directly (`scaled`, `chain_walk`, `mv_flag`)
+    must span a genuine lattice, as `from_columns` checks for outside input:
+    `==` tests one containment, which a proper sublattice with the same indices passes.
     """
 
     n: int
@@ -153,7 +157,7 @@ class Lattice:
                 "determinant is not a power of t; the span is not a lattice "
                 "(its Laurent span is a proper submodule)"
             )
-        return cls(n=n, basis=_triangular_basis(cols, n))
+        return cls(n=n, basis=_triangular_basis([(c, 0) for c in cols], n))
 
     @classmethod
     def from_basis(cls, M: LaurentMatrix) -> "Lattice":
@@ -164,34 +168,33 @@ class Lattice:
         return cls.from_basis(LaurentMatrix.identity(n))
 
     def scaled(self, k: int) -> "Lattice":
-        """The lattice t^k * L."""
+        """The lattice t^k * L, sharing L's stored vectors."""
         return Lattice(n=self.n, basis={
-            r: (h - self.n * k, c, [p.shift(k) for p in v])
-            for r, (h, c, v) in self.basis.items()
+            r: (h - self.n * k, c, v, j + k) for r, (h, c, v, j) in self.basis.items()
         })
 
     def transformed(self, M: LaurentMatrix) -> "Lattice":
-        """The lattice M * L, for M with unit determinant.  The basis of L
-        already has a monomial determinant, so only det(M) is checked."""
+        """The lattice M * L, for M with unit determinant (L's basis has a
+        monomial one); M commutes with t, so each image keeps its offset."""
         if not det(M).is_monomial():
             raise ValueError("determinant is not a power of t; M * L is not a lattice")
-        vecs = [v for _, _, v in self.basis.values()]
-        image = M * LaurentMatrix([[v[i] for v in vecs] for i in range(self.n)])
+        entries = list(self.basis.values())
+        image = M * LaurentMatrix([[e[2][i] for e in entries] for i in range(self.n)])
         cols = [_integral(image.column(j))[0] for j in range(1, self.n + 1)]
-        return Lattice(self.n, _triangular_basis(cols, self.n))
+        return Lattice(self.n, _triangular_basis(zip(cols, [e[3] for e in entries]), self.n))
 
     def _indices(self) -> tuple[int, ...]:
-        return tuple(sorted(h for h, _, _ in self.basis.values()))
+        return tuple(sorted(e[0] for e in self.basis.values()))
 
-    def contains(self, v) -> bool:
-        """Exact k[t]-membership of a Laurent column vector."""
+    def contains(self, v, k: int = 0) -> bool:
+        """Exact k[t]-membership of t^k times a Laurent column vector."""
         v = list(v)
         if len(v) != self.n:
             raise ValueError(f"vector of length {len(v)} in a rank-{self.n} lattice")
-        return _reduce(_integral(v)[0], self.basis, self.n) is None
+        return _reduce(_integral(v)[0], k, self.basis, self.n) is None
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(v) for _, _, v in other.basis.values())
+        return all(self.contains(v, k) for _, _, v, k in other.basis.values())
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -211,27 +214,28 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
     the chain index where column j gets stuck against M Lambda_{j-1} for
     j = 1..n, and the lattices M Lambda_0 < ... < M Lambda_n.
 
-    t M, its columns scaled to integers, is triangularized once.  Step j
-    reduces column j to v, of index h + n over the generator g of its class;
-    t v reduces to zero with lam t v = P g + multiples of the other
-    generators, P(0) != 0.  lam v - ((P - P(0))/t) g replaces g, which stays
-    in the span since t times it is P(0) g plus multiples of the others.
-    (v itself spans a proper sublattice unless P is constant.)
+    t M (the columns, scaled to integers, at offset 1) is triangularized
+    once.  Step j reduces column j to v, of index h + n over the generator g
+    of its class; t v reduces to zero with lam t v = P g + multiples of the
+    other generators, P(0) != 0.  lam v - ((P - P(0))/t) g replaces g, which
+    stays in the span since t times it is P(0) g plus multiples of the
+    others.  (v itself spans a proper sublattice unless P is constant.)
     """
     n = M.n
     cols = [_integral(M.column(j))[0] for j in range(1, n + 1)]
-    basis = _triangular_basis([[p.shift(1) for p in c] for c in cols], n)
+    basis = _triangular_basis([(c, 1) for c in cols], n)
     stuck, chain = [], [Lattice(n, dict(basis))]
     for col in cols:
-        idx, coeff, v = _reduce(col, basis, n)  # never None: t M is nonsingular
+        idx, coeff, v, _ = _reduce(col, 0, basis, n)  # never None: t M is nonsingular
         track = [idx % n, {}, 1]
-        if _reduce([a.shift(1) for a in v], basis, n, track) is not None:
+        if _reduce(v, 1, basis, n, track) is not None:
             raise IdentityFailed("t times the reduced column left the previous span")
         r, p, lam = track
-        q = LaurentPoly({e - 1: c for e, c in p.items() if e > 0})
+        _, _, g, k = basis[r]  # P tracks t^k g; the new generator sits at offset 0
+        q = LaurentPoly({e - 1 + k: c for e, c in p.items() if e > 0})
         if q:
-            v, coeff = [a.scale(lam) - q * g for a, g in zip(v, basis[r][2])], coeff * lam
-        basis[r] = (idx, coeff, v)
+            v, coeff = [a.scale(lam) - q * x for a, x in zip(v, g)], coeff * lam
+        basis[r] = (idx, coeff, v, 0)
         stuck.append(idx)
         chain.append(Lattice(n, dict(basis)))
     return stuck, chain
@@ -243,7 +247,7 @@ def vdim(L: Lattice) -> int:
 
     The leading index h = qn + r (1 <= r <= n) contributes q = (h - r)/n.
     """
-    return sum((h - 1) // L.n for h, _, _ in L.basis.values())
+    return sum((e[0] - 1) // L.n for e in L.basis.values())
 
 
 @op

@@ -80,7 +80,7 @@ class CheckResult:
         try:
             yield
         except Exception as exc:  # noqa: BLE001 - report, do not crash the sweep
-            self.record(False, f"{witness}: {exc}")
+            self.record(False, f"{witness}: {type(exc).__name__}: {exc}")
 
     def attempt(self, witness: str, build, *args):
         """build(*args) recorded as a pass, or None once it failed."""

@@ -298,7 +298,8 @@ class TestMvFlag:
 
         def shifted_first_column(vectors, n):
             vectors = list(vectors)
-            vectors[0] = [p.shift(1) for p in vectors[0]]
+            vector, offset = vectors[0]
+            vectors[0] = (vector, offset + 1)
             return triangular(vectors, n)
 
         monkeypatch.setattr(cells, "_triangular_basis", shifted_first_column)

@@ -183,6 +183,18 @@ class TestVerifyCommand:
         assert run(["verify", "--suite", "varpi", "--nmax", "2", "--out", str(path)]) == 2
         _assert_usage_error(capsys, "cannot write")
 
+    def test_out_is_opened_before_any_suite_runs(self, capsys, tmp_path, monkeypatch):
+        from affcells import verify
+
+        calls, real = [], verify.run_suites
+        monkeypatch.setattr(verify, "run_suites", lambda *a: calls.append(a) or real(*a))
+        argv = ["verify", "--suite", "varpi", "--nmax", "2", "--out"]
+        assert run(argv + [str(tmp_path / "missing" / "r.json")]) == 2
+        _assert_usage_error(capsys, "cannot write")
+        assert calls == []
+        assert run(argv + [str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1 and json.loads((tmp_path / "r.json").read_text())["ok"]
+
 
 def _assert_usage_error(capsys, text):
     out = capsys.readouterr()

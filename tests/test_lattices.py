@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from affcells import lattices
 from affcells.cells import mv_flag
-from affcells.errors import FlagInvariantError, NotContained
+from affcells.errors import FlagInvariantError, IdentityFailed, NotContained
 from affcells.lattices import AffineFlag, Lattice, chain_walk, quotient_dim, vdim
 from affcells.laurent import LaurentMatrix, LaurentPoly, det, invert
 from affcells.partitions import Composition
@@ -230,6 +232,25 @@ class TestTransformed:
             Lattice.standard(2).transformed(LaurentMatrix.diagonal([ONE + t(1), ONE]))
 
 
+class TestOffsets:
+    """t^k moves offsets and indices only: a scaled lattice shares its
+    stored vectors and agrees with every other way of reaching it."""
+
+    @given(_transform_pairs(), st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_offset_algebra(self, pair, j, k):
+        b, m = pair
+        lat = Lattice.from_basis(b)
+        scaled = lat.scaled(k)
+        assert all(scaled.basis[r][2] is lat.basis[r][2] for r in lat.basis)
+        assert lat.scaled(j).scaled(k).basis == lat.scaled(j + k).basis
+        assert vdim(scaled) == vdim(lat) - b.n * k
+        got, want = scaled.transformed(m), lat.transformed(m).scaled(k)
+        assert got == want and want.contains_lattice(got)
+        assert scaled.contains_lattice(lat.scaled(k + 1))
+        assert (k >= 0) == lat.contains_lattice(scaled)
+
+
 class TestCoefficientType:
     @given(_basis_pairs())
     @settings(max_examples=40, deadline=None)
@@ -237,9 +258,9 @@ class TestCoefficientType:
         # Nonzero, an int when integral and a Fraction otherwise: never a
         # float, a bool or an integral Fraction.
         for b in pair:
-            for _, lead, vector in Lattice.from_basis(b).basis.values():
+            for _, lead, vector, offset in Lattice.from_basis(b).basis.values():
                 coeffs = [lead] + [c for p in vector for c in p.terms.values()]
-                assert all(coeffs)
+                assert offset == 0 and all(coeffs)
                 assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                            for c in coeffs)
 
@@ -286,7 +307,8 @@ def _check_chain(m, stuck, chain):
     cols = [list(m.column(j)) for j in range(1, n + 1)]
     assert len(stuck) == n and len(chain) == n + 1
     for j, walked in enumerate(chain):
-        rebuilt = Lattice.from_columns([v for _, _, v in walked.basis.values()], n)
+        rebuilt = Lattice.from_columns(
+            [[p.shift(k) for p in v] for _, _, v, k in walked.basis.values()], n)
         explicit = Lattice.from_columns(
             cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]], n)
         assert explicit.contains_lattice(walked) and walked.contains_lattice(explicit)
@@ -311,11 +333,26 @@ class TestChainWalk:
         # det and invert scale rows.
         stuck, chain = chain_walk(m)
         _check_chain(m, stuck, chain)
-        coeffs = [c for lat in chain for _, lead, v in lat.basis.values()
+        coeffs = [c for lat in chain for _, lead, v, _ in lat.basis.values()
                   for c in [lead] + [c for p in v for c in p.terms.values()]]
         coeffs += [c for p in [det(m)] + [p for row in invert(m).rows for p in row]
                    for c in p.terms.values()]
         assert all(type(c) is int for c in coeffs)
+
+    def test_dropped_offset_is_caught(self, monkeypatch):
+        # Against a generator at offset k_h, a vector at offset k steps by
+        # t^(s + k_h - k) in stored terms.  The planted step uses the true
+        # shift s, so on the walk's mixed offsets it no longer cancels the
+        # leading term; its step cap is lowered so that the descent it
+        # starts fails fast.
+        source = textwrap.dedent(inspect.getsource(lattices._reduce))
+        assert source.count("s += hk - k") == 1
+        planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
+        exec(source.replace("s += hk - k", "pass"), planted)
+        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        # The walk never reaches the oracle: every case ends at the cap.
+        errors = (AssertionError, ValueError, IdentityFailed)
+        assert _oracle_failures(random.Random(5), 20, errors) == 20
 
     def test_naive_step_is_caught(self, monkeypatch):
         # The unsound step stores the reduced column itself: with the
@@ -323,16 +360,21 @@ class TestChainWalk:
         # keeps v in place of v - ((p - p(0))/t) g.
         reduce = lattices._reduce
         monkeypatch.setattr(lattices, "_reduce",
-                            lambda v, basis, n, track=None:
-                            None if track else reduce(v, basis, n))
-        rng = random.Random(5)
-        caught = 0
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            m = random_iwahori(rng, n) * random_window(rng, n, 2).to_matrix() \
-                * random_iwahori(rng, n)
-            try:
-                _check_chain(m, *chain_walk(m))
-            except (AssertionError, ValueError):
-                caught += 1
-        assert caught
+                            lambda v, k, basis, n, track=None:
+                            None if track else reduce(v, k, basis, n))
+        assert _oracle_failures(random.Random(5), 20, (AssertionError, ValueError))
+
+
+def _oracle_failures(rng, cases, errors):
+    """How many of `cases` random unit matrices make the walk or its
+    explicit-generator oracle raise one of `errors`."""
+    failures = 0
+    for _ in range(cases):
+        n = rng.randint(2, 6)
+        m = random_iwahori(rng, n) * random_window(rng, n, 2).to_matrix() \
+            * random_iwahori(rng, n)
+        try:
+            _check_chain(m, *chain_walk(m))
+        except errors:
+            failures += 1
+    return failures

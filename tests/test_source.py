@@ -56,3 +56,13 @@ def test_verify_has_one_failure_path():
                       or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                           and node.func.id in ("SuiteResult", "CheckResult"))]
     assert found == []
+
+
+def test_lattices_make_no_t_shift():
+    # A basis entry carries its power of t as an offset, so multiplying by
+    # t^k is index arithmetic: no `LaurentPoly.shift` copy in the engine.
+    tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("shift", "scale_t")]
+    assert found == []

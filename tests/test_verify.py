@@ -42,6 +42,12 @@ class TestReportInvariants:
         c.record(False)
         assert c.failed == 1 and c.witnesses == ["unspecified input"]
 
+    def test_a_guarded_witness_names_the_exception_type(self):
+        c = CheckResult("x")
+        with c.guard("sample 0"):
+            raise KeyError(3)
+        assert (c.passed, c.failed) == (0, 1) and c.witnesses == ["sample 0: KeyError: 3"]
+
     def test_report_shape(self):
         c = CheckResult("x")
         c.record(True)
@@ -69,7 +75,7 @@ class TestReportInvariants:
         monkeypatch.setattr(AffineFlag, "validate", broken)
         r = verify.run_suite("embeddings", nmax=1, seed=0)
         check = next(c for c in r.checks if c.name == "image_flags_satisfy_invariants")
-        assert check.failed == 1 and check.witnesses == ["lambda=(1,): planted"]
+        assert check.failed == 1 and check.witnesses == ["lambda=(1,): FlagInvariantError: planted"]
         assert report_obj([r], 1, 0)["ok"] is False
 
     def test_a_raising_check_is_recorded_not_fatal(self, monkeypatch, capsys):
@@ -92,7 +98,7 @@ class TestReportInvariants:
         check = next(c for c in obj["suites"][0]["checks"]
                      if c["name"] == "two_step_flag_models_agree")
         assert check["passed"] == 0 and check["failed"] == 20
-        assert check["witnesses"][0] == "lambda=(1, 1), mv sample 0: planted"
+        assert check["witnesses"][0] == f"lambda=(1, 1), mv sample 0: {error.__name__}: planted"
 
 
 def _verify_all(capsys):
@@ -122,7 +128,7 @@ class TestOneFailurePath:
         assert code == 1 and obj["ok"] is False
         stopped = checks["divisors.suite_completed"]
         assert (stopped["passed"], stopped["failed"]) == (0, 1)
-        assert stopped["witnesses"] == ["nmax=2, seed=0: planted"]
+        assert stopped["witnesses"] == ["nmax=2, seed=0: IdentityFailed: planted"]
         assert [name for name in checks if name.endswith(".suite_completed")] == [
             "divisors.suite_completed"
         ]
@@ -144,7 +150,7 @@ class TestOneFailurePath:
         assert counts["divisor_bundle_identities"] == (1, 0)
         assert counts["identity_coset_conormal_count"] == (1, 0)
         assert r.checks[-1].name == "suite_completed"
-        assert r.checks[-1].witnesses == ["nmax=3, seed=0: planted"]
+        assert r.checks[-1].witnesses == ["nmax=3, seed=0: IdentityFailed: planted"]
 
     def test_a_failed_construction_is_recorded_where_it_is_used(self, monkeypatch, capsys):
         from affcells import constructions
@@ -155,8 +161,9 @@ class TestOneFailurePath:
         monkeypatch.setattr(constructions, "decompose_varpi", broken)
         code, obj, checks = _verify_all(capsys)
         assert code == 1 and obj["ok"] is False
-        assert "lambda=(1,): planted" in checks["kappa.varpi_equals_wg_kappa_wp"]["witnesses"]
-        assert any("lambda=(1,): planted" in c["witnesses"]
+        witness = "lambda=(1,): IdentityFailed: planted"
+        assert witness in checks["kappa.varpi_equals_wg_kappa_wp"]["witnesses"]
+        assert any(witness in c["witnesses"]
                    for name, c in checks.items() if name.startswith("embeddings."))
         assert not any(name.endswith("suite_completed") for name in checks)
 
