@@ -10,8 +10,8 @@ Run:  python3 demos/03_cell_certificates.py
 
 from affcells import (
     Composition,
-    LaurentMatrix,
     decompose_varpi,
+    deformation,
     iwahori_cell,
     kappa_bundle,
     lift_finite,
@@ -27,7 +27,7 @@ n = lam.n
 print(f"Composition {lam.parts}, n = {n}.\n")
 
 z = richardson_element(lam)
-point = LaurentMatrix.identity(n) - z.scale_t(-1)
+point = deformation(z)
 print("Dense-orbit nilpotent Z and its deformation 1 - t^-1 Z built.")
 
 wit = varpi_witness(lam)

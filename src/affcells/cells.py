@@ -31,12 +31,13 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _integral, det, invert
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _raw, det, invert
 from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
 
 __all__ = [
+    "deformation",
     "phi_point",
     "phi_map",
     "psi_map",
@@ -96,9 +97,15 @@ def _check_nilradical(X: LaurentMatrix, lam: Composition) -> None:
                 )
 
 
+def deformation(X: LaurentMatrix) -> LaurentMatrix:
+    """The point 1 - t^-1 X, for any Laurent X, built one entry at a time."""
+    return LaurentMatrix([[_raw(_addmul({0: 1} if i == j else {}, -1, -1, p._terms))
+                           for j, p in enumerate(row)] for i, row in enumerate(X.rows)])
+
+
 def phi_point(g: LaurentMatrix, X: LaurentMatrix) -> LaurentMatrix:
     """The point g (1 - t^-1 X)."""
-    return g * (LaurentMatrix.identity(g.n) - X.scale_t(-1))
+    return g * deformation(X)
 
 
 @op
@@ -137,7 +144,7 @@ def psi_map(X: LaurentMatrix):
         power = power * X
     if power != LaurentMatrix.zero(n):
         raise NotNilpotent("X^n != 0")
-    point = LaurentMatrix.identity(n) - X.scale_t(-1)
+    point = deformation(X)
     stuck, chain = chain_walk(point)
     return point, chain[0].scaled(-1), AffinePermutation(tuple(stuck))
 
@@ -164,7 +171,7 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
     # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
-    image = (LaurentMatrix.identity(n) - X.scale_t(-1)) * frame
+    image = deformation(X) * frame
     low = [(_integral(frame.column(k))[0], -1) for k in range(1, n + 1)]
     point = [(_integral(image.column(k))[0], 0) for k in range(1, n + 1)]
     return tuple(Lattice(n, _triangular_basis(low[:d] + point[d:], n)) for d in lam.d)

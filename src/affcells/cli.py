@@ -179,20 +179,22 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # --out is opened before any suite runs, so a bad path costs no sweep.
-    try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else None
-    except OSError as exc:
-        return _usage(f"cannot write {args.out}: {exc}")
+    # A bad --out path fails before any suite runs; the file is truncated only
+    # when the report is written, so an interrupted run keeps the old report.
+    if args.out:
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _usage(f"cannot write {args.out}: {exc}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
     results = verify.run_suites(names, args.nmax, args.seed)
     duration = time.monotonic() - start
     obj = verify.report_obj(results, args.nmax, args.seed,
                             enforce_coverage=args.suite == "all")
-    if out is not None:
+    if args.out:
         try:
-            with out:
+            with open(args.out, "w", encoding="utf-8") as out:
                 out.write(jsonio.dumps(obj) + "\n")
         except OSError as exc:
             return _usage(f"cannot write {args.out}: {exc}")

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from . import affine
 from .affine import AffinePermutation, Root, Side
+from .cells import deformation
 from .errors import BadDivisorIndex, IdentityFailed
 from .laurent import (
     LaurentMatrix,
@@ -139,19 +140,11 @@ def richardson_element(lam: Composition) -> LaurentMatrix:
 
 
 def _richardson(tab: Tableau) -> LaurentMatrix:
-    n = tab.n
     entries = {}
     for i in range(1, tab.s + 1):
         for j in range(1, tab.nu.part(i)):
             entries[(tab.f[(i, j)], tab.f[(i, j + 1)])] = LaurentPoly.one()
-    return (
-        LaurentMatrix.from_entries(n, entries) if entries else LaurentMatrix.zero(n)
-    )
-
-
-def _deformation(tab: Tableau) -> LaurentMatrix:
-    """1 - t^-1 Z for the Richardson element Z of the tableau."""
-    return LaurentMatrix.identity(tab.n) - _richardson(tab).scale_t(-1)
+    return LaurentMatrix.from_entries(tab.n, entries)
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,7 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     b = _b_matrix(tab)
     c = _c_matrix(tab)
     lift = _varpi_lift(tab)
-    if b * _deformation(tab) * c != lift:
+    if b * deformation(_richardson(tab)) * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
     if not (borel_membership(b) and borel_membership(c)):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
@@ -229,7 +222,7 @@ def broken_corner_witness(lam: Composition) -> bool:
     some column has height at least 2."""
     tab = build(lam)
     c_bad = _c_matrix(tab, corner_row_offset=1)
-    return _b_matrix(tab) * _deformation(tab) * c_bad == _varpi_lift(tab)
+    return _b_matrix(tab) * deformation(_richardson(tab)) * c_bad == _varpi_lift(tab)
 
 
 @op
@@ -480,10 +473,7 @@ def divisor_witnesses(data: DivisorBundle, a) -> DivisorWitnesses:
             diag.append(LaurentPoly.one())
     b1 = LaurentMatrix.diagonal(diag)
 
-    point = data.lift * (
-        LaurentMatrix.identity(n)
-        - unit(n, top, bottom, LaurentPoly.t(-1).scale(a))
-    )
+    point = data.lift * deformation(unit(n, top, bottom, LaurentPoly.constant(a)))
     reduced = b1 * b2 * point * b3
     if affine.from_matrix(reduced) != data.v_k_min:
         raise IdentityFailed("witness reduction does not produce v_k's representative")

@@ -409,10 +409,6 @@ class LaurentMatrix:
             return self * other
         return NotImplemented
 
-    def scale_t(self, k: int) -> "LaurentMatrix":
-        """Multiply every entry by t^k."""
-        return LaurentMatrix([[p.shift(k) for p in row] for row in self.rows])
-
     def _same_size(self, other):
         if not isinstance(other, LaurentMatrix) or other.n != self.n:
             raise ValueError("matrix size mismatch")

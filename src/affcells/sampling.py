@@ -101,7 +101,6 @@ def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
 
 def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
     """A random constant matrix carrying each standard block into earlier ones."""
-    n = lam.n
     d = lam.d
     entries = {}
     for bi in range(1, lam.r + 1):
@@ -111,7 +110,7 @@ def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
                     c = rng.choice(_SMALL + (0,))
                     if c:
                         entries[(p, q)] = LaurentPoly.constant(c)
-    return LaurentMatrix.from_entries(n, entries) if entries else LaurentMatrix.zero(n)
+    return LaurentMatrix.from_entries(lam.n, entries)
 
 
 def random_parabolic(rng: random.Random, lam: Composition) -> LaurentMatrix:
@@ -143,14 +142,13 @@ def random_window(rng: random.Random, n: int, spread: int = 3) -> AffinePermutat
 
 def jordan_matrix(mu: Partition) -> LaurentMatrix:
     """The nilpotent in Jordan form with block sizes mu."""
-    n = mu.n
     entries = {}
     start = 0
     for size in mu.parts:
         for k in range(1, size):
             entries[(start + k, start + k + 1)] = LaurentPoly.one()
         start += size
-    return LaurentMatrix.from_entries(n, entries) if entries else LaurentMatrix.zero(n)
+    return LaurentMatrix.from_entries(mu.n, entries)
 
 
 def random_conjugate_frame(rng: random.Random, n: int) -> tuple[LaurentMatrix, LaurentMatrix]:

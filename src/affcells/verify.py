@@ -318,7 +318,7 @@ def suite_varpi(suite: SuiteResult) -> None:
 
         n = lam.n
         z = cons.richardson_element(lam)
-        point = LaurentMatrix.identity(n) - z.scale_t(-1)
+        point = cells.deformation(z)
         d = det(point)
         unit_det.record(d == LaurentPoly.one() and d.ord() == 0, f"{tag}: det={d!r}")
 
@@ -327,7 +327,7 @@ def suite_varpi(suite: SuiteResult) -> None:
         power = LaurentMatrix.identity(n)
         for k in range(1, n):
             power = power * z
-            series = series + power.scale_t(-k)
+            series = series + power * LaurentPoly.t(-k)
         inverse_ok.expect_equal(inv, series, tag)
 
 

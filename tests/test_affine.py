@@ -239,6 +239,65 @@ class TestBruhat:
                 assert len(affine._BRUHAT_CACHE) <= 8
 
 
+def _window_count(w, i, j):
+    """w[i, j] = #{a <= i : w(a) >= j}, summed over one period of a."""
+    n = w.n
+    return sum(max(0, (w(a) - j) // n + 1) for a in range(i - n + 1, i + 1))
+
+
+def _window_leq(u, v):
+    """Bjorner-Brenti Thm. 8.3.7: u <= v iff u[i, j] <= v[i, j] for i in 1..n
+    and j from min{u(a), v(a) : a > i} to max{u(a), v(a) : a <= i}; outside
+    that interval the two counts agree.  Reads the windows only."""
+    n = u.n
+    for i in range(1, n + 1):
+        lo = min(w(a) for w in (u, v) for a in range(i + 1, i + n + 1))
+        hi = max(w(a) for w in (u, v) for a in range(i - n + 1, i + 1))
+        if any(_window_count(u, i, j) > _window_count(v, i, j) for j in range(lo, hi + 1)):
+            return False
+    return True
+
+
+@st.composite
+def _bruhat_pairs(draw):
+    """(u, v) of one period n <= 8 with window spread <= 6.  Half the time v
+    is u times up to six length-increasing simple reflections, so u <= v."""
+    n = draw(_sizes)
+    u = draw(_windows(n))
+    if not draw(st.booleans()):
+        return u, draw(_windows(n))
+    v = u
+    steps = st.tuples(st.integers(0, n - 1), st.booleans())
+    for i, left in draw(st.lists(steps, max_size=6 if n > 1 else 0)):
+        s = simple_reflection(n, i)
+        w = s * v if left else v * s
+        if w.length() > v.length():
+            v = w
+    return u, v
+
+
+class TestBruhatWindowCriterion:
+    """bruhat_leq (lifting with a memo) against the window criterion, which
+    shares no code with descents, lifting or reduced words."""
+
+    @given(_bruhat_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_window_criterion(self, pair):
+        u, v = pair
+        assert bruhat_leq(u, v) == _window_leq(u, v)
+
+    def test_simple_reflections_against_identity(self):
+        # s_i <= e fails only at the top j of the interval, and w <= w only
+        # with a non-strict comparison: the pinned edges of the criterion.
+        for n in range(2, 9):
+            e = identity(n)
+            for i in range(n):
+                s = simple_reflection(n, i)
+                assert not bruhat_leq(s, e) and not _window_leq(s, e)
+                assert bruhat_leq(e, s) and _window_leq(e, s)
+                assert bruhat_leq(s, s) and _window_leq(s, s)
+
+
 class TestCosets:
     def test_parabolic_elements_reduce_to_identity(self):
         # any product of generators from J reduces to e

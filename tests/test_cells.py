@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affcells import affine, cells
 from affcells.affine import AffinePermutation
@@ -42,9 +44,38 @@ from affcells.sampling import (
 t = LaurentPoly.t
 
 
-def deformation(lam):
+def richardson_point(lam):
     z = richardson_element(lam)
-    return LaurentMatrix.identity(lam.n) - z.scale_t(-1)
+    return LaurentMatrix.identity(lam.n) - z * t(-1)
+
+
+laurent_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.dictionaries(
+                st.integers(-3, 3),
+                st.one_of(st.just(1), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+                max_size=3,
+            ).map(LaurentPoly),
+            min_size=n, max_size=n,
+        ),
+        min_size=n, max_size=n,
+    )
+).map(LaurentMatrix)
+
+
+class TestDeformation:
+    """deformation builds 1 - t^-1 X entry by entry; matrix arithmetic is
+    the independent reference."""
+
+    @given(laurent_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_matrix_arithmetic(self, x):
+        assert cells.deformation(x) == LaurentMatrix.identity(x.n) - x * t(-1)
+
+    def test_cancelling_diagonal(self):
+        # 1 - t^-1 (t 1) = 0: the cancelled constant leaves zero entries.
+        assert cells.deformation(LaurentMatrix.diagonal([t(1)] * 3)) == LaurentMatrix.zero(3)
 
 
 class TestIwahoriCell:
@@ -55,7 +86,7 @@ class TestIwahoriCell:
             assert iwahori_cell(w.to_matrix()) == w
 
     def test_dense_nilpotent_small(self):
-        assert iwahori_cell(deformation(Composition((1, 1)))) == AffinePermutation((0, 3))
+        assert iwahori_cell(richardson_point(Composition((1, 1)))) == AffinePermutation((0, 3))
 
     def test_invariance_under_iwahori_factors(self):
         rng = random.Random(29)
@@ -98,7 +129,7 @@ class TestParabolicCell:
         # the Jordan type, with equality of spherical double cosets
         for lam in (Composition((1, 1)), Composition((2, 1)), Composition((2, 2))):
             bundle = kappa_bundle(lam)
-            cell = parabolic_cell(deformation(lam), finite_subset(lam.n))
+            cell = parabolic_cell(richardson_point(lam), finite_subset(lam.n))
             assert affine.bruhat_leq(cell, bundle.tau_q)
             assert affine.min_double_coset_rep(cell, finite_subset(lam.n)) == \
                 affine.min_double_coset_rep(bundle.tau_q, finite_subset(lam.n))
@@ -118,7 +149,7 @@ class TestPhi:
     def test_point_formula(self):
         lam = Composition((2, 1))
         point, _, _ = phi_map(LaurentMatrix.identity(3), richardson_element(lam), lam)
-        assert point == deformation(lam)
+        assert point == richardson_point(lam)
 
     def test_step_dimensions(self):
         lam = Composition((2, 1))
@@ -279,7 +310,7 @@ def _mv_flag_mismatches():
             for _ in range(3):
                 g, ginv = random_conjugate_frame(rng, n)
                 x = g * random_nilradical(rng, lam) * ginv
-                point = (LaurentMatrix.identity(n) - x.scale_t(-1)) * g
+                point = (LaurentMatrix.identity(n) - x * t(-1)) * g
                 for i, lat in enumerate(mv_flag(x, lam, frame=g)):
                     cols = [[p.shift(-1) for p in g.column(k)] if k <= lam.d[i]
                             else point.column(k) for k in range(1, n + 1)]

@@ -195,6 +195,19 @@ class TestVerifyCommand:
         assert run(argv + [str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1 and json.loads((tmp_path / "r.json").read_text())["ok"]
 
+    def test_interrupted_run_keeps_existing_report(self, tmp_path, monkeypatch):
+        from affcells import verify
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "run_suites", interrupt)
+        path = tmp_path / "r.json"
+        path.write_bytes(b'{"schema": 1, "ok": true}\n')
+        with pytest.raises(KeyboardInterrupt):
+            run(["verify", "--suite", "varpi", "--nmax", "2", "--out", str(path)])
+        assert path.read_bytes() == b'{"schema": 1, "ok": true}\n'
+
 
 def _assert_usage_error(capsys, text):
     out = capsys.readouterr()

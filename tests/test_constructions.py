@@ -75,7 +75,7 @@ class TestRichardson:
         for n in range(1, 8):
             for lam in compositions_of(n):
                 z = richardson_element(lam)
-                point = LaurentMatrix.identity(n) - z.scale_t(-1)
+                point = LaurentMatrix.identity(n) - z * LaurentPoly.t(-1)
                 assert det(point) == LaurentPoly.one()
 
 

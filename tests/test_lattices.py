@@ -93,7 +93,7 @@ class TestVdim:
 
     def test_unipotent_image(self):
         z = LaurentMatrix.from_entries(2, {(1, 2): LaurentPoly.one()})
-        point = LaurentMatrix.identity(2) - z.scale_t(-1)
+        point = LaurentMatrix.identity(2) - z * t(-1)
         assert vdim(Lattice.from_basis(point)) == 0
 
 
@@ -206,7 +206,7 @@ class TestBareissOracle:
     def test_scaled_matches_rebuilt_basis(self, pair, k):
         b, _ = pair
         scaled = Lattice.from_basis(b).scaled(k)
-        assert scaled == Lattice.from_basis(b.scale_t(k))
+        assert scaled == Lattice.from_basis(b * t(k))
         assert vdim(scaled) == -det(b).ord() - b.n * k
 
 
@@ -275,8 +275,8 @@ class TestMvFlagOracle:
             g = random_sl(rng, n)
             x = g * random_nilradical(rng, lam) * invert(g)
             flag = mv_flag(x, lam, frame=g)
-            point = LaurentMatrix.identity(n) - x.scale_t(-1)
-            low = g.scale_t(-1)
+            point = LaurentMatrix.identity(n) - x * t(-1)
+            low = g * t(-1)
             for i, lat in enumerate(flag):
                 generators = [point.column(k) for k in range(1, n + 1)]
                 generators += [low.column(k) for k in range(1, lam.d[i] + 1)]

@@ -171,12 +171,12 @@ class TestInvert:
         nil = LaurentMatrix.from_entries(
             n, {(1, 2): LaurentPoly.one(), (2, 3): LaurentPoly.one(), (3, 4): LaurentPoly.one()}
         )
-        m = LaurentMatrix.identity(n) - nil.scale_t(-1)
+        m = LaurentMatrix.identity(n) - nil * t(-1)
         series = LaurentMatrix.identity(n)
         power = LaurentMatrix.identity(n)
         for k in range(1, n):
             power = power * nil
-            series = series + power.scale_t(-k)
+            series = series + power * t(-k)
         assert invert(m) == series
 
     def test_involution_and_unit_product(self):
@@ -260,7 +260,7 @@ class TestInvertOracle:
             # a row swap and a t-shift: det = -(t^-2 + t^-1)
             LaurentMatrix([[LaurentPoly.zero(), t(-1) + 1], [t(-1), LaurentPoly.zero()]]),
             # no swap, every entry of negative order: det = t^-4 + t^-3
-            LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()]).scale_t(-2),
+            LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()]) * t(-2),
         ],
     )
     def test_non_unit_message_names_det(self, m):
@@ -275,12 +275,12 @@ class TestLaurentEntries:
     @given(unit_matrices(), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_det_of_t_scaled_matrix(self, m, k):
-        assert det(m.scale_t(k)) == det(m).shift(m.n * k)
+        assert det(m * t(k)) == det(m).shift(m.n * k)
 
     @given(unit_matrices(), st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_invert_of_t_scaled_matrix(self, m, k):
-        assert invert(m.scale_t(k)) == invert(m).scale_t(-k)
+        assert invert(m * t(k)) == invert(m) * t(-k)
 
 
 @pytest.fixture(scope="module")

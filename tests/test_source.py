@@ -59,10 +59,17 @@ def test_verify_has_one_failure_path():
 
 
 def test_lattices_make_no_t_shift():
-    # A basis entry carries its power of t as an offset, so multiplying by
-    # t^k is index arithmetic: no `LaurentPoly.shift` copy in the engine.
-    tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("shift", "scale_t")]
+    # A lattice basis entry carries its power of t as an offset, so multiplying
+    # by t^k is index arithmetic; elsewhere it is `M * LaurentPoly.t(k)`.  Only
+    # `laurent.py` calls `LaurentPoly.shift`, and nothing calls the removed
+    # `LaurentMatrix.scale_t`.
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert any(path.name == "lattices.py" for path in paths)
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (node.func.attr == "scale_t"
+                       or (node.func.attr == "shift" and path.name != "laurent.py"))]
     assert found == []
