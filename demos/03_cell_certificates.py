@@ -17,7 +17,6 @@ from affcells import (
     lift_finite,
     parabolic_cell,
     parabolic_subset,
-    phi_point,
     richardson_element,
     varpi_witness,
 )
@@ -43,7 +42,7 @@ w_g, w_p = decompose_varpi(bundle, wit.varpi)
 print(f"\nvarpi = w_g * kappa * w_p with w_g = {w_g.window}, w_p = {w_p.window}")
 
 a = lift_finite(w_g.inverse())
-top = parabolic_cell(phi_point(a, z), parabolic_subset(lam))
+top = parabolic_cell(a * deformation(z), parabolic_subset(lam))
 print(f"Moving the frame by w_g^-1 pushes the point into the top cell:")
 print(f"  located {top.window}")
 print(f"  kappa   {bundle.kappa.window}")

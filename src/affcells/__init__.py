@@ -29,8 +29,7 @@ from .affine import (
     translation,
 )
 from .affine import from_matrix as window_from_matrix
-from .cells import (beta, deformation, iwahori_cell, mv_flag, parabolic_cell, phi_map,
-                    phi_point, psi_map)
+from .cells import beta, deformation, iwahori_cell, mv_flag, parabolic_cell, phi_map, psi_map
 from .constructions import (
     check_kappa,
     conormal_directions,

@@ -31,14 +31,13 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _raw, det, invert
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _raw, det, invert
 from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
 
 __all__ = [
     "deformation",
-    "phi_point",
     "phi_map",
     "psi_map",
     "iwahori_cell",
@@ -103,11 +102,6 @@ def deformation(X: LaurentMatrix) -> LaurentMatrix:
                            for j, p in enumerate(row)] for i, row in enumerate(X.rows)])
 
 
-def phi_point(g: LaurentMatrix, X: LaurentMatrix) -> LaurentMatrix:
-    """The point g (1 - t^-1 X)."""
-    return g * deformation(X)
-
-
 @op
 def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     """Embed a cotangent point: (point, flag, w) with L_i the image of the
@@ -125,7 +119,7 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
     if det(g) != LaurentPoly.one():
         raise NotUnimodular("frame g must have determinant one")
     _check_nilradical(X, lam)
-    point = phi_point(g, X)
+    point = g * deformation(X)
     stuck, chain = chain_walk(point)
     flag = AffineFlag(lattices=tuple(chain[d].scaled(-1) for d in lam.d), shape=lam)
     flag.validate()
@@ -172,8 +166,8 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
     # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
     image = deformation(X) * frame
-    low = [(_integral(frame.column(k))[0], -1) for k in range(1, n + 1)]
-    point = [(_integral(image.column(k))[0], 0) for k in range(1, n + 1)]
+    low = [(frame.column(k), -1) for k in range(1, n + 1)]
+    point = [(image.column(k), 0) for k in range(1, n + 1)]
     return tuple(Lattice(n, _triangular_basis(low[:d] + point[d:], n)) for d in lam.d)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 import time
 
@@ -24,12 +25,16 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+class UsageError(AffcellsError):
+    """A bad invocation or unusable input; `run` alone reports it, with exit 2."""
+
+
 def _parse_lambda(text: str) -> Composition:
     try:
         parts = tuple(int(x) for x in text.split(","))
         return Composition(parts)
     except (ValueError, AffcellsError) as exc:
-        raise SystemExit(_usage(f"bad --lambda {text!r}: {exc}"))
+        raise UsageError(f"bad --lambda {text!r}: {exc}") from exc
 
 
 def _parse_subset(text: str) -> frozenset[int]:
@@ -38,12 +43,7 @@ def _parse_subset(text: str) -> frozenset[int]:
     try:
         return frozenset(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise SystemExit(_usage(f"bad --parabolic {text!r}: {exc}"))
-
-
-def _usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return USAGE_ERROR
+        raise UsageError(f"bad --parabolic {text!r}: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -54,7 +54,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(_usage(f"cannot read {path}: {exc}"))
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -163,7 +163,7 @@ def _cmd_cell(args) -> int:
     try:
         M = jsonio.matrix_from_obj(json.loads(text))
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
-        return _usage(f"bad matrix JSON: {exc}")
+        raise UsageError(f"bad matrix JSON: {exc}") from exc
     w = cells.iwahori_cell(M)
     obj = {"window": list(w.window), "n": w.n}
     if w.is_identity():
@@ -171,7 +171,7 @@ def _cmd_cell(args) -> int:
     if args.parabolic is not None:
         J = _parse_subset(args.parabolic)
         if any(not 0 <= j < M.n for j in J):
-            return _usage(f"parabolic indices out of range for n={M.n}")
+            raise UsageError(f"parabolic indices out of range for n={M.n}")
         obj["parabolic"] = sorted(J)
         obj["min_rep_window"] = list(affine.min_coset_rep(w, J).window)
     _emit(obj, args.format)
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
-            return _usage(f"cannot write {args.out}: {exc}")
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
     results = verify.run_suites(names, args.nmax, args.seed)
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
             with open(args.out, "w", encoding="utf-8") as out:
                 out.write(jsonio.dumps(obj) + "\n")
         except OSError as exc:
-            return _usage(f"cannot write {args.out}: {exc}")
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     if args.format == "json":
         print(jsonio.dumps(obj))
     else:
@@ -205,23 +205,45 @@ def _cmd_verify(args) -> int:
     return 0 if obj["ok"] else VERIFY_ERROR
 
 
+# The schema-1 fields that the verdict and the rendering read, by shape: a
+# dict's fields, a list's items or a type (`coverage_missing` may be absent).
+_REPORT = {"schema": int, "suites": [{
+    "suite": str, "passed": int, "failed": int,
+    "checks": [{"name": str, "passed": int, "failed": int, "witnesses": [str]}]}]}
+
+
+def _check_shape(value, shape, what: str) -> None:
+    """A KeyError or TypeError unless value has the shape; a type must match
+    exactly (no bool is an int), and no int is negative."""
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            _check_shape(value[key], inner, key)
+    elif isinstance(shape, list):
+        _check_shape(value, list, what)
+        for item in value:
+            _check_shape(item, shape[0], f"an item of {what}")
+    elif type(value) is not shape or (shape is int and value < 0):
+        label = "a non-negative int" if shape is int else f"a {shape.__name__}"
+        raise TypeError(f"{what} must be {label}, not {reprlib.repr(value)}")
+
+
 def _cmd_report(args) -> int:
     text = _read(args.infile)
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        return _usage(f"bad report JSON: {exc}")
+        raise UsageError(f"bad report JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        return _usage("a report must be a JSON object")
+        raise UsageError("a report must be a JSON object")
     if obj.get("schema") != 1:
-        return _usage(f"unsupported report schema: {obj.get('schema')!r}")
+        raise UsageError(f"unsupported report schema: {obj.get('schema')!r}")
     try:
-        # Recomputing the verdict and rendering read every field (shape check).
-        obj["ok"] = verify.report_ok(obj)
-        rendered = verify.report_text(obj)
+        _check_shape(obj, _REPORT, "report")
+        _check_shape(obj.get("coverage_missing", []), [str], "coverage_missing")
     except (KeyError, TypeError) as exc:
-        return _usage(f"malformed report: {type(exc).__name__}: {exc}")
-    print(jsonio.dumps(obj) if args.format == "json" else rendered)
+        raise UsageError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+    obj["ok"] = verify.report_ok(obj)
+    print(jsonio.dumps(obj) if args.format == "json" else verify.report_text(obj))
     return 0 if obj["ok"] else VERIFY_ERROR
 
 
@@ -281,16 +303,14 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse has printed its own message
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    # argparse turns an option value of exactly "--", given as --opt=--,
-    # into [] past `type` and `choices`; no option here takes a list.
-    if any(isinstance(v, list) for v in vars(args).values()):
-        return _usage("an option value cannot be '--'")
     try:
+        # argparse turns an option value of exactly "--", given as --opt=--,
+        # into [] past `type` and `choices`; no option here takes a list.
+        if any(isinstance(v, list) for v in vars(args).values()):
+            raise UsageError("an option value cannot be '--'")
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except AffcellsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -111,18 +111,18 @@ def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
 
 
 def _triangular_basis(vectors: list, n: int) -> dict:
-    """Triangularize (integer vector, offset) pairs spanning a rank-n module:
+    """Triangularize (Laurent vector, offset) pairs spanning a rank-n module:
     one generator per index residue, each of maximal index in its class.
 
-    Each vector is reduced against the basis so far and takes its residue
-    class; a generator it displaces goes back to the pool.  All operations
-    are unimodular column operations, so the determinant of the family is
-    preserved.  The loop ends because each displacement strictly raises the
+    Each vector is scaled to integers, then reduced against the basis so far
+    and takes its residue class; a generator it displaces goes back to the
+    pool.  All operations are unimodular column operations, so the
+    determinant of the family is preserved up to a nonzero scalar.  The loop ends because each displacement strictly raises the
     index held in one class, and in the span of a full-rank family the
     indices of each class are bounded above.
     """
     basis: dict = {}
-    pool = list(vectors)
+    pool = [(_integral(v)[0], k) for v, k in vectors]
     while pool:
         entry = _reduce(*pool.pop(), basis, n)
         if entry is None:
@@ -149,7 +149,6 @@ class Lattice:
     @classmethod
     def from_columns(cls, cols: list, n: int) -> "Lattice":
         """Span of n Laurent columns of length n whose determinant is a monomial."""
-        cols = [_integral(list(c))[0] for c in cols]
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError(f"a lattice basis is {n} columns of length {n}")
         if not det(LaurentMatrix([[c[i] for c in cols] for i in range(n)])).is_monomial():
@@ -180,8 +179,8 @@ class Lattice:
             raise ValueError("determinant is not a power of t; M * L is not a lattice")
         entries = list(self.basis.values())
         image = M * LaurentMatrix([[e[2][i] for e in entries] for i in range(self.n)])
-        cols = [_integral(image.column(j))[0] for j in range(1, self.n + 1)]
-        return Lattice(self.n, _triangular_basis(zip(cols, [e[3] for e in entries]), self.n))
+        pairs = [(image.column(j + 1), e[3]) for j, e in enumerate(entries)]
+        return Lattice(self.n, _triangular_basis(pairs, self.n))
 
     def _indices(self) -> tuple[int, ...]:
         return tuple(sorted(e[0] for e in self.basis.values()))

@@ -26,7 +26,6 @@ __all__ = [
     "conjugate",
     "dominance_leq",
     "jordan_type",
-    "constant_rank",
     "vector_rank",
     "partitions_of",
     "compositions_of",
@@ -152,13 +151,6 @@ def vector_rank(vectors) -> int:
     return rank
 
 
-def constant_rank(M: LaurentMatrix) -> int:
-    """Exact rank of a constant matrix."""
-    if not M.is_constant():
-        raise ValueError("constant_rank expects a constant matrix")
-    return vector_rank([p.coeff(0) for p in row] for row in M.rows)
-
-
 @op
 def jordan_type(X: LaurentMatrix) -> Partition:
     """Jordan type of a constant nilpotent matrix, by ranks of powers.
@@ -174,7 +166,7 @@ def jordan_type(X: LaurentMatrix) -> Partition:
     power = LaurentMatrix.identity(n)
     while ranks[-1] and len(ranks) <= n:
         power = power * X
-        ranks.append(constant_rank(power))
+        ranks.append(vector_rank([p.coeff(0) for p in row] for row in power.rows))
     if ranks[-1] != 0:
         raise NotNilpotent("X^n is not zero")
     diffs = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]

@@ -125,7 +125,7 @@ def _comps(nmax: int):
 # ---------------------------------------------------------------------------
 
 
-def suite_lengths(suite: SuiteResult, samples: int = 200) -> None:
+def suite_lengths(suite: SuiteResult) -> None:
     rng = random.Random(suite.seed)
     oracle = suite.check("length_equals_inversion_count")
     step = suite.check("length_changes_by_one_under_simple_factors")
@@ -137,7 +137,7 @@ def suite_lengths(suite: SuiteResult, samples: int = 200) -> None:
     for n in range(2, min(4, suite.nmax) + 1):
         pool.extend(affine.bruhat_ball(n, 6))
     for n in range(5, min(6, suite.nmax) + 1):
-        pool.extend(random_window(rng, n) for _ in range(samples))
+        pool.extend(random_window(rng, n) for _ in range(200))
 
     for w in pool:
         n = w.n
@@ -186,13 +186,13 @@ def _subword_leq(v, word: list[int]) -> bool:
     return False
 
 
-def suite_bruhat(suite: SuiteResult, ball_radius: int = 5) -> None:
+def suite_bruhat(suite: SuiteResult) -> None:
     agreement = suite.check("bruhat_matches_subword_oracle")
     quad_cases = suite.check("two_reflection_case_split")
     quad_chains = suite.check("two_reflection_chains_confirmed")
 
     for n in range(2, min(3, suite.nmax) + 1):
-        ball = affine.bruhat_ball(n, ball_radius)
+        ball = affine.bruhat_ball(n, 5)
         words = [_reduced_word(w) for w in ball]
         for v in ball:
             for w, word in zip(ball, words):
@@ -203,7 +203,7 @@ def suite_bruhat(suite: SuiteResult, ball_radius: int = 5) -> None:
                 )
 
     for n in range(2, min(4, suite.nmax) + 1):
-        ball = affine.bruhat_ball(n, ball_radius)
+        ball = affine.bruhat_ball(n, 5)
         for w in ball:
             sigma, c = w.sigma_and_orders()
             for a in range(1, n + 1):
@@ -241,7 +241,7 @@ def suite_bruhat(suite: SuiteResult, ball_radius: int = 5) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_kappa(suite: SuiteResult, samples: int = 3) -> None:
+def suite_kappa(suite: SuiteResult) -> None:
     rng = random.Random(suite.seed)
     bundle_ok = suite.check("kappa_bundle_identities")
     minimal = suite.check("kappa_minimal_stable_length")
@@ -286,7 +286,7 @@ def suite_kappa(suite: SuiteResult, samples: int = 3) -> None:
         got = parts.jordan_type(z) if lam.n else None
         jordan.expect_equal(got, nu, tag)
         conj_inv.expect_equal(parts.conjugate(parts.conjugate(nu)), nu, tag)
-        for _ in range(samples):
+        for _ in range(3):
             x = random_nilradical(rng, lam)
             dominance.record(
                 parts.dominance_leq(parts.jordan_type(x), nu),
@@ -384,12 +384,7 @@ def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_embeddings(
-    suite: SuiteResult,
-    samples: int = 50,
-    conjugates: int = 10,
-    flag_samples: int = 20,
-) -> None:
+def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
     nmax = suite.nmax
     rng = random.Random(suite.seed)
     witness_cell = suite.check("dense_point_hits_kappa_cell")
@@ -454,7 +449,7 @@ def suite_embeddings(
                     equivariance.expect_equal(flag2, flag, stag)
 
         if lam.r == 2:
-            for s in range(flag_samples):
+            for s in range(20):
                 g = random_sl(rng, n)
                 x = random_nilradical(rng, lam)
                 stag = f"{tag}, mv sample {s}"
@@ -492,7 +487,7 @@ def suite_embeddings(
                 affine.min_double_coset_rep(tau, finite),
                 f"mu={mu.parts} against translation",
             )
-            for c in range(conjugates):
+            for c in range(10):
                 g, ginv = random_conjugate_frame(rng, n)
                 ctag = f"mu={mu.parts}, conjugate {c}"
                 with psi_equiv.guard(ctag):

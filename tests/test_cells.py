@@ -12,7 +12,6 @@ from affcells.cells import (
     mv_flag,
     parabolic_cell,
     phi_map,
-    phi_point,
     psi_map,
 )
 from affcells.constructions import (
@@ -121,7 +120,7 @@ class TestParabolicCell:
             bundle = kappa_bundle(lam)
             w_g, _ = decompose_varpi(bundle, varpi_witness(lam).varpi)
             a = lift_finite(w_g.inverse())
-            point = phi_point(a, richardson_element(lam))
+            point = a * cells.deformation(richardson_element(lam))
             assert parabolic_cell(point, parabolic_subset(lam)) == bundle.kappa
 
     def test_grassmannian_cell_of_dense_nilpotent(self):

@@ -260,6 +260,13 @@ class TestModuleEntryPoints:
         assert "ALL SUITES PASSED" in proc.stdout
 
 
+def _passing_report(**check):
+    """A one-check report that passes, with the check's fields replaced."""
+    check = {"name": "x", "passed": 1, "failed": 0, "witnesses": [], **check}
+    return {"schema": 1, "suites": [{"suite": "lengths", "passed": check["passed"],
+                                     "failed": check["failed"], "checks": [check]}]}
+
+
 class TestReportCommand:
     def test_roundtrip(self, capsys, tmp_path):
         run(["verify", "--suite", "lengths", "--nmax", "2", "--seed", "3",
@@ -356,3 +363,31 @@ class TestReportCommand:
         assert run(["report", "--in", str(path), "--format", fmt]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {**_passing_report(), "schema": True},
+            {**_passing_report(), "schema": 1.0},
+            _passing_report(passed=1.5),
+            _passing_report(passed=True),
+            _passing_report(passed=2, failed=-1),
+            _passing_report(witnesses="abc"),
+            _passing_report(witnesses=[5]),
+            _passing_report(name=5),
+            {"schema": 1, "suites": [{"suite": 3, "passed": 1, "failed": 0, "checks": [
+                {"name": "x", "passed": 1, "failed": 0, "witnesses": []}]}]},
+            {"schema": 1, "suites": [{"suite": "x", "passed": 0, "failed": 0, "checks": {}}]},
+            {**_passing_report(), "coverage_missing": "ab"},
+        ],
+        ids=["schema-true", "schema-float", "fractional-count", "bool-count",
+             "negative-count", "witnesses-a-string", "witness-not-a-string",
+             "check-name-not-a-string", "suite-name-not-a-string", "checks-not-a-list",
+             "coverage-missing-a-string"],
+    )
+    def test_mistyped_report_is_usage_error(self, capsys, tmp_path, obj):
+        # Each was once rendered with exit 0 or 1, as if it were a report.
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(obj))
+        assert run(["report", "--in", str(path)]) == 2
+        _assert_usage_error(capsys, "malformed report: TypeError: ")

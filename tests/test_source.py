@@ -73,3 +73,26 @@ def test_lattices_make_no_t_shift():
                   and (node.func.attr == "scale_t"
                        or (node.func.attr == "shift" and path.name != "laurent.py"))]
     assert found == []
+
+
+def test_cli_has_one_failure_path():
+    # Commands raise usage errors; run alone writes the `error:` line and picks
+    # the exit code.  The one SystemExit left is argparse's, caught in run, so
+    # nothing in cli.py raises one.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    in_run = {id(node) for node in ast.walk(run)}
+
+    def inside_run(match):
+        return [id(node) in in_run for node in ast.walk(tree) if match(node)]
+
+    assert inside_run(lambda node: isinstance(node, ast.Name)
+                      and node.id == "SystemExit") == [True]
+    assert inside_run(lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "stderr") == [True]
+    assert inside_run(lambda node: isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.startswith("error:")) == [True]
+    handlers = [node for node in ast.walk(run) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(node.type) for node in handlers] == ["SystemExit", "AffcellsError"]
