@@ -38,7 +38,7 @@ print(f"  varpi window from the cell finder: {located.window}")
 assert located == wit.varpi
 
 bundle = kappa_bundle(lam)
-w_g, w_p = decompose_varpi(bundle, wit.varpi)
+w_g, w_p = decompose_varpi(bundle)
 print(f"\nvarpi = w_g * kappa * w_p with w_g = {w_g.window}, w_p = {w_p.window}")
 
 a = lift_finite(w_g.inverse())

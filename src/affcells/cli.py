@@ -120,7 +120,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_varpi(args) -> int:
     lam = _parse_lambda(args.lam)
     wit = cons.varpi_witness(lam)
-    w_g, w_p = cons.decompose_varpi(cons.kappa_bundle(lam), wit.varpi)
+    w_g, w_p = cons.decompose_varpi(cons.kappa_bundle(lam))
     obj = {
         "lambda": list(lam.parts),
         "varpi_window": list(wit.varpi.window),
@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 # The schema-1 fields that the verdict and the rendering read, by shape: a
-# dict's fields, a list's items or a type (`coverage_missing` may be absent).
+# dict's fields, a list's items or a type (the two coverage fields may be absent).
 _REPORT = {"schema": int, "suites": [{
     "suite": str, "passed": int, "failed": int,
     "checks": [{"name": str, "passed": int, "failed": int, "witnesses": [str]}]}]}
@@ -240,6 +240,7 @@ def _cmd_report(args) -> int:
     try:
         _check_shape(obj, _REPORT, "report")
         _check_shape(obj.get("coverage_missing", []), [str], "coverage_missing")
+        _check_shape(obj.get("coverage_enforced", False), bool, "coverage_enforced")
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     obj["ok"] = verify.report_ok(obj)

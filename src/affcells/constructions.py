@@ -12,8 +12,10 @@ Everything here is a finite, exactly checkable computation:
   b (1 - t^-1 Z) c equal to a monomial lift of the cell element varpi.
   The corner column of c uses the index that makes the identity hold
   exactly; a deliberately wrong variant is kept for tests.
-* ``decompose_varpi(bundle, varpi)``: finite w_g and block-preserving w_p
-  with varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle.
+* ``decompose_varpi(bundle)``: finite w_g and block-preserving w_p with
+  varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle; varpi is
+  read off the bundle's tableau, from the lift that ``varpi_witness``
+  certifies.
 * ``check_kappa(bundle)``: minimality in its coset, left stability under the
   finite simple reflections, and the closed-form length with its correction
   term.
@@ -188,11 +190,9 @@ def _varpi_lift(tab: Tableau) -> LaurentMatrix:
     entries = {}
     for i in range(1, tab.s + 1):
         h = tab.nu.part(i)
-        key = (tab.f[(i, h)], tab.f[(i, 1)])
-        entries[key] = entries.get(key, LaurentPoly.zero()) + LaurentPoly.t(h - 1)
+        entries[(tab.f[(i, h)], tab.f[(i, 1)])] = LaurentPoly.t(h - 1)
         for j in range(2, h + 1):
-            key = (tab.f[(i, j - 1)], tab.f[(i, j)])
-            entries[key] = entries.get(key, LaurentPoly.zero()) - LaurentPoly.t(-1)
+            entries[(tab.f[(i, j - 1)], tab.f[(i, j)])] = -LaurentPoly.t(-1)
     return LaurentMatrix.from_entries(tab.n, entries)
 
 
@@ -226,13 +226,12 @@ def broken_corner_witness(lam: Composition) -> bool:
 
 
 @op
-def decompose_varpi(
-    bundle: KappaBundle, varpi: AffinePermutation
-) -> tuple[AffinePermutation, AffinePermutation]:
+def decompose_varpi(bundle: KappaBundle) -> tuple[AffinePermutation, AffinePermutation]:
     """Finite w_g and block-preserving w_p with varpi = w_g * kappa * w_p.
 
-    kappa and the tableau come from the bundle; varpi is the element of
-    ``varpi_witness`` for the same composition.
+    kappa and the tableau come from the bundle; varpi is read off the
+    tableau, from the lift that ``varpi_witness`` certifies for the same
+    composition.
 
     w_g sends i to the bottom entry of column i (and i+s to the upstairs
     neighbor of the row-aligned enumeration); w_p carries the top-of-column
@@ -259,7 +258,7 @@ def decompose_varpi(
         if any(w_p(j) not in block for j in block):
             raise IdentityFailed("w_p must preserve the row blocks")
 
-    if w_g * bundle.kappa * w_p != varpi:
+    if w_g * bundle.kappa * w_p != affine.from_matrix(_varpi_lift(tab)):
         raise IdentityFailed("w_g * kappa * w_p != varpi")
     return w_g, w_p
 

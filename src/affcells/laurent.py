@@ -341,7 +341,7 @@ class LaurentMatrix:
         for (i, j), p in entries.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index ({i},{j}) out of range for n={n}")
-            rows[i - 1][j - 1] = rows[i - 1][j - 1] + cls._entry(p)
+            rows[i - 1][j - 1] = p
         return cls(rows)
 
     @classmethod

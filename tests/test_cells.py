@@ -114,11 +114,11 @@ class TestParabolicCell:
         assert parabolic_cell(LaurentMatrix.identity(3), {1, 2}) == affine.identity(3)
 
     def test_dense_point_hits_kappa(self):
-        from affcells.constructions import decompose_varpi, lift_finite, varpi_witness
+        from affcells.constructions import decompose_varpi, lift_finite
 
         for lam in (Composition((1, 1)), Composition((2, 1)), Composition((1, 2))):
             bundle = kappa_bundle(lam)
-            w_g, _ = decompose_varpi(bundle, varpi_witness(lam).varpi)
+            w_g, _ = decompose_varpi(bundle)
             a = lift_finite(w_g.inverse())
             point = a * cells.deformation(richardson_element(lam))
             assert parabolic_cell(point, parabolic_subset(lam)) == bundle.kappa

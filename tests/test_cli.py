@@ -364,6 +364,15 @@ class TestReportCommand:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
 
+    @pytest.mark.parametrize("fields", [{"coverage_enforced": False}, {}],
+                             ids=["not-enforced", "enforced-absent"])
+    def test_unenforced_coverage_gap_passes(self, capsys, tmp_path, fields):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(
+            {**_passing_report(), "coverage_missing": ["cells.mv_flag"], **fields}))
+        assert run(["report", "--in", str(path)]) == 0
+        assert "note: operations not exercised" in capture(capsys)
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -379,11 +388,14 @@ class TestReportCommand:
                 {"name": "x", "passed": 1, "failed": 0, "witnesses": []}]}]},
             {"schema": 1, "suites": [{"suite": "x", "passed": 0, "failed": 0, "checks": {}}]},
             {**_passing_report(), "coverage_missing": "ab"},
+            *({**_passing_report(), "coverage_missing": ["cells.mv_flag"],
+               "coverage_enforced": enforced} for enforced in ("no", 0, 1, None)),
         ],
         ids=["schema-true", "schema-float", "fractional-count", "bool-count",
              "negative-count", "witnesses-a-string", "witness-not-a-string",
              "check-name-not-a-string", "suite-name-not-a-string", "checks-not-a-list",
-             "coverage-missing-a-string"],
+             "coverage-missing-a-string", "coverage-enforced-a-string",
+             "coverage-enforced-zero", "coverage-enforced-one", "coverage-enforced-null"],
     )
     def test_mistyped_report_is_usage_error(self, capsys, tmp_path, obj):
         # Each was once rendered with exit 0 or 1, as if it were a report.

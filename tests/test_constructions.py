@@ -126,26 +126,24 @@ class TestVarpiWitness:
                     assert not broken_corner_witness(lam)
 
 
-def _decompose(lam):
-    return decompose_varpi(kappa_bundle(lam), varpi_witness(lam).varpi)
-
-
 class TestDecomposeVarpi:
     def test_two_singletons(self):
-        w_g, w_p = _decompose(Composition((1, 1)))
+        w_g, w_p = decompose_varpi(kappa_bundle(Composition((1, 1))))
         assert w_g == affine.simple_reflection(2, 1)
         assert w_p == affine.identity(2)
 
     def test_single_row(self):
-        w_g, w_p = _decompose(Composition((5,)))
+        w_g, w_p = decompose_varpi(kappa_bundle(Composition((5,))))
         assert w_g == affine.identity(5)
         assert w_p == affine.identity(5)
 
     def test_product_identity_sweep(self):
         for n in range(1, 8):
             for lam in compositions_of(n):
-                w_g, w_p = _decompose(lam)  # raises on failure
+                bundle = kappa_bundle(lam)
+                w_g, w_p = decompose_varpi(bundle)  # raises on failure
                 assert w_g.is_finite()
+                assert w_g * bundle.kappa * w_p == varpi_witness(lam).varpi
 
 
 class TestCheckKappa:

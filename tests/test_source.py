@@ -96,3 +96,14 @@ def test_cli_has_one_failure_path():
                       and node.value.startswith("error:")) == [True]
     handlers = [node for node in ast.walk(run) if isinstance(node, ast.ExceptHandler)]
     assert [ast.unparse(node.type) for node in handlers] == ["SystemExit", "AffcellsError"]
+
+
+def test_only_the_varpi_suite_builds_the_varpi_certificate():
+    # The other suites read varpi off the kappa bundle (decompose_varpi), so
+    # none builds a whole certificate just to read its window.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    owners = {getattr(top, "name", "module level") for top in tree.body
+              for node in ast.walk(top)
+              if (isinstance(node, ast.Name) and node.id == "varpi_witness")
+              or (isinstance(node, ast.Attribute) and node.attr == "varpi_witness")}
+    assert owners == {"suite_varpi"}

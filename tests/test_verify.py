@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from affcells import ops, verify
+from affcells import affine, ops, verify
 from affcells.errors import FlagInvariantError, IdentityFailed
 from affcells.partitions import compositions_of
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
@@ -155,7 +155,7 @@ class TestOneFailurePath:
     def test_a_failed_construction_is_recorded_where_it_is_used(self, monkeypatch, capsys):
         from affcells import constructions
 
-        def broken(bundle, varpi):
+        def broken(bundle):
             raise IdentityFailed("planted")
 
         monkeypatch.setattr(constructions, "decompose_varpi", broken)
@@ -166,6 +166,33 @@ class TestOneFailurePath:
         assert any(witness in c["witnesses"]
                    for name, c in checks.items() if name.startswith("embeddings."))
         assert not any(name.endswith("suite_completed") for name in checks)
+
+
+def _interval_by_left_factors(w):
+    """Mutant: s * u instead of u * s, which builds [e, w^-1]."""
+    below = {affine.identity(w.n)}
+    for i in verify._reduced_word(w):
+        s = affine.simple_reflection(w.n, i)
+        below |= {s * u for u in below}
+    return below
+
+
+def _interval_without_last_letter(w):
+    """Mutant: the subwords of the reduced word with its last letter dropped."""
+    below = {affine.identity(w.n)}
+    for i in verify._reduced_word(w)[:-1]:
+        s = affine.simple_reflection(w.n, i)
+        below |= {u * s for u in below}
+    return below
+
+
+@pytest.mark.parametrize("mutant", [_interval_by_left_factors, _interval_without_last_letter])
+def test_the_subword_oracle_catches_a_wrong_interval(monkeypatch, mutant):
+    monkeypatch.setattr(verify, "_interval", mutant)
+    r = verify.run_suite("bruhat", 3, 0)
+    counts = {c.name: (c.passed, c.failed) for c in r.checks}
+    assert sum(counts["bruhat_matches_subword_oracle"]) == 2237
+    assert counts["bruhat_matches_subword_oracle"][1] > 0
 
 
 def _deltas(suite, nmax, seed):
@@ -181,8 +208,9 @@ class TestDerivedOncePerComposition:
     def test_kappa_suite(self):
         calls = _deltas("kappa", 7, 7)
         assert calls["constructions.kappa_bundle"] == 127  # compositions of n <= 7
-        # kappa_bundle, varpi_witness and richardson_element build one each.
-        assert calls["tableau.build"] <= 3 * 127
+        # kappa_bundle and richardson_element build one each; decompose_varpi
+        # reads varpi off the bundle's tableau.
+        assert calls["tableau.build"] == 2 * 127
 
     def test_varpi_suite(self):
         # varpi_witness and richardson_element, plus broken_corner_witness
@@ -201,11 +229,12 @@ class TestDeterminantCounts:
     known determinant, so it triangularizes them without one.  The counts are
     deterministic for a seed (they were 2,435 and 427 when every lattice went
     through from_columns, and embeddings was 856 while psi_map built its
-    lattice by from_basis and the suite walked each psi point again, and 751
-    while mv_flag built its lattices by from_columns)."""
+    lattice by from_basis and the suite walked each psi point again, 751
+    while mv_flag built its lattices by from_columns, and 571 while the suite
+    built a varpi certificate per composition to read its window)."""
 
     def test_embeddings_suite(self):
-        assert _deltas("embeddings", 3, 7)["laurent.det"] == 571
+        assert _deltas("embeddings", 3, 7)["laurent.det"] == 557
 
     def test_embeddings_suite_walks_each_point_once(self):
         # iwahori_cell: one per lambda with n >= 2 (cell_invariance) and one
