@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials over the rationals, and dense square matrices.
+"""Exact Laurent polynomials over the rationals, and square matrices of them.
 
 A coefficient is an `int` when it is integral and a `fractions.Fraction`
 otherwise, on the way in and after every operation; the one coefficient
@@ -13,10 +13,14 @@ integer, so it can never be mistaken for a pivot order.
 Matrices are square and immutable.  Entry accessors are 1-based, matching
 the usual E_{i,j} notation for elementary matrices; the sparse constructor
 ``LaurentMatrix.from_entries(n, {(i, j): p})`` builds ``p * E_{i,j}`` sums.
-`det` and `invert` scale each row to integers and run the same fraction-free
-(Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
-every other row of [M | I].  Z[t,t^-1] is an integral domain, so each Bareiss
-division is exact there (Sylvester's identity) and `laurent_exact_div` does it.
+Every entry is stored, but the loops skip structural zeros: the product
+visits only the nonzero entries of each row (Gustavson order).  `det` and
+`invert` scale each row to integers and run the same fraction-free (Bareiss)
+elimination step: `det` on the rows below each pivot, `invert` on every
+other row of [M | I].  Z[t,t^-1] is an integral domain, so each Bareiss
+division is exact there (Sylvester's identity) and `laurent_exact_div` does
+it.  A step whose pivot equals the previous one leaves the rows that are
+zero in the pivot column as they are, and skips them.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -364,53 +368,48 @@ class LaurentMatrix:
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._same_size(other)
-        return LaurentMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return _matrix([[p + q for p, q in zip(*rows)] for rows in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._same_size(other)
-        return LaurentMatrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return _matrix([[p - q for p, q in zip(*rows)] for rows in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return LaurentMatrix([[-p for p in row] for row in self.rows])
+        return _matrix([[-p for p in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
+        """The matrix product, or the product with a scalar or Laurent polynomial.
+
+        Row i of A*B is the sum of a_ik * (row k of B) over the nonzero a_ik
+        (Gustavson order): only the nonzero entries of each row of B are
+        visited, and each output entry accumulates in one dict.  Anything
+        that is not a matrix goes through the scalar path, which rejects
+        inexact scalars with a TypeError.
+        """
+        if not isinstance(other, LaurentMatrix):
             p = self._entry(other)
-            return LaurentMatrix([[e * p for e in row] for row in self.rows])
+            return _matrix([[e * p for e in row] for row in self.rows])
         self._same_size(other)
-        cols = [[p._terms for p in col] for col in zip(*other.rows)]
+        brows = [[(j, q._terms) for j, q in enumerate(row) if q._terms] for row in other.rows]
         out = []
         for row in self.rows:
-            row = [p._terms.items() for p in row]
-            out_row = []
-            for col in cols:
-                d = {}
-                for x, y in zip(row, col):
-                    if y:
-                        for e, c in x:
-                            _addmul(d, c, e, y)
-                out_row.append(_raw(d))
-            out.append(out_row)
-        return LaurentMatrix(out)
+            acc = [{} for _ in range(self.n)]
+            for p, brow in zip(row, brows):
+                for e, c in p._terms.items():
+                    for j, y in brow:
+                        _addmul(acc[j], c, e, y)
+            out.append([_raw(d) for d in acc])
+        return _matrix(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def _same_size(self, other):
-        if not isinstance(other, LaurentMatrix) or other.n != self.n:
+        if other.n != self.n:
             raise ValueError("matrix size mismatch")
 
     # -- predicates ---------------------------------------------------------------
@@ -435,13 +434,24 @@ class LaurentMatrix:
         return f"LaurentMatrix(\n {body})"
 
 
+def _matrix(rows) -> LaurentMatrix:
+    """Internal constructor from square rows of LaurentPoly entries: the
+    matrix analogue of `_raw`, with no re-coercion."""
+    m = LaurentMatrix.__new__(LaurentMatrix)
+    object.__setattr__(m, "n", len(rows))
+    object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+    return m
+
+
 def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
     """One fraction-free elimination step at pivot column k, in place.
 
     Swaps the first row from k down that is nonzero in column k into row k,
     then sets a_ij = (piv*a_ij - a_ik*a_kj) / prev for i in `rows`, j > k,
     a division exact by Sylvester's identity (columns <= k are not read
-    again).  Returns the sign of the swap, or 0 if there is no pivot.
+    again).  When piv == prev, a row with a_ik = 0 would come out unchanged
+    and is skipped; unipotent and triangular inputs skip almost every row.
+    Returns the sign of the swap, or 0 if there is no pivot.
     """
     r = next((r for r in range(k, len(a)) if a[r][k]), None)
     if r is None:
@@ -450,9 +460,12 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
     top = a[k]
     piv = top[k]._terms.items()
     divide = prev != LaurentPoly.one()
+    keep = top[k] == prev
     for i in rows:
         row = a[i]
         f = row[k]._terms.items()
+        if keep and not f:
+            continue
         for j in range(k + 1, len(top)):
             x, y = row[j]._terms, top[j]._terms
             if not (x or (f and y)):
@@ -518,7 +531,7 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
     if not prev.is_monomial():
         d = laurent_exact_div(prev if sign == 1 else -prev, LaurentPoly.constant(scale))
         raise NotAUnit(f"determinant {d!r} is not a monomial")
-    return LaurentMatrix([[laurent_exact_div(p, prev) for p in row[n:]] for row in a])
+    return _matrix([[laurent_exact_div(p, prev) for p in row[n:]] for row in a])
 
 
 @op

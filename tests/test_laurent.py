@@ -1,5 +1,8 @@
+import inspect
+import operator
 import random
 import re
+import textwrap
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affcells import laurent
 from affcells.errors import NotAUnit
 from affcells.laurent import (
     ORD_ZERO,
@@ -384,6 +388,123 @@ class TestFractionRows:
         with pytest.raises(NotAUnit) as err:
             invert(m)
         assert str(err.value) == message
+
+
+def upper_235():
+    """Upper triangular with diagonal (2, 3, 5): at each step the pivot
+    differs from the previous one while the rows below it, and for `invert`
+    the first row at the second step, are zero in its column."""
+    return LaurentMatrix([[2, 0, t(-1) + 1], [0, 3, t(2)], [0, 0, 5]])
+
+
+def fraction_upper():
+    """Row scales 2, 12 and 1: the first pivot equals prev = 1, the second
+    (9) does not, and the first and third rows are zero in its column."""
+    return LaurentMatrix([[Fraction(1, 2), 0, t(1)],
+                          [0, Fraction(3, 4), t(-1).scale(Fraction(2, 3))],
+                          [0, 0, t(1) * 5]])
+
+
+ROW_SKIP_CASES = [upper_235(), fraction_upper()]
+
+
+class TestBareissRowSkip:
+    """A Bareiss step leaves a row that is zero in the pivot column as it is
+    only when the pivot equals the previous one; otherwise the row is
+    multiplied by piv / prev."""
+
+    @pytest.mark.parametrize("m", ROW_SKIP_CASES, ids=["upper", "fraction"])
+    def test_det_and_invert_match_the_oracles(self, m):
+        assert det(m) == leibniz_det(m)
+        assert invert(m) == cofactor_inverse(m)
+
+    def test_skipping_on_a_zero_entry_alone_is_caught(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(laurent._bareiss_step))
+        assert source.count("if keep and not f:") == 1
+        planted = dict(vars(laurent))
+        exec(source.replace("if keep and not f:", "if not f:"), planted)
+        monkeypatch.setattr(laurent, "_bareiss_step", planted["_bareiss_step"])
+        for m in ROW_SKIP_CASES:
+            assert det(m) != leibniz_det(m)
+            assert invert(m) != cofactor_inverse(m)
+
+
+def entrywise_product(A, B):
+    """The sum over k of A[i][k] * B[k][j], with LaurentPoly * and + alone;
+    independent of the matrix product."""
+    n = A.n
+    return LaurentMatrix([[sum((A.rows[i][k] * B.rows[k][j] for k in range(n)), LaurentPoly.zero())
+                           for j in range(n)] for i in range(n)])
+
+
+def assert_product_matches(A, B, p):
+    assert A * B == entrywise_product(A, B)
+    assert A * p == LaurentMatrix([[e * p for e in row] for row in A.rows])
+
+
+@st.composite
+def sparse_matrices(draw, n):
+    """Mostly zero n x n matrices of Laurent entries with Fraction
+    coefficients, some rows and columns forced to zero."""
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    return LaurentMatrix([
+        [LaurentPoly.zero() if i in zero_rows or j in zero_cols
+         else draw(st.one_of(st.just(LaurentPoly.zero()), fraction_polys)) for j in range(n)]
+        for i in range(n)])
+
+
+product_cases = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(sparse_matrices(n), sparse_matrices(n), fraction_polys))
+
+
+class TestProductOracle:
+    """A * B against the entrywise sum, and A * p against e * p per entry."""
+
+    @given(product_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_entrywise_sum(self, case):
+        assert_product_matches(*case)
+
+    def test_a_dropped_last_nonzero_is_caught(self, monkeypatch):
+        A = LaurentMatrix([[1, t(-1), 0], [0, 0, 0], [Fraction(1, 2), 0, t(2)]])
+        B = LaurentMatrix([[t(1), 0, Fraction(-2, 3)], [0, 0, 0], [3, t(-2) + 1, 0]])
+        assert_product_matches(A, B, t(1))
+        source = textwrap.dedent(inspect.getsource(LaurentMatrix.__mul__))
+        assert source.count("for j, y in brow:") == 1
+        planted = dict(vars(laurent))
+        exec(source.replace("for j, y in brow:", "for j, y in brow[:-1]:"), planted)
+        monkeypatch.setattr(LaurentMatrix, "__mul__", planted["__mul__"])
+        assert A * B != entrywise_product(A, B)
+
+
+class TestOperandTypes:
+    """A non-matrix operand is a TypeError, as for LaurentPoly; a matrix of
+    another size is a ValueError."""
+
+    @pytest.mark.parametrize("apply", [
+        lambda m: m * 0.5, lambda m: m * "a", lambda m: 0.5 * m, lambda m: "a" * m,
+    ], ids=["m*float", "m*str", "float*m", "str*m"])
+    def test_inexact_scalar_is_type_error(self, apply):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            apply(LaurentMatrix.identity(2))
+
+    @pytest.mark.parametrize("apply", [
+        lambda m: m + 1, lambda m: m - 1, lambda m: 1 + m, lambda m: 1 - m, lambda m: m + t(1),
+    ], ids=["m+int", "m-int", "int+m", "int-m", "m+poly"])
+    def test_non_matrix_sum_is_type_error(self, apply):
+        with pytest.raises(TypeError):
+            apply(LaurentMatrix.identity(2))
+
+    @pytest.mark.parametrize("apply", [operator.add, operator.sub, operator.mul])
+    def test_size_mismatch_is_value_error(self, apply):
+        with pytest.raises(ValueError, match="matrix size mismatch"):
+            apply(LaurentMatrix.identity(2), LaurentMatrix.identity(3))
+
+    def test_exact_scalars_on_either_side(self):
+        m = LaurentMatrix.identity(2)
+        assert 2 * m == m * 2 == m + m
+        assert Fraction(1, 2) * m == m * Fraction(1, 2) == LaurentMatrix.diagonal([Fraction(1, 2)] * 2)
 
 
 class TestCoefficientType:
