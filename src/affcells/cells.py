@@ -31,7 +31,7 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _raw, det, invert
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _raw, det, invert
 from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
@@ -98,8 +98,8 @@ def _check_nilradical(X: LaurentMatrix, lam: Composition) -> None:
 
 def deformation(X: LaurentMatrix) -> LaurentMatrix:
     """The point 1 - t^-1 X, for any Laurent X, built one entry at a time."""
-    return LaurentMatrix([[_raw(_addmul({0: 1} if i == j else {}, -1, -1, p._terms))
-                           for j, p in enumerate(row)] for i, row in enumerate(X.rows)])
+    return _matrix([[_raw(_addmul({0: 1} if i == j else {}, -1, -1, p._terms))
+                     for j, p in enumerate(row)] for i, row in enumerate(X.rows)])
 
 
 @op

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _quo, _raw, det
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _matrix, _quo, _raw, det
 from .ops import op
 from .partitions import Composition
 
@@ -151,12 +151,13 @@ class Lattice:
         """Span of n Laurent columns of length n whose determinant is a monomial."""
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError(f"a lattice basis is {n} columns of length {n}")
-        if not det(LaurentMatrix([[c[i] for c in cols] for i in range(n)])).is_monomial():
+        M = LaurentMatrix([[c[i] for c in cols] for i in range(n)])
+        if not det(M).is_monomial():
             raise ValueError(
                 "determinant is not a power of t; the span is not a lattice "
                 "(its Laurent span is a proper submodule)"
             )
-        return cls(n=n, basis=_triangular_basis([(c, 0) for c in cols], n))
+        return cls(n=n, basis=_triangular_basis([(c, 0) for c in zip(*M.rows)], n))
 
     @classmethod
     def from_basis(cls, M: LaurentMatrix) -> "Lattice":
@@ -178,7 +179,7 @@ class Lattice:
         if not det(M).is_monomial():
             raise ValueError("determinant is not a power of t; M * L is not a lattice")
         entries = list(self.basis.values())
-        image = M * LaurentMatrix([[e[2][i] for e in entries] for i in range(self.n)])
+        image = M * _matrix([[e[2][i] for e in entries] for i in range(self.n)])
         pairs = [(image.column(j + 1), e[3]) for j, e in enumerate(entries)]
         return Lattice(self.n, _triangular_basis(pairs, self.n))
 

@@ -13,14 +13,17 @@ integer, so it can never be mistaken for a pivot order.
 Matrices are square and immutable.  Entry accessors are 1-based, matching
 the usual E_{i,j} notation for elementary matrices; the sparse constructor
 ``LaurentMatrix.from_entries(n, {(i, j): p})`` builds ``p * E_{i,j}`` sums.
-Every entry is stored, but the loops skip structural zeros: the product
-visits only the nonzero entries of each row (Gustavson order).  `det` and
-`invert` scale each row to integers and run the same fraction-free (Bareiss)
-elimination step: `det` on the rows below each pivot, `invert` on every
-other row of [M | I].  Z[t,t^-1] is an integral domain, so each Bareiss
-division is exact there (Sylvester's identity) and `laurent_exact_div` does
-it.  A step whose pivot equals the previous one leaves the rows that are
-zero in the pivot column as they are, and skips them.
+Outside input is coerced once: by `LaurentMatrix(rows)`, or entry by entry
+in `from_entries` and `diagonal`; `_matrix` builds the rest from immutable,
+shared `LaurentPoly` entries.  Every entry is stored, but the loops skip
+structural zeros: the product visits only the nonzero entries of each row
+(Gustavson order), and `+`, `-` and the scalar product pass zeros through.
+`det` and `invert` scale each row to integers and run the same fraction-free
+(Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
+every other row of [M | I].  Z[t,t^-1] is an integral domain, so each
+Bareiss division is exact there (Sylvester's identity); `laurent_exact_div`
+does it.  A step whose pivot equals the previous one skips the rows that
+are zero in the pivot column, which it would leave as they are.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -196,15 +199,21 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return _raw(_addmul(dict(self._terms), 1, 0, self._coerce(other)._terms))
 
     def __sub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return _raw(_addmul(dict(self._terms), -1, 0, self._coerce(other)._terms))
 
     def __neg__(self):
         return _raw({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         other = self._coerce(other)._terms
         d = {}
         for e, c in self._terms.items():
@@ -212,12 +221,10 @@ class LaurentPoly:
         return _raw(d)
 
     __rmul__ = __mul__
-
-    def __radd__(self, other):
-        return self + other
+    __radd__ = __add__
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def scale(self, c) -> "LaurentPoly":
         c = _as_scalar(c)
@@ -266,6 +273,10 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*t^{e}")
         return " + ".join(parts)
+
+
+#: LaurentPoly arithmetic returns NotImplemented for any other operand.
+_OPERANDS = (LaurentPoly, int, Fraction)
 
 
 def _raw(d: dict) -> LaurentPoly:
@@ -329,14 +340,11 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal([LaurentPoly.one()] * n)
 
     @classmethod
     def zero(cls, n: int) -> "LaurentMatrix":
-        z = LaurentPoly.zero()
-        return cls([[z] * n for _ in range(n)])
+        return _matrix([[LaurentPoly.zero()] * n for _ in range(n)])
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
@@ -345,15 +353,14 @@ class LaurentMatrix:
         for (i, j), p in entries.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index ({i},{j}) out of range for n={n}")
-            rows[i - 1][j - 1] = p
-        return cls(rows)
+            rows[i - 1][j - 1] = cls._entry(p)
+        return _matrix(rows)
 
     @classmethod
     def diagonal(cls, polys: Iterable[LaurentPoly]) -> "LaurentMatrix":
         ps = [cls._entry(p) for p in polys]
-        n = len(ps)
         z = LaurentPoly.zero()
-        return cls([[ps[i] if i == j else z for j in range(n)] for i in range(n)])
+        return _matrix([[p if i == j else z for j in range(len(ps))] for i, p in enumerate(ps)])
 
     # -- access ----------------------------------------------------------------
 
@@ -371,13 +378,15 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._same_size(other)
-        return _matrix([[p + q for p, q in zip(*rows)] for rows in zip(self.rows, other.rows)])
+        return _matrix([[(p + q if q._terms else p) if p._terms else q for p, q in zip(*rows)]
+                        for rows in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._same_size(other)
-        return _matrix([[p - q for p, q in zip(*rows)] for rows in zip(self.rows, other.rows)])
+        return _matrix([[(p - q if q._terms else p) if p._terms else -q for p, q in zip(*rows)]
+                        for rows in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return _matrix([[-p for p in row] for row in self.rows])
@@ -389,11 +398,11 @@ class LaurentMatrix:
         (Gustavson order): only the nonzero entries of each row of B are
         visited, and each output entry accumulates in one dict.  Anything
         that is not a matrix goes through the scalar path, which rejects
-        inexact scalars with a TypeError.
+        inexact scalars with a TypeError and leaves zero entries as they are.
         """
         if not isinstance(other, LaurentMatrix):
             p = self._entry(other)
-            return _matrix([[e * p for e in row] for row in self.rows])
+            return _matrix([[e * p if e._terms else e for e in row] for row in self.rows])
         self._same_size(other)
         brows = [[(j, q._terms) for j, q in enumerate(row) if q._terms] for row in other.rows]
         out = []

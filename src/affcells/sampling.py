@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffinePermutation
-from .laurent import LaurentMatrix, LaurentPoly, _quo, invert
+from .laurent import LaurentMatrix, LaurentPoly, _matrix, _quo, invert
 from .partitions import Composition, Partition
 
 __all__ = [
@@ -41,9 +41,10 @@ def _add_column(m: list, i: int, j: int, p: LaurentPoly) -> None:
 
 def _scale_pair(m: list, i: int, j: int, u) -> None:
     """m <- m D on a list of rows, D diagonal with u at i, 1/u at j, 1 elsewhere."""
-    for row in m:
-        row[i - 1] = row[i - 1].scale(u)
-        row[j - 1] = row[j - 1].scale(_quo(1, u))
+    for k, c in ((i - 1, u), (j - 1, _quo(1, u))):
+        for row in m:
+            if row[k]:
+                row[k] = row[k].scale(c)
 
 
 def random_iwahori(rng: random.Random, n: int) -> LaurentMatrix:
@@ -70,7 +71,7 @@ def random_iwahori(rng: random.Random, n: int) -> LaurentMatrix:
             j = rng.randrange(1, n + 1)
             if i != j:
                 _scale_pair(m, i, j, rng.choice(_UNITS))
-    return LaurentMatrix(m)
+    return _matrix(m)
 
 
 def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
@@ -83,7 +84,7 @@ def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
                 _add_column(m, i, j, LaurentPoly.constant(c))
     for i in range(1, n):
         _scale_pair(m, i, i + 1, rng.choice(_UNITS))
-    return LaurentMatrix(m)
+    return _matrix(m)
 
 
 def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
@@ -96,7 +97,7 @@ def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
         j = rng.randrange(1, n + 1)
         if i != j:
             _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
-    return LaurentMatrix(m)
+    return _matrix(m)
 
 
 def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
@@ -128,7 +129,7 @@ def random_parabolic(rng: random.Random, lam: Composition) -> LaurentMatrix:
         j = rng.randrange(1, n + 1)
         if i != j:
             _scale_pair(m, i, j, rng.choice(_UNITS))
-    return LaurentMatrix(m)
+    return _matrix(m)
 
 
 def random_window(rng: random.Random, n: int, spread: int = 3) -> AffinePermutation:

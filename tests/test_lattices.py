@@ -57,6 +57,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Lattice.from_columns(cols, n)
 
+    def test_exact_scalar_entries_are_coerced(self):
+        half = LaurentPoly.constant(Fraction(1, 2))
+        expected = Lattice.from_columns([[ONE, ZERO], [half, t(-1)]], 2)
+        assert Lattice.from_columns([[1, 0], [Fraction(1, 2), t(-1)]], 2) == expected
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Lattice.from_columns([[1.0, 0], [0, 1]], 2)
+
     def test_two_bases_of_a_three_generator_span(self):
         # e_1, e_2 and t^-1 (e_1 + e_2) span the lattice with basis
         # t^-1 (e_1 + e_2), e_2, and also with basis t^-1 (e_1 + e_2), e_1.

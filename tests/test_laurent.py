@@ -507,6 +507,66 @@ class TestOperandTypes:
         assert Fraction(1, 2) * m == m * Fraction(1, 2) == LaurentMatrix.diagonal([Fraction(1, 2)] * 2)
 
 
+class TestPolyOperandTypes:
+    """LaurentPoly arithmetic declines a matrix operand, so the matrix's
+    reflected method answers: a product with a polynomial works from either
+    side, and a sum or difference stays a TypeError."""
+
+    def test_poly_times_matrix_is_matrix_times_poly(self):
+        m = LaurentMatrix([[1, t(-1)], [Fraction(1, 2), 0]])
+        assert t(1) * m == m * t(1) == LaurentMatrix([[t(1), 1], [t(1).scale(Fraction(1, 2)), 0]])
+
+    @pytest.mark.parametrize("apply", [
+        lambda m: t(1) + m, lambda m: t(1) - m, lambda m: m - t(1),
+    ], ids=["poly+m", "poly-m", "m-poly"])
+    def test_poly_sum_with_matrix_is_type_error(self, apply):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            apply(LaurentMatrix.identity(2))
+
+
+def entrywise(op, M, N):
+    """op applied to each pair of entries, with LaurentPoly arithmetic alone."""
+    return LaurentMatrix([[op(p, q) for p, q in zip(*rows)] for rows in zip(M.rows, N.rows)])
+
+
+def assert_elementwise_matches(M, N, p):
+    assert M + N == entrywise(operator.add, M, N)
+    assert M - N == entrywise(operator.sub, M, N)
+    assert M * p == LaurentMatrix([[e * p for e in row] for row in M.rows])
+
+
+@st.composite
+def elementwise_cases(draw):
+    """Two n x n matrices with at most 2n nonzero entries each, so most
+    entries are zero on one side or both, and a scalar that may be zero."""
+    n = draw(st.integers(0, 8))
+    cells = st.tuples(st.integers(1, n), st.integers(1, n)) if n else st.nothing()
+    sparse = st.dictionaries(cells, fraction_polys, max_size=2 * n)
+    M, N = (LaurentMatrix.from_entries(n, draw(sparse)) for _ in range(2))
+    return M, N, draw(st.one_of(st.just(LaurentPoly.zero()), fraction_polys))
+
+
+class TestElementwiseOracle:
+    """M + N, M - N and M * p skip zero entries; entry by entry they agree
+    with LaurentPoly +, - and *."""
+
+    @given(elementwise_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_entrywise_arithmetic(self, case):
+        assert_elementwise_matches(*case)
+
+    def test_a_dropped_negation_is_caught(self, monkeypatch):
+        M = LaurentMatrix([[0, t(-1), 0], [Fraction(1, 2), 0, 0], [0, 0, t(2)]])
+        N = LaurentMatrix([[t(1), 0, 0], [3, 0, Fraction(-2, 3)], [0, 0, t(2) + 1]])
+        assert_elementwise_matches(M, N, t(1))
+        source = textwrap.dedent(inspect.getsource(LaurentMatrix.__sub__))
+        assert source.count("else -q") == 1
+        planted = dict(vars(laurent))
+        exec(source.replace("else -q", "else q"), planted)
+        monkeypatch.setattr(LaurentMatrix, "__sub__", planted["__sub__"])
+        assert M - N != entrywise(operator.sub, M, N)
+
+
 class TestCoefficientType:
     @given(laurent_polys, laurent_polys, st.fractions(min_value=-3, max_value=3), st.integers(-3, 3))
     @settings(max_examples=80, deadline=None)

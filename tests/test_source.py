@@ -98,6 +98,36 @@ def test_cli_has_one_failure_path():
     assert [ast.unparse(node.type) for node in handlers] == ["SystemExit", "AffcellsError"]
 
 
+def test_laurent_matrices_are_coerced_at_one_boundary():
+    # Outside input is coerced by LaurentMatrix(...) in the two readers of it;
+    # everything the package builds itself goes through laurent._matrix, and
+    # no LaurentMatrix classmethod builds through cls(...), i.e. __init__.
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(node, "name", "module level")
+                if node is not top:
+                    name = f"{top.name}.{name}"
+                owner.update((id(sub), name) for sub in ast.walk(node))
+        callers += [f"{path.stem}.{owner[id(node)]}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and "LaurentMatrix" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))]
+    assert sorted(callers) == ["jsonio.matrix_from_obj", "lattices.Lattice.from_columns"]
+
+    tree = ast.parse((PACKAGE / "laurent.py").read_text(encoding="utf-8"))
+    matrix = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "LaurentMatrix")
+    classmethods = [node for node in matrix.body if isinstance(node, ast.FunctionDef)
+                    and any(ast.unparse(d) == "classmethod" for d in node.decorator_list)]
+    assert len(classmethods) == 4
+    assert [f"{fn.name}:{node.lineno}" for fn in classmethods for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "cls"] == []
+
+
 def test_only_the_varpi_suite_builds_the_varpi_certificate():
     # The other suites read varpi off the kappa bundle (decompose_varpi), so
     # none builds a whole certificate just to read its window.
