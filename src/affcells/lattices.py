@@ -114,15 +114,16 @@ def _triangular_basis(vectors: list, n: int) -> dict:
     """Triangularize (Laurent vector, offset) pairs spanning a rank-n module:
     one generator per index residue, each of maximal index in its class.
 
-    Each vector is scaled to integers, then reduced against the basis so far
-    and takes its residue class; a generator it displaces goes back to the
-    pool.  All operations are unimodular column operations, so the
-    determinant of the family is preserved up to a nonzero scalar.  The loop ends because each displacement strictly raises the
-    index held in one class, and in the span of a full-rank family the
-    indices of each class are bounded above.
+    Callers pass vectors with integer coefficients (scaled once by
+    `_integral`).  Each is reduced against the basis so far and takes its
+    residue class; a generator it displaces goes back to the pool.  All
+    operations are unimodular column operations, so the determinant of the
+    family is preserved up to a nonzero scalar.  The loop ends because each
+    displacement strictly raises the index held in one class, and in the
+    span of a full-rank family the indices of each class are bounded above.
     """
     basis: dict = {}
-    pool = [(_integral(v)[0], k) for v, k in vectors]
+    pool = list(vectors)
     while pool:
         entry = _reduce(*pool.pop(), basis, n)
         if entry is None:
@@ -157,7 +158,7 @@ class Lattice:
                 "determinant is not a power of t; the span is not a lattice "
                 "(its Laurent span is a proper submodule)"
             )
-        return cls(n=n, basis=_triangular_basis([(c, 0) for c in zip(*M.rows)], n))
+        return cls(n=n, basis=_triangular_basis([(_integral(c)[0], 0) for c in zip(*M.rows)], n))
 
     @classmethod
     def from_basis(cls, M: LaurentMatrix) -> "Lattice":
@@ -180,7 +181,7 @@ class Lattice:
             raise ValueError("determinant is not a power of t; M * L is not a lattice")
         entries = list(self.basis.values())
         image = M * _matrix([[e[2][i] for e in entries] for i in range(self.n)])
-        pairs = [(image.column(j + 1), e[3]) for j, e in enumerate(entries)]
+        pairs = [(_integral(image.column(j + 1))[0], e[3]) for j, e in enumerate(entries)]
         return Lattice(self.n, _triangular_basis(pairs, self.n))
 
     def _indices(self) -> tuple[int, ...]:

@@ -22,8 +22,9 @@ structural zeros: the product visits only the nonzero entries of each row
 (Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
 every other row of [M | I].  Z[t,t^-1] is an integral domain, so each
 Bareiss division is exact there (Sylvester's identity); `laurent_exact_div`
-does it.  A step whose pivot equals the previous one skips the rows that
-are zero in the pivot column, which it would leave as they are.
+does it.  Each step pivots on the fewest-term entry of its column, and a
+step whose pivot equals the previous one skips the rows that are zero in
+the pivot column, which it would leave as they are.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -455,14 +456,23 @@ def _matrix(rows) -> LaurentMatrix:
 def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
     """One fraction-free elimination step at pivot column k, in place.
 
-    Swaps the first row from k down that is nonzero in column k into row k,
-    then sets a_ij = (piv*a_ij - a_ik*a_kj) / prev for i in `rows`, j > k,
-    a division exact by Sylvester's identity (columns <= k are not read
-    again).  When piv == prev, a row with a_ik = 0 would come out unchanged
-    and is skipped; unipotent and triangular inputs skip almost every row.
+    Swaps into row k the row from k down whose column-k entry has the fewest
+    terms (the first monomial, else the lowest), so the next step mostly
+    divides by a monomial; rows k.. were all transformed alike, so this is
+    Bareiss on a row-permuted input.  Then sets a_ij = (piv*a_ij -
+    a_ik*a_kj) / prev for i in `rows`, j > k, a division exact by
+    Sylvester's identity (columns <= k are not read again).  When piv ==
+    prev, a row with a_ik = 0 would come out unchanged and is skipped;
+    unipotent and triangular inputs skip almost every row.
     Returns the sign of the swap, or 0 if there is no pivot.
     """
-    r = next((r for r in range(k, len(a)) if a[r][k]), None)
+    r, fewest = None, math.inf
+    for i in range(k, len(a)):
+        m = len(a[i][k]._terms)
+        if 0 < m < fewest:
+            r, fewest = i, m
+            if m == 1:
+                break
     if r is None:
         return 0
     a[k], a[r] = a[r], a[k]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -48,12 +49,16 @@ def richardson_point(lam):
     return LaurentMatrix.identity(lam.n) - z * t(-1)
 
 
+# Every fraction in [-3, 3] with denominator at most 4, drawn uniformly:
+# drawing them with st.fractions costs more than the test itself.
+QUARTERS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(-3 * q, 3 * q + 1)})
+
 laurent_matrices = st.integers(0, 6).flatmap(
     lambda n: st.lists(
         st.lists(
             st.dictionaries(
                 st.integers(-3, 3),
-                st.one_of(st.just(1), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+                st.one_of(st.just(1), st.sampled_from(QUARTERS)),
                 max_size=3,
             ).map(LaurentPoly),
             min_size=n, max_size=n,
@@ -266,6 +271,34 @@ class TestWalkedCell:
 
         monkeypatch.setattr(cells, "psi_map", shifted_lattice)
         assert _walked_psi_mismatches()
+
+
+def fresh_indices(point):
+    """The sorted leading indices of point * V[t], from a fresh
+    triangularization of its columns rather than the chain walk."""
+    return Lattice.from_basis(point)._indices()
+
+
+class TestFreshLatticeIndices:
+    """The sorted leading indices of M V[t] are the sorted window of M's
+    cell, which pins its right coset w W_fin from a lattice the walk does
+    not build."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_iwahori_conjugates(self, n, seed):
+        rng = random.Random(seed)
+        w = random_window(rng, n, 3)
+        m = random_iwahori(rng, n) * w.to_matrix() * random_iwahori(rng, n)
+        assert fresh_indices(m) == tuple(sorted(iwahori_cell(m).window))
+
+    @given(st.integers(1, 8), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_phi_points(self, n, seed):
+        rng = random.Random(seed)
+        lam = rng.choice(list(compositions_of(n)))
+        point, _, w = phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
+        assert fresh_indices(point) == tuple(sorted(w.window))
 
 
 class TestPsi:

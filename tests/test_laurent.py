@@ -22,6 +22,7 @@ from affcells.laurent import (
     laurent_exact_div,
     poly_divmod,
 )
+from affcells.sampling import random_iwahori, random_window
 
 t = LaurentPoly.t
 
@@ -355,9 +356,10 @@ def integer_unimodular(draw):
     return m
 
 
-fraction_polys = st.dictionaries(
-    st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=2
-).map(LaurentPoly)
+# Every fraction in [-3, 3] with denominator at most 6, drawn uniformly
+# (st.fractions over the same range is slower to draw).
+SIXTHS = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-3 * q, 3 * q + 1)})
+fraction_polys = st.dictionaries(st.integers(-2, 2), st.sampled_from(SIXTHS), max_size=2).map(LaurentPoly)
 
 
 class TestFractionRows:
@@ -408,6 +410,16 @@ def fraction_upper():
 ROW_SKIP_CASES = [upper_235(), fraction_upper()]
 
 
+def plant_in_step(monkeypatch, old, new):
+    """Replace `_bareiss_step` by its own source with `old` (found once)
+    replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(laurent._bareiss_step))
+    assert source.count(old) == 1
+    planted = dict(vars(laurent))
+    exec(source.replace(old, new), planted)
+    monkeypatch.setattr(laurent, "_bareiss_step", planted["_bareiss_step"])
+
+
 class TestBareissRowSkip:
     """A Bareiss step leaves a row that is zero in the pivot column as it is
     only when the pivot equals the previous one; otherwise the row is
@@ -419,14 +431,71 @@ class TestBareissRowSkip:
         assert invert(m) == cofactor_inverse(m)
 
     def test_skipping_on_a_zero_entry_alone_is_caught(self, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(laurent._bareiss_step))
-        assert source.count("if keep and not f:") == 1
-        planted = dict(vars(laurent))
-        exec(source.replace("if keep and not f:", "if not f:"), planted)
-        monkeypatch.setattr(laurent, "_bareiss_step", planted["_bareiss_step"])
+        plant_in_step(monkeypatch, "if keep and not f:", "if not f:")
         for m in ROW_SKIP_CASES:
             assert det(m) != leibniz_det(m)
             assert invert(m) != cofactor_inverse(m)
+
+
+# The first nonzero entry of the first column is dense and a monomial lies
+# below it, so the first step swaps rows.
+SPARSE_PIVOT_CASES = [
+    LaurentMatrix([[1 + t(1), 1], [t(1), 0]]),
+    LaurentMatrix([[1 + t(1), 1, t(-1)], [t(1) + t(2), 0, 1], [t(1), 1 + t(1), 0]]),
+    LaurentMatrix([[(1 + t(1)).scale(Fraction(1, 2)), Fraction(1, 2), t(-1).scale(Fraction(1, 2))],
+                   [(t(1) + t(2)).scale(Fraction(2, 3)), 0, Fraction(2, 3)],
+                   [t(1).scale(Fraction(3, 4)), (1 + t(1)).scale(Fraction(3, 4)), 0]]),
+]
+
+
+def iwahori_conjugates(seed, per_size):
+    """b1 * w * b2 at n = 6 and 8: dense Laurent entries, unit determinant."""
+    rng = random.Random(seed)
+    out = []
+    for n in (6, 8):
+        for _ in range(per_size):
+            w = random_window(rng, n, 3)
+            out.append(random_iwahori(rng, n) * w.to_matrix() * random_iwahori(rng, n))
+    return out
+
+
+def det_divmod_calls(monkeypatch, matrices):
+    """poly_divmod calls made by det over `matrices`: the Bareiss divisions
+    by a pivot with two or more terms."""
+    calls = []
+    divmod_ = laurent.poly_divmod
+    monkeypatch.setattr(laurent, "poly_divmod", lambda a, b: calls.append(1) or divmod_(a, b))
+    for m in matrices:
+        det(m)
+    return len(calls)
+
+
+class TestSparsestPivot:
+    """Each Bareiss step pivots on the fewest-term entry of its column
+    (the first monomial, else the lowest such row).  The choice is free in
+    fraction-free elimination, so the answers match the oracles; what it
+    buys is fewer divisions by long pivots."""
+
+    @pytest.mark.parametrize("m", SPARSE_PIVOT_CASES, ids=["two", "three", "fraction"])
+    def test_det_and_invert_match_the_oracles(self, m):
+        assert det(m) == leibniz_det(m)
+        assert invert(m) == cofactor_inverse(m)
+
+    def test_a_dropped_swap_sign_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "return 1 if r == k else -1", "return 1")
+        for m in SPARSE_PIVOT_CASES:
+            assert det(m) == -leibniz_det(m)
+
+    def test_divisions_by_long_pivots_are_pinned(self, monkeypatch):
+        # 352 under the first-nonzero rule.
+        assert det_divmod_calls(monkeypatch, iwahori_conjugates(22, 10)) == 148
+
+    def test_the_first_nonzero_rule_breaks_the_pin(self, monkeypatch):
+        matrices = iwahori_conjugates(22, 10)
+        dets = [det(m) for m in matrices]
+        plant_in_step(monkeypatch, "if m == 1:", "if m:")
+        assert [det(m) for m in matrices] == dets
+        assert det_divmod_calls(monkeypatch, matrices) > 148
 
 
 def entrywise_product(A, B):
