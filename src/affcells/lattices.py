@@ -17,9 +17,11 @@ index in its class among the elements of the lattice.  Against it:
   r in 1..n and r = h mod n; it equals minus the t-order of det(basis);
 * equality: the same leading indices plus one containment.
 
-One reduction loop does all of this.  Triangularizing a family is that loop
-plus displacement; `chain_walk` triangularizes t M once and then adds one
-column per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
+One reduction loop does all of this.  It edits private term dicts in place,
+copying a coordinate on its first write, and recomputes a coordinate's chain
+index only where a step wrote.  Triangularizing a family is that loop plus
+displacement; `chain_walk` triangularizes t M once and then adds one column
+per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
 It runs on integer coefficients: every vector enters scaled to integers, and
 a step multiplies by an integer instead of dividing by a leading coefficient.
 A basis entry (chain index, leading coefficient, vector, offset k) stands for
@@ -28,6 +30,7 @@ t^k times the stored vector, so t^j moves only offsets (+j) and indices (-nj).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
@@ -38,24 +41,6 @@ from .partitions import Composition
 __all__ = ["Lattice", "AffineFlag", "chain_walk", "vdim", "quotient_dim"]
 
 _MAX_REDUCTION_STEPS = 200_000
-
-
-def _lead(v: list[LaurentPoly], k: int, n: int):
-    """Leading u-term of t^k v: (chain index, coefficient).
-
-    The chain index of t^{-q} e_r is qn + r; for t^k v it is the maximum of
-    r - n*(ord(v_r) + k) over nonzero coordinates, achieved at exactly one
-    coordinate because the candidates differ mod n.
-    """
-    best = None
-    for r, p in enumerate(v, 1 - n * k):
-        terms = p._terms
-        if terms:
-            low = min(terms)
-            idx = r - n * low
-            if best is None or idx > best[0]:
-                best = (idx, terms[low])
-    return best
 
 
 def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
@@ -75,19 +60,29 @@ def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
     completed module, and a Laurent vector in the completion of a lattice
     already lies in it.
 
+    The loop edits private term dicts in place, each copied from v on its
+    first write, so no given or stored vector changes.  It keeps each
+    coordinate's chain index r - n*(ord(v_r) + k), recomputed only where a
+    step wrote; the lead is the largest (unique: the candidates differ mod
+    n).  The vector is wrapped as polynomials once, on return.
+
     With ``track = [r, P, lam]``, every step multiplies lam and the term
     dict P by a, and a step on the generator g of class r adds b at t^s into
     P: lam t^k v as given stays the current t^k v plus P g plus the others.
     """
+    given = [p._terms for p in v]
+    x = list(given)  # x[j] is given[j] until coordinate j is first written
+    ind = [r - n * (min(d) + k) if d else -math.inf for r, d in enumerate(x, 1)]
     steps = 0
     while True:
-        lead = _lead(v, k, n)
-        if lead is None:
+        idx = max(ind)
+        if idx == -math.inf:
             return None
-        idx, coeff = lead
+        i = (idx - 1) % n
+        coeff = x[i][(i + 1 - idx) // n - k]
         entry = basis.get(idx % n)
         if entry is None or entry[0] < idx:
-            return idx, coeff, v, k
+            return idx, coeff, [p if d is g else _raw(d) for p, d, g in zip(v, x, given)], k
         hidx, hcoeff, hvec, hk = entry
         s = (hidx - idx) // n
         q = _quo(coeff, hcoeff)
@@ -99,12 +94,16 @@ def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
             if idx % n == track[0]:
                 track[1][s] = track[1].get(s, 0) + b
         s += hk - k
-        if a == 1:
-            v = [_raw(_addmul(dict(x._terms), -b, s, y._terms)) if y else x
-                 for x, y in zip(v, hvec)]
-        else:
-            v = [_raw(_addmul({e: a * c for e, c in x._terms.items()}, -b, s, y._terms))
-                 for x, y in zip(v, hvec)]
+        for j, y in enumerate(hvec):
+            d, y = x[j], y._terms
+            if d is given[j] and (y or a != 1):
+                d = x[j] = dict(d)
+            if a != 1:
+                for e in d:
+                    d[e] *= a
+            if y:
+                _addmul(d, -b, s, y)
+                ind[j] = j + 1 - n * (min(d) + k) if d else -math.inf
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise IdentityFailed("reduction failed to terminate; not a unit matrix?")

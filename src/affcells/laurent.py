@@ -108,13 +108,15 @@ def _addmul(d: dict, c, s: int, b: dict) -> dict:
 
 
 def _integral(polys) -> tuple[list, int]:
-    """(polys times s, s) for s the lcm of their coefficient denominators."""
+    """(polys times s, s) for s the lcm of their coefficient denominators.
+    s is a multiple of each, so a Fraction c scales to c.numerator * (s // c.denominator)."""
     s = 1
     for p in polys:
         for c in p._terms.values():
             if type(c) is not int:
                 s = math.lcm(s, c.denominator)
-    return [_raw(_addmul({}, s, 0, p._terms)) for p in polys] if s > 1 else list(polys), s
+    return [_raw({e: c * s if type(c) is int else c.numerator * (s // c.denominator)
+                  for e, c in p._terms.items()}) for p in polys] if s > 1 else list(polys), s
 
 
 class LaurentPoly:

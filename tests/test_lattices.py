@@ -385,3 +385,72 @@ def _oracle_failures(rng, cases, errors):
         except errors:
             failures += 1
     return failures
+
+
+# The reduction loop edits private copies of the term dicts it is given.
+# Walked bases and integer inputs pass through `_integral` as the same
+# polynomials, so a loop that wrote into a dict it did not copy would change
+# a caller's matrix, a lattice's stored vectors, or the lattices of a walk
+# that share their vectors with its working basis.
+
+
+def _terms(vectors):
+    return [dict(p._terms) for v in vectors for p in v]
+
+
+def _stored(*lats):
+    return [v for lat in lats for _, _, v, _ in lat.basis.values()]
+
+
+def _entries(basis):
+    return {r: (h, c, _terms([v]), k) for r, (h, c, v, k) in basis.items()}
+
+
+def _assert_inputs_unchanged(m):
+    n = m.n
+    cols = [list(m.column(j)) for j in range(1, n + 1)]
+    ints = [lattices._integral(c)[0] for c in cols]
+    before = _terms(cols + ints)
+    _, chain = chain_walk(m)
+    # chain[0] shares its vectors with the basis every later step reduces
+    # against: it must still be the triangularization of t M.
+    fresh = lattices._triangular_basis([(c, 1) for c in ints], n)
+    assert _entries(chain[0].basis) == _entries(fresh)
+    stored = _terms(_stored(*chain))
+    for col, inner, outer in zip(ints, chain, chain[1:]):
+        assert outer.contains_lattice(inner) and outer.contains(col)
+    lattices._triangular_basis([(c, 0) for c in ints], n)
+    lattices._triangular_basis([(v, k) for _, _, v, k in chain[-1].basis.values()], n)
+    assert chain[0].transformed(m) == chain[-1].transformed(m).scaled(1)
+    assert _terms(_stored(*chain)) == stored and _terms(cols + ints) == before
+
+
+class TestCopyOnWrite:
+    @given(_unit_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_no_input_or_stored_vector_changes(self, drawn):
+        _assert_inputs_unchanged(drawn[1])
+
+    def test_writing_into_shared_dicts_is_caught(self, monkeypatch):
+        # The planted loop never copies: it steps and scales the dicts it was
+        # given.  Walked lattices share vectors, so on a walk it soon steps a
+        # dict by itself and fails; on a vector that shares no dict with the
+        # basis it still answers right, and only a snapshot sees the write.
+        # A corrupted basis can start an endless descent: the cap is lowered.
+        source = textwrap.dedent(inspect.getsource(lattices._reduce))
+        copy = "d is given[j] and (y or a != 1)"
+        assert source.count(copy) == 1
+        planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
+        exec(source.replace(copy, "False"), planted)
+        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        rng = random.Random(7)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            m = random_iwahori(rng, n) * random_window(rng, n, 2).to_matrix() \
+                * random_iwahori(rng, n)
+            with pytest.raises((AssertionError, IdentityFailed, RuntimeError)):
+                _assert_inputs_unchanged(m)
+        v = [ONE + t(1), t(2) * 3]
+        before = _terms([v])
+        assert Lattice.standard(2).contains(v)
+        assert _terms([v]) != before

@@ -1,4 +1,5 @@
 import inspect
+import math
 import operator
 import random
 import re
@@ -634,6 +635,38 @@ class TestElementwiseOracle:
         exec(source.replace("else -q", "else q"), planted)
         monkeypatch.setattr(LaurentMatrix, "__sub__", planted["__sub__"])
         assert M - N != entrywise(operator.sub, M, N)
+
+
+def assert_integral_scaling(polys, integral=laurent._integral):
+    """`_integral` against LaurentPoly arithmetic: the scaled polynomials
+    are polys times s, in ints, for s the lcm of the denominators; scaling
+    them again is the identity."""
+    scaled, s = integral(polys)
+    assert s == math.lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
+    assert scaled == [p * s for p in polys]
+    assert all(type(c) is int for c in coefficients(*scaled))
+    again, one = integral(scaled)
+    assert one == 1 and all(p is q for p, q in zip(again, scaled, strict=True))
+
+
+class TestIntegralScaling:
+    @given(st.lists(fraction_polys, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_poly_arithmetic(self, polys):
+        assert_integral_scaling(polys)
+
+    def test_a_numerator_times_s_is_caught(self):
+        # Each Fraction c must scale by s // c.denominator: times s alone
+        # is off by its denominator.
+        source = textwrap.dedent(inspect.getsource(laurent._integral))
+        old = "else c.numerator * (s // c.denominator)"
+        assert source.count(old) == 1
+        planted = dict(vars(laurent))
+        exec(source.replace(old, "else c.numerator * s"), planted)
+        polys = [LaurentPoly({0: Fraction(1, 2), 1: Fraction(2, 3)}), t(-1) * 5]
+        assert_integral_scaling(polys)
+        with pytest.raises(AssertionError):
+            assert_integral_scaling(polys, planted["_integral"])
 
 
 class TestCoefficientType:
