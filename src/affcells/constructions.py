@@ -25,6 +25,10 @@ Everything here is a finite, exactly checkable computation:
   diagonal/elementary matrices that reduce a conormal point to the monomial
   matrix of the minimal representative of v_k.
 
+kappa, sigma, w_g, w_p and v_k are built as windows, the canonical form in
+``affine``; Laurent matrices appear only in the stated matrix identities: b,
+c, Z, the varpi lift, finite lifts and the divisor witnesses.
+
 Everything is derived once from a composition: ``kappa_bundle(lam)``,
 ``varpi_witness(lam)`` and ``divisor_data(lam, i)`` build from lambda, and the
 functions that extend one of them take it instead of rebuilding it.
@@ -105,24 +109,22 @@ def kappa_bundle(lam: Composition) -> KappaBundle:
     kappa has matrix sum_i t^{nu_i - 1} E_{i, l(i)} + sum_i t^-1 E_{i+s, m(i)};
     tau_q is its diagonal of t-orders and sigma the underlying permutation,
     so that kappa = tau_q * sigma, with the translation tau_q on the left.
+    Both are built as windows, by the rule of ``affine.from_matrix`` (t^c at
+    row i, column j means w(j) = i - c n): kappa(l(i)) = i - (nu_i - 1) n,
+    kappa(m(i)) = i + s + n, sigma(l(i)) = i and sigma(m(i)) = i + s.
     """
     tab = build(lam)
     n, s = lam.n, tab.s
     nu = tab.nu
-    entries = {}
-    for i in range(1, s + 1):
-        entries[(i, tab.l[i - 1])] = LaurentPoly.t(nu.part(i) - 1)
-    for i, target in enumerate(tab.m, start=1):
-        entries[(i + s, target)] = LaurentPoly.t(-1)
-    kappa = affine.from_matrix(LaurentMatrix.from_entries(n, entries))
+    kappa, sigma = [0] * n, [0] * n
+    for i, j in enumerate(tab.l, start=1):
+        kappa[j - 1], sigma[j - 1] = i - (nu.part(i) - 1) * n, i
+    for i, j in enumerate(tab.m, start=1):
+        kappa[j - 1], sigma[j - 1] = i + s + n, i + s
+    kappa, sigma = AffinePermutation(kappa), AffinePermutation(sigma)
 
     q = [nu.part(i) - 1 for i in range(1, s + 1)] + [-1] * (n - s)
     tau_q = affine.translation(n, q)
-
-    sigma_entries = {(i, tab.l[i - 1]): LaurentPoly.one() for i in range(1, s + 1)}
-    for i, target in enumerate(tab.m, start=1):
-        sigma_entries[(i + s, target)] = LaurentPoly.one()
-    sigma = affine.from_matrix(LaurentMatrix.from_entries(n, sigma_entries))
 
     if tau_q * sigma != kappa:
         raise IdentityFailed("kappa != tau_q * sigma")
@@ -233,23 +235,24 @@ def decompose_varpi(bundle: KappaBundle) -> tuple[AffinePermutation, AffinePermu
     tableau, from the lift that ``varpi_witness`` certifies for the same
     composition.
 
-    w_g sends i to the bottom entry of column i (and i+s to the upstairs
-    neighbor of the row-aligned enumeration); w_p carries the top-of-column
-    entries to the red enumeration and the row-aligned enumeration to the
-    blue one, so it preserves every row block.  Both the product identity
-    and the block-preservation are verified exactly.
+    Both are built as windows.  w_g = (f(1, nu_1), ..., f(s, nu_s),
+    iota(t_1), ..., iota(t_{n-s})) sends i to the bottom entry of column i
+    and i+s to the upstairs neighbor of the row-aligned enumeration; w_p
+    carries the top-of-column entries to the red enumeration, w_p(f(i, 1)) =
+    l(i), and the row-aligned enumeration to the blue one, w_p(t_i) = m(i),
+    so it preserves every row block.  Both the product identity and the
+    block-preservation are verified exactly.
     """
     lam, tab = bundle.lam, bundle.tableau
-    n, s = lam.n, tab.s
-    wg_entries = {(tab.f[(i, tab.nu.part(i))], i): LaurentPoly.one() for i in range(1, s + 1)}
-    for i in range(1, n - s + 1):
-        wg_entries[(tab.iota[tab.tmap[i - 1]], i + s)] = LaurentPoly.one()
-    w_g = affine.from_matrix(LaurentMatrix.from_entries(n, wg_entries))
-
-    wp_entries = {(tab.l[i - 1], tab.f[(i, 1)]): LaurentPoly.one() for i in range(1, s + 1)}
-    for i in range(1, n - s + 1):
-        wp_entries[(tab.m[i - 1], tab.tmap[i - 1])] = LaurentPoly.one()
-    w_p = affine.from_matrix(LaurentMatrix.from_entries(n, wp_entries))
+    s = tab.s
+    w_g = AffinePermutation([tab.f[(i, tab.nu.part(i))] for i in range(1, s + 1)]
+                            + [tab.iota[t] for t in tab.tmap])
+    w_p = [0] * lam.n
+    for i, j in enumerate(tab.l, start=1):
+        w_p[tab.f[(i, 1)] - 1] = j
+    for t, j in zip(tab.tmap, tab.m):
+        w_p[t - 1] = j
+    w_p = AffinePermutation(w_p)
 
     if not w_g.is_finite():
         raise IdentityFailed("w_g must be finite")
@@ -364,20 +367,19 @@ def lift_finite(w: AffinePermutation, column: int = 1) -> LaurentMatrix:
     """A determinant-one constant monomial lift of a finite element.
 
     The permutation matrix gets its entry in the given column (1..n) negated
-    when the sign of the permutation is -1; any other sign placement differs
-    by a torus element and lands in the same cells.
+    when the length of w is odd, since the sign of a finite permutation is
+    (-1)^length; any other sign placement differs by a torus element and
+    lands in the same cells.
     """
     if not w.is_finite():
         raise ValueError("lift_finite expects a finite element")
     n = w.n
     entries = {(w(j), j): LaurentPoly.one() for j in range(1, n + 1)}
-    M = LaurentMatrix.from_entries(n, entries)
-    if det(M) == LaurentPoly.one():
-        return M
-    entries[(w(column), column)] = -LaurentPoly.one()
+    if w.length() % 2:
+        entries[(w(column), column)] = -LaurentPoly.one()
     M = LaurentMatrix.from_entries(n, entries)
     if det(M) != LaurentPoly.one():
-        raise IdentityFailed("could not normalize lift to determinant one")
+        raise IdentityFailed("the parity-signed lift does not have determinant one")
     return M
 
 
@@ -399,7 +401,9 @@ def divisor_data(lam: Composition, i: int) -> DivisorBundle:
     Checks performed at construction: the lift of w = s_k * longest_min_rep,
     signed in column d_{i-1} + 1, has determinant one and lifts w, the
     conormal directions of w reduce to {gamma}, and the minimal
-    representative of v_k has length dim G/P.
+    representative of v_k has length dim G/P.  v_k, the antidiagonal matrix
+    with t^-1 in row k and t in row k + 1, is built as its window:
+    v_k(n + 1 - r) = r + n [r = k] - n [r = k + 1].
     """
     if not 1 <= i <= lam.r - 1:
         raise BadDivisorIndex(f"divisor index {i} for a {lam.r}-part composition")
@@ -413,16 +417,7 @@ def divisor_data(lam: Composition, i: int) -> DivisorBundle:
     if affine.from_matrix(lift) != w:
         raise IdentityFailed("divisor lift does not lift s_k * longest_min_rep")
 
-    entries = {}
-    for idx in range(1, n + 1):
-        if idx == k:
-            a = LaurentPoly.t(-1)
-        elif idx == k + 1:
-            a = LaurentPoly.t(1)
-        else:
-            a = LaurentPoly.one()
-        entries[(idx, n + 1 - idx)] = a
-    v_k = affine.from_matrix(LaurentMatrix.from_entries(n, entries))
+    v_k = AffinePermutation([r + n * ((r == k) - (r == k + 1)) for r in range(n, 0, -1)])
     sp = parabolic_subset(lam)
     v_k_min = affine.min_coset_rep(v_k, sp, Side.RIGHT)
 

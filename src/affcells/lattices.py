@@ -232,7 +232,7 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
             raise IdentityFailed("t times the reduced column left the previous span")
         r, p, lam = track
         _, _, g, k = basis[r]  # P tracks t^k g; the new generator sits at offset 0
-        q = LaurentPoly({e - 1 + k: c for e, c in p.items() if e > 0})
+        q = _raw({e - 1 + k: c for e, c in p.items() if e > 0 and c})
         if q:
             v, coeff = [a.scale(lam) - q * x for a, x in zip(v, g)], coeff * lam
         basis[r] = (idx, coeff, v, 0)

@@ -109,14 +109,16 @@ def _addmul(d: dict, c, s: int, b: dict) -> dict:
 
 def _integral(polys) -> tuple[list, int]:
     """(polys times s, s) for s the lcm of their coefficient denominators.
-    s is a multiple of each, so a Fraction c scales to c.numerator * (s // c.denominator)."""
+    s is a multiple of each, so a Fraction c scales to c.numerator * (s // c.denominator).
+    A zero polynomial is its own multiple and passes through as itself."""
     s = 1
     for p in polys:
         for c in p._terms.values():
             if type(c) is not int:
                 s = math.lcm(s, c.denominator)
     return [_raw({e: c * s if type(c) is int else c.numerator * (s // c.denominator)
-                  for e, c in p._terms.items()}) for p in polys] if s > 1 else list(polys), s
+                  for e, c in p._terms.items()}) if p._terms else p
+            for p in polys] if s > 1 else list(polys), s
 
 
 class LaurentPoly:

@@ -46,7 +46,7 @@ def test_criterion_2_length_formula_vs_oracle():
     result = verify.run_suite("lengths", nmax=6, seed=SEED)
     _assert_clean(result, "length formula")
     elapsed = time.monotonic() - start
-    assert elapsed < 60, f"took {elapsed:.1f}s"
+    assert elapsed < 1, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 2: length formula = inversion oracle, "
           f"{result.passed} checks ({elapsed:.1f}s)")
 
@@ -63,12 +63,12 @@ def test_criterion_3_cell_certificate_identity():
 
 def test_criterion_4_kappa_structure():
     start = time.monotonic()
-    result = verify.run_suite("kappa", nmax=7, seed=SEED)
+    result = verify.run_suite("kappa", nmax=8, seed=SEED)
     _assert_clean(result, "kappa structure")
     elapsed = time.monotonic() - start
-    assert elapsed < 120, f"took {elapsed:.1f}s"
+    assert elapsed < 2.5, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 4: decomposition, stability, minimality, and "
-          f"length formula for n <= 7, {result.passed} checks ({elapsed:.1f}s)")
+          f"length formula for n <= 8, {result.passed} checks ({elapsed:.1f}s)")
 
 
 def test_criterion_5_two_reflection_minimum():
@@ -76,7 +76,7 @@ def test_criterion_5_two_reflection_minimum():
     result = verify.run_suite("bruhat", nmax=4, seed=SEED)
     _assert_clean(result, "two-reflection minimum")
     elapsed = time.monotonic() - start
-    assert elapsed < 5, f"took {elapsed:.1f}s"
+    assert elapsed < 1, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 5: case split and chains confirmed by the "
           f"Bruhat oracle, {result.passed} checks ({elapsed:.1f}s)")
 
@@ -114,7 +114,7 @@ def test_criterion_8_embedding_coherence():
             bundle = kappa_bundle(lam)  # verifies the coset representative
             assert bundle.tau_q.length() == 2 * dim_g_mod_p(lam), lam.parts
     elapsed = time.monotonic() - start
-    assert elapsed < 30, f"took {elapsed:.1f}s"
+    assert elapsed < 3.5, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 8: conjugation invariance, two-step flag "
           f"agreement, and translation identities up to n <= 8 ({elapsed:.1f}s)")
 
@@ -131,6 +131,6 @@ def test_criterion_9_flag_invariants():
     flag_checks = [c for c in emb.checks if c.name == "image_flags_satisfy_invariants"]
     assert flag_checks and flag_checks[0].passed > 0
     elapsed = time.monotonic() - start
-    assert elapsed < 30, f"took {elapsed:.1f}s"
+    assert elapsed < 3.5, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 9: every image flag satisfies the chain, step, "
           f"and virtual-dimension conditions ({elapsed:.1f}s)")

@@ -16,10 +16,12 @@ from affcells.cells import (
     psi_map,
 )
 from affcells.constructions import (
+    divisor_data,
     finite_subset,
     kappa_bundle,
     parabolic_subset,
     richardson_element,
+    unit,
 )
 from affcells.errors import (
     AffcellsError,
@@ -35,6 +37,7 @@ from affcells.partitions import Composition, compositions_of, partitions_of
 from affcells.sampling import (
     jordan_matrix,
     random_conjugate_frame,
+    random_finite_borel,
     random_iwahori,
     random_nilradical,
     random_sl,
@@ -299,6 +302,94 @@ class TestFreshLatticeIndices:
         lam = rng.choice(list(compositions_of(n)))
         point, _, w = phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
         assert fresh_indices(point) == tuple(sorted(w.window))
+
+
+def step_lattice_window(point):
+    """The cell window of point off fresh lattices: entry j is the one
+    leading index of point Lambda_j that point Lambda_{j-1} lacks, where
+    point Lambda_j is Lattice.from_columns of columns 1..j of point and t
+    times the rest.  No chain walk is involved."""
+    n = point.n
+    cols = [point.column(j) for j in range(1, n + 1)]
+    raised = [[p.shift(1) for p in col] for col in cols]
+    indices = [set(Lattice.from_columns(cols[:j] + raised[j:], n)._indices())
+               for j in range(n + 1)]
+    window = []
+    for inner, outer in zip(indices, indices[1:]):
+        (new,) = outer - inner
+        window.append(new)
+    return tuple(window)
+
+
+def paper_point(kind, rng, n):
+    """(point, walked cell) of a random phi point (any composition shape),
+    psi point (any Jordan type) or divisor point (phi of a divisor lift with
+    X = a E_gamma, as the divisors suite builds them), of size n."""
+    if kind == "phi":
+        lam = rng.choice(list(compositions_of(n)))
+        point, _, w = cells.phi_map(random_sl(rng, n), random_nilradical(rng, lam), lam)
+    elif kind == "psi":
+        g, ginv = random_conjugate_frame(rng, n)
+        point, _, w = cells.psi_map(g * jordan_matrix(rng.choice(list(partitions_of(n)))) * ginv)
+    else:
+        lam = rng.choice([lam for lam in compositions_of(n) if lam.r >= 2])
+        data = divisor_data(lam, rng.randint(1, lam.r - 1))
+        a = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+        x = unit(n, data.gamma.i, data.gamma.j, LaurentPoly.constant(a))
+        point, _, w = cells.phi_map(random_finite_borel(rng, n) * data.lift, x, lam)
+    return point, w
+
+
+POINT_KINDS = ("phi", "psi", "divisor")
+
+
+def _step_window_mismatches():
+    """Kinds whose walked cell is not the step-lattice window, over three
+    points of each kind for each n = 2..6."""
+    rng = random.Random(29)
+    bad = set()
+    for kind in POINT_KINDS:
+        for n in range(2, 7):
+            for _ in range(3):
+                point, w = paper_point(kind, rng, n)
+                if w.window != step_lattice_window(point):
+                    bad.add(kind)
+    return bad
+
+
+class TestStepLattices:
+    """The walked cells of the paper's points against the window read off
+    fresh step lattices point Lambda_0 < ... < point Lambda_n."""
+
+    @given(st.sampled_from(POINT_KINDS), st.integers(2, 7), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_walked_window_is_the_step_lattice_window(self, kind, n, seed):
+        point, w = paper_point(kind, random.Random(seed), n)
+        assert w.window == step_lattice_window(point)
+
+    def test_every_kind_agrees(self):
+        assert _step_window_mismatches() == set()
+
+    def test_a_reversed_window_is_caught(self, monkeypatch):
+        walk = cells.chain_walk
+
+        def reversed_walk(M):
+            stuck, chain = walk(M)
+            return stuck[::-1], chain
+
+        monkeypatch.setattr(cells, "chain_walk", reversed_walk)
+        assert _step_window_mismatches() == set(POINT_KINDS)
+
+    def test_an_index_moved_by_n_is_caught(self, monkeypatch):
+        # w(1) moves up by n; w(n) moves down by n so the window stays valid.
+        walk = cells.chain_walk
+
+        def moved_walk(M):
+            stuck, chain = walk(M)
+            return [stuck[0] + M.n] + stuck[1:-1] + [stuck[-1] - M.n], chain
+
+        monkeypatch.setattr(cells, "chain_walk", moved_walk)
+        assert _step_window_mismatches() == set(POINT_KINDS)
 
 
 class TestPsi:

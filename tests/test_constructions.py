@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -54,6 +55,42 @@ class TestKappa:
             assert affine.min_coset_rep(b.kappa, finite_subset(lam.n), Side.RIGHT) == b.tau_q
             assert b.tau_q * b.sigma == b.kappa
             assert b.tau_q.length() == 2 * dim_g_mod_p(lam)
+
+
+def from_paper(n, orders):
+    """from_matrix of the paper's monomial matrix, t^c at each (row, column)
+    of the {(row, column): c} map: the reference for the windows that the
+    constructions build directly."""
+    return affine.from_matrix(LaurentMatrix.from_entries(
+        n, {key: LaurentPoly.t(c) for key, c in orders.items()}))
+
+
+class TestPaperMatrices:
+    def test_kappa_sigma_w_g_w_p(self):
+        for n in range(1, 9):
+            for lam in compositions_of(n):
+                bundle = kappa_bundle(lam)
+                tab, s = bundle.tableau, bundle.tableau.s
+                nu = tab.nu
+                kappa = {(i, tab.l[i - 1]): nu.part(i) - 1 for i in range(1, s + 1)}
+                kappa |= {(i + s, j): -1 for i, j in enumerate(tab.m, start=1)}
+                w_g = {(tab.f[(i, nu.part(i))], i): 0 for i in range(1, s + 1)}
+                w_g |= {(tab.iota[j], i + s): 0 for i, j in enumerate(tab.tmap, start=1)}
+                w_p = {(tab.l[i - 1], tab.f[(i, 1)]): 0 for i in range(1, s + 1)}
+                w_p |= {(j, i): 0 for i, j in zip(tab.tmap, tab.m)}
+                assert bundle.kappa == from_paper(n, kappa), lam.parts
+                assert bundle.sigma == from_paper(n, dict.fromkeys(kappa, 0)), lam.parts
+                assert decompose_varpi(bundle) == (from_paper(n, w_g), from_paper(n, w_p))
+
+    def test_v_k(self):
+        # the antidiagonal matrix with t^-1 in row k and t in row k + 1
+        for n in range(2, 8):
+            for lam in compositions_of(n):
+                for i in range(1, lam.r):
+                    data = divisor_data(lam, i)
+                    v_k = {(r, n + 1 - r): (r == data.k + 1) - (r == data.k)
+                           for r in range(1, n + 1)}
+                    assert data.v_k == from_paper(n, v_k), (lam.parts, i)
 
 
 class TestRichardson:
@@ -252,16 +289,17 @@ class TestDivisor:
 
 class TestLift:
     def test_determinant_one(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            from affcells.sampling import random_window
-
-            w = random_window(rng, n, spread=0)
-            sigma, _ = affine.decompose_translation(w)
-            m = lift_finite(sigma)
-            assert det(m) == LaurentPoly.one()
-            assert affine.from_matrix(m) == sigma
+        # every finite w with n <= 5 and every column: det 1, the lift maps
+        # back to w, and only the entry in the given column may be negated
+        for n in range(1, 6):
+            for window in itertools.permutations(range(1, n + 1)):
+                w = AffinePermutation(window)
+                for column in range(1, n + 1):
+                    m = lift_finite(w, column)
+                    assert det(m) == LaurentPoly.one(), (window, column)
+                    assert affine.from_matrix(m) == w
+                    signed = [j for j in range(1, n + 1) if m.entry(w(j), j) != LaurentPoly.one()]
+                    assert signed in ([], [column])
 
     def test_sign_goes_in_the_given_column(self):
         odd = AffinePermutation((2, 1, 3))

@@ -639,18 +639,20 @@ class TestElementwiseOracle:
 
 def assert_integral_scaling(polys, integral=laurent._integral):
     """`_integral` against LaurentPoly arithmetic: the scaled polynomials
-    are polys times s, in ints, for s the lcm of the denominators; scaling
-    them again is the identity."""
+    are polys times s, in ints, for s the lcm of the denominators; a zero
+    polynomial comes back as itself, and scaling them again is the
+    identity."""
     scaled, s = integral(polys)
     assert s == math.lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
     assert scaled == [p * s for p in polys]
+    assert all(q is p for p, q in zip(polys, scaled, strict=True) if p.is_zero())
     assert all(type(c) is int for c in coefficients(*scaled))
     again, one = integral(scaled)
     assert one == 1 and all(p is q for p, q in zip(again, scaled, strict=True))
 
 
 class TestIntegralScaling:
-    @given(st.lists(fraction_polys, max_size=8))
+    @given(st.lists(st.one_of(fraction_polys, st.just(LaurentPoly.zero())), max_size=8))
     @settings(max_examples=80, deadline=None)
     def test_matches_poly_arithmetic(self, polys):
         assert_integral_scaling(polys)
@@ -663,7 +665,7 @@ class TestIntegralScaling:
         assert source.count(old) == 1
         planted = dict(vars(laurent))
         exec(source.replace(old, "else c.numerator * s"), planted)
-        polys = [LaurentPoly({0: Fraction(1, 2), 1: Fraction(2, 3)}), t(-1) * 5]
+        polys = [LaurentPoly({0: Fraction(1, 2), 1: Fraction(2, 3)}), LaurentPoly.zero(), t(-1) * 5]
         assert_integral_scaling(polys)
         with pytest.raises(AssertionError):
             assert_integral_scaling(polys, planted["_integral"])

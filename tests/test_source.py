@@ -98,25 +98,32 @@ def test_cli_has_one_failure_path():
     assert [ast.unparse(node.type) for node in handlers] == ["SystemExit", "AffcellsError"]
 
 
-def test_laurent_matrices_are_coerced_at_one_boundary():
-    # Outside input is coerced by LaurentMatrix(...) in the two readers of it;
-    # everything the package builds itself goes through laurent._matrix, and
-    # no LaurentMatrix classmethod builds through cls(...), i.e. __init__.
+def _callers(name):
+    """Where the package calls `name(...)`: module.function or
+    module.Class.method of each call, sorted."""
     callers = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owner = {}
         for top in tree.body:
             for node in top.body if isinstance(top, ast.ClassDef) else [top]:
-                name = getattr(node, "name", "module level")
+                owner_name = getattr(node, "name", "module level")
                 if node is not top:
-                    name = f"{top.name}.{name}"
-                owner.update((id(sub), name) for sub in ast.walk(node))
+                    owner_name = f"{top.name}.{owner_name}"
+                owner.update((id(sub), owner_name) for sub in ast.walk(node))
         callers += [f"{path.stem}.{owner[id(node)]}" for node in ast.walk(tree)
                     if isinstance(node, ast.Call)
-                    and "LaurentMatrix" in (getattr(node.func, "id", None),
-                                            getattr(node.func, "attr", None))]
-    assert sorted(callers) == ["jsonio.matrix_from_obj", "lattices.Lattice.from_columns"]
+                    and name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))]
+    return sorted(callers)
+
+
+def test_laurent_matrices_are_coerced_at_one_boundary():
+    # Outside input is coerced by LaurentMatrix(...) in the two readers of it;
+    # everything the package builds itself goes through laurent._matrix, and
+    # no LaurentMatrix classmethod builds through cls(...), i.e. __init__.
+    assert _callers("LaurentMatrix") == ["jsonio.matrix_from_obj",
+                                         "lattices.Lattice.from_columns"]
 
     tree = ast.parse((PACKAGE / "laurent.py").read_text(encoding="utf-8"))
     matrix = next(node for node in tree.body
@@ -126,6 +133,13 @@ def test_laurent_matrices_are_coerced_at_one_boundary():
     assert len(classmethods) == 4
     assert [f"{fn.name}:{node.lineno}" for fn in classmethods for node in ast.walk(fn)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "cls"] == []
+
+
+def test_laurent_polys_are_coerced_at_one_boundary():
+    # Outside input is coerced by LaurentPoly(...) in the one reader of it;
+    # the package builds its own polynomials, already normalized, with
+    # laurent._raw or the LaurentPoly classmethods.
+    assert _callers("LaurentPoly") == ["jsonio.matrix_from_obj"]
 
 
 def test_only_the_varpi_suite_builds_the_varpi_certificate():
