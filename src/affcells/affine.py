@@ -22,6 +22,7 @@ shift (i, j) ~ (i + kn, j + kn); the canonical representative has
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -332,22 +333,25 @@ def min_coset_rep(
     stripped whenever j is a descent on that side, since w * s_j < w iff
     w(j) > w(j + 1) and s_j * w < w iff w^-1(j) > w^-1(j + 1); no length is
     computed.  J scans in increasing index order; the result does not
-    depend on that choice.
+    depend on that choice.  A side that is not a `Side` raises TypeError.
     """
+    if not isinstance(side, Side):
+        raise TypeError(f"side must be a Side, not {side!r}")
     J = sorted(set(J))
     n = w.n
     if any(not 0 <= j <= n - 1 for j in J):
         raise BadIndices(f"parabolic subset {J} for period {n}")
+    if side is Side.RIGHT:
+        descent, strip = AffinePermutation.right_descent, operator.mul
+    else:
+        descent, strip = AffinePermutation.left_descent, lambda u, s: s * u
     current = w
     changed = True
     while changed:
         changed = False
         for j in J:
-            if side is Side.RIGHT and current.right_descent(j):
-                current = current * simple_reflection(n, j)
-                changed = True
-            elif side is Side.LEFT and current.left_descent(j):
-                current = simple_reflection(n, j) * current
+            if descent(current, j):
+                current = strip(current, simple_reflection(n, j))
                 changed = True
     return current
 

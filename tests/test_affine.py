@@ -335,6 +335,13 @@ class TestCosets:
         for w, J, side in cases:
             min_coset_rep(w, J, side)
 
+    def test_side_must_be_a_side(self):
+        w = AffinePermutation((3, 1, 2))
+        assert min_coset_rep(w, {1, 2}, Side.RIGHT) == identity(3)
+        for side in ("right", "left", None):
+            with pytest.raises(TypeError):
+                min_coset_rep(w, {1, 2}, side)
+
     def test_double_coset_rep(self):
         tau = kappa_11()
         assert min_double_coset_rep(tau, {1}) == AffinePermutation((0, 3))

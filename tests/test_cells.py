@@ -343,34 +343,57 @@ def paper_point(kind, rng, n):
 POINT_KINDS = ("phi", "psi", "divisor")
 
 
+def free_position_count(H, n):
+    """sum over r of #{i < H_r : H_(i mod n) < i}, for leading indices H
+    keyed by residue: the indices below each H_r that the lattice lacks."""
+    return sum(1 for r in H for i in range(min(H.values()), H[r]) if H[i % n] < i)
+
+
+def step_lattice_failures(point, w):
+    """The checks of the walked cell w of point that fail: the step-lattice
+    window, and two cheap corollaries on the leading indices H of point V[t]:
+    sorted(H) is the sorted window, and the free-position count of H is the
+    length of min_coset_rep(w, finite, RIGHT), which ties H to the affine
+    length code."""
+    H = {r: entry[0] for r, entry in Lattice.from_basis(point).basis.items()}
+    rep = affine.min_coset_rep(w, finite_subset(w.n), affine.Side.RIGHT)
+    checks = {
+        "step window": w.window == step_lattice_window(point),
+        "sorted window": sorted(H.values()) == sorted(w.window),
+        "coset length": free_position_count(H, w.n) == rep.length(),
+    }
+    return {name for name, ok in checks.items() if not ok}
+
+
 def _step_window_mismatches():
-    """Kinds whose walked cell is not the step-lattice window, over three
-    points of each kind for each n = 2..6."""
+    """(kind, failed check) over three points of each kind for each
+    n = 2..6."""
     rng = random.Random(29)
     bad = set()
     for kind in POINT_KINDS:
         for n in range(2, 7):
             for _ in range(3):
                 point, w = paper_point(kind, rng, n)
-                if w.window != step_lattice_window(point):
-                    bad.add(kind)
+                bad |= {(kind, check) for check in step_lattice_failures(point, w)}
     return bad
 
 
 class TestStepLattices:
     """The walked cells of the paper's points against the window read off
-    fresh step lattices point Lambda_0 < ... < point Lambda_n."""
+    fresh step lattices point Lambda_0 < ... < point Lambda_n, and against
+    the leading indices of point V[t]."""
 
     @given(st.sampled_from(POINT_KINDS), st.integers(2, 7), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_walked_window_is_the_step_lattice_window(self, kind, n, seed):
         point, w = paper_point(kind, random.Random(seed), n)
-        assert w.window == step_lattice_window(point)
+        assert step_lattice_failures(point, w) == set()
 
     def test_every_kind_agrees(self):
         assert _step_window_mismatches() == set()
 
     def test_a_reversed_window_is_caught(self, monkeypatch):
+        # A reversal stays in the coset w W_fin, so only the step window sees it.
         walk = cells.chain_walk
 
         def reversed_walk(M):
@@ -378,7 +401,7 @@ class TestStepLattices:
             return stuck[::-1], chain
 
         monkeypatch.setattr(cells, "chain_walk", reversed_walk)
-        assert _step_window_mismatches() == set(POINT_KINDS)
+        assert _step_window_mismatches() == {(kind, "step window") for kind in POINT_KINDS}
 
     def test_an_index_moved_by_n_is_caught(self, monkeypatch):
         # w(1) moves up by n; w(n) moves down by n so the window stays valid.
@@ -389,7 +412,10 @@ class TestStepLattices:
             return [stuck[0] + M.n] + stuck[1:-1] + [stuck[-1] - M.n], chain
 
         monkeypatch.setattr(cells, "chain_walk", moved_walk)
-        assert _step_window_mismatches() == set(POINT_KINDS)
+        assert _step_window_mismatches() == {
+            (kind, check) for kind in POINT_KINDS
+            for check in ("step window", "sorted window", "coset length")
+        }
 
 
 class TestPsi:

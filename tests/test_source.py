@@ -151,3 +151,12 @@ def test_only_the_varpi_suite_builds_the_varpi_certificate():
               if (isinstance(node, ast.Name) and node.id == "varpi_witness")
               or (isinstance(node, ast.Attribute) and node.attr == "varpi_witness")}
     assert owners == {"suite_varpi"}
+
+
+def test_every_module_has_a_readme_row():
+    # The README module table names each module as | `affcells.<name>` |.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `affcells.")}
+    modules = {f"affcells.{path.stem}" for path in PACKAGE.glob("*.py")
+               if path.stem not in ("__init__", "__main__")}
+    assert sorted(modules - rows) == []

@@ -1,3 +1,6 @@
+import pytest
+
+from affcells.errors import IdentityFailed
 from affcells.partitions import Composition, compositions_of
 from affcells.tableau import build
 
@@ -18,10 +21,7 @@ class TestWorkedExample:
         assert tab.m == (14, 15, 16, 17, 10, 11, 6, 7, 8, 9, 5)
 
     def test_row_alignment_of_t(self):
-        tab = build(self.lam)
-        blocks = self.lam.blocks
-        for tv, mv in zip(tab.tmap, tab.m):
-            assert blocks[tv - 1] == blocks[mv - 1]
+        assert_t_pairs_with_m(build(self.lam))
 
 
 class TestSmallCases:
@@ -44,8 +44,8 @@ class TestSmallCases:
 
 class TestSweep:
     def test_structure_for_all_small_compositions(self):
-        # build() asserts its own invariants; this sweep also rechecks the
-        # partition facts from outside
+        # build() checks only the column heights and #S1(i) = #red(i); this
+        # sweep checks the rest from outside
         for n in range(1, 10):
             for lam in compositions_of(n):
                 tab = build(lam)
@@ -64,3 +64,28 @@ class TestSweep:
                         assert max(tab.red[i]) < min(tab.blue[i])
                 assert sorted(tab.tmap) == sorted(tab.s2)
                 assert len(set(tab.iota.values())) == len(tab.iota)
+                below = {(c, k) for (c, k) in tab.f if k > 1}
+                assert {tab.f[ck] for ck in below} == tab.s2
+                assert tab.iota == {tab.f[(c, k)]: tab.f[(c, k - 1)] for (c, k) in below}
+                assert_t_pairs_with_m(tab)
+
+
+def assert_t_pairs_with_m(tab):
+    """t and m have one length, t[k] shares a row with m[k], and the t and
+    m entries paired within each row both increase."""
+    assert len(tab.tmap) == len(tab.m)
+    blocks = tab.lam.blocks
+    by_row = {}
+    for tv, mv in zip(tab.tmap, tab.m):
+        assert blocks[tv - 1] == blocks[mv - 1]
+        by_row.setdefault(blocks[mv - 1], []).append((tv, mv))
+    for pairs in by_row.values():
+        for column in zip(*pairs):
+            assert list(column) == sorted(set(column))
+
+
+class TestKeptChecks:
+    def test_unconjugated_nu_is_caught(self, monkeypatch):
+        monkeypatch.setattr(Composition, "column_partition", Composition.sorted_partition)
+        with pytest.raises(IdentityFailed, match="column height must match the column partition"):
+            build(Composition((2, 1, 1)))
