@@ -1,11 +1,13 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affcells import affine, cells
+from affcells import affine, cells, lattices
 from affcells.affine import AffinePermutation
 from affcells.cells import (
     beta,
@@ -32,7 +34,7 @@ from affcells.errors import (
     SizeMismatch,
 )
 from affcells.lattices import Lattice, quotient_dim
-from affcells.laurent import LaurentMatrix, LaurentPoly
+from affcells.laurent import LaurentMatrix, LaurentPoly, invert
 from affcells.partitions import Composition, compositions_of, partitions_of
 from affcells.sampling import (
     jordan_matrix,
@@ -416,6 +418,161 @@ class TestStepLattices:
             (kind, check) for kind in POINT_KINDS
             for check in ("step window", "sorted window", "coset length")
         }
+
+
+# The relative position of the standard chain L_i = span{u_b : b <= i}
+# (u_{qn+r} = t^-q e_r) and M L_j, by plain linear algebra that shares no code
+# with the lattice engine.  For M in I w I,
+#
+#     r_M(i, j) = dim L_i / (L_i & M L_j) = #{b <= i : w^-1(b) > j},
+#
+# since b1 fixes L_i, b2 fixes L_j, and w L_j = span{u_w(a) : a <= j}.  Every
+# M L_j contains t^N V[t] = span{u_b : b <= -Nn} once t^(N-1) M^-1 is
+# polynomial, so the quotient is read modulo t^N V[t], a finite-dimensional
+# space: an echelon over Fraction, keyed by the largest index, holds M L_j
+# there, and L_i & M L_j is spanned by the rows whose lead is at most i.
+# M^-1 comes from `invert` (Bareiss).
+
+
+def relative_position(M, rows, js):
+    """{(i, j): r_M(i, j)} for i in rows and j in js (a subset of 0..n), with
+    M L_j grown from M L_0 = t M V[t] one column at a time."""
+    n = M.n
+    floor = n * min(p.ord() for row in invert(M).rows for p in row if p) - n
+    echelon = {}
+
+    def grow(column, shift):
+        # Every t^m column, m >= shift, truncated to the indices above floor,
+        # until the truncation is empty.
+        while True:
+            v = {s - n * (e + shift): Fraction(c) for s, p in enumerate(column, 1)
+                 for e, c in p.terms.items() if s - n * (e + shift) > floor}
+            if not v:
+                return
+            while v:
+                lead = max(v)
+                row = echelon.get(lead)
+                if row is None:
+                    echelon[lead] = v
+                    break
+                c = v[lead] / row[lead]
+                for e, x in row.items():
+                    y = v.get(e, 0) - c * x
+                    if y:
+                        v[e] = y
+                    else:
+                        del v[e]
+            shift += 1
+
+    cols = [M.column(r) for r in range(1, n + 1)]
+    table = {}
+    for j in range(n + 1):
+        if j:
+            grow(cols[j - 1], 0)
+        else:
+            for col in cols:
+                grow(col, 1)
+        if j in js:
+            table.update(((i, j), sum(1 for b in range(floor + 1, i + 1) if b not in echelon))
+                         for i in rows)
+    return table
+
+
+def position_of(w, rows, js):
+    """{(i, j): #{b <= i : w^-1(b) > j}}: the a > j with w(a) <= i, one
+    period of a at a time."""
+    n = w.n
+    return {(i, j): sum(max(0, (i - w(a)) // n + 1) for a in range(j + 1, j + n + 1))
+            for i in rows for j in js}
+
+
+def relative_position_mismatches(point, w):
+    """Where the table of w disagrees with the oracle of point, over one
+    period of j and the i within n of w(1..n)."""
+    rows = range(min(w.window) - w.n, max(w.window) + w.n + 1)
+    js = range(w.n)
+    got, want = relative_position(point, rows, js), position_of(w, rows, js)
+    return {key for key in want if got[key] != want[key]}
+
+
+def iwahori_point(rng, n):
+    """(b1 w b2, w) for b1, b2 random Iwahori elements."""
+    w = random_window(rng, n, 2)
+    return random_iwahori(rng, n) * w.to_matrix() * random_iwahori(rng, n), w
+
+
+RELATIVE_KINDS = ("iwahori",) + POINT_KINDS
+
+
+def relative_point(kind, rng, n):
+    return iwahori_point(rng, n) if kind == "iwahori" else paper_point(kind, rng, n)
+
+
+def _relative_position_mismatches():
+    """The kinds, over three points of each for each n = 2..6, where
+    iwahori_cell disagrees with the oracle."""
+    rng = random.Random(41)
+    bad = set()
+    for kind in RELATIVE_KINDS:
+        for n in range(2, 7):
+            for _ in range(3):
+                point, _ = relative_point(kind, rng, n)
+                if relative_position_mismatches(point, iwahori_cell(point)):
+                    bad.add(kind)
+    return bad
+
+
+class TestRelativePosition:
+    """iwahori_cell against r_M(i, j), computed without the lattice engine."""
+
+    @given(st.sampled_from(RELATIVE_KINDS), st.integers(1, 6), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_cell_is_the_relative_position(self, kind, n, seed):
+        if kind != "iwahori" and n == 1:
+            n = 2
+        point, w = relative_point(kind, random.Random(seed), n)
+        # The oracle alone, on a known cell; then the cell the engine reads.
+        assert relative_position_mismatches(point, w) == set()
+        assert iwahori_cell(point) == w
+
+    def test_a_reversed_window_is_caught(self, monkeypatch):
+        walk = cells.chain_walk
+
+        def reversed_walk(M):
+            stuck, chain = walk(M)
+            return stuck[::-1], chain
+
+        monkeypatch.setattr(cells, "chain_walk", reversed_walk)
+        assert _relative_position_mismatches() == set(RELATIVE_KINDS)
+
+    def test_an_index_moved_by_n_is_caught(self, monkeypatch):
+        walk = cells.chain_walk
+
+        def moved_walk(M):
+            stuck, chain = walk(M)
+            return [stuck[0] + M.n] + stuck[1:-1] + [stuck[-1] - M.n], chain
+
+        monkeypatch.setattr(cells, "chain_walk", moved_walk)
+        assert _relative_position_mismatches() == set(RELATIVE_KINDS)
+
+    def test_a_reversed_chain_convention_is_caught(self, monkeypatch):
+        # The planted reduction reads t^e e_r at chain index (n + 1 - r) - n e,
+        # the chain of w0 L_i.  The walk and every fresh lattice share it, so
+        # the step-lattice checks agree with the walk; the oracle does not.
+        source = textwrap.dedent(inspect.getsource(lattices._reduce))
+        for old, new in [
+            ("ind = [r - n * (min(d) + k)", "ind = [n + 1 - r - n * (min(d) + k)"),
+            ("i = (idx - 1) % n", "i = n - 1 - (idx - 1) % n"),
+            ("coeff = x[i][(i + 1 - idx) // n - k]", "coeff = x[i][(n - i - idx) // n - k]"),
+            ("ind[j] = j + 1 - n * (min(d) + k)", "ind[j] = n - j - n * (min(d) + k)"),
+        ]:
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        planted = dict(vars(lattices))
+        exec(source, planted)
+        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        assert _step_window_mismatches() == set()
+        assert _relative_position_mismatches() == set(RELATIVE_KINDS)
 
 
 class TestPsi:
