@@ -31,8 +31,8 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _matrix, _raw, det, invert
-from .lattices import AffineFlag, Lattice, _triangular_basis, chain_walk
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _raw, det, invert
+from .lattices import AffineFlag, Lattice, _flat, _triangular_basis, chain_walk
 from .ops import op
 from .partitions import Composition
 
@@ -166,8 +166,8 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,
     # diagonal t^-1 (k <= d_i) and 1: its det det(frame) t^(-d_i) is a monomial.
     image = deformation(X) * frame
-    low = [(_integral(frame.column(k))[0], -1) for k in range(1, n + 1)]
-    point = [(_integral(image.column(k))[0], 0) for k in range(1, n + 1)]
+    low = [(_flat(frame.column(k), n), -1) for k in range(1, n + 1)]
+    point = [(_flat(image.column(k), n), 0) for k in range(1, n + 1)]
     return tuple(Lattice(n, _triangular_basis(low[:d] + point[d:], n)) for d in lam.d)
 
 

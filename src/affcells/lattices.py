@@ -6,9 +6,9 @@ monomial c*t^k.
 
 Vectors are compared through the standard periodic chain: ``t^{-q} e_r``
 has chain index qn + r (1 <= r <= n), and the leading u-term of a vector
-is its coordinate of largest chain index.  Distinct coordinates give
-indices in distinct residue classes mod n, so the leading term is unique.
-A triangular basis holds one generator per residue class, each of maximal
+is its term of largest chain index.  Distinct coordinates give indices in
+distinct residue classes mod n, so the leading term is unique.  A
+triangular basis holds one generator per residue class, each of maximal
 index in its class among the elements of the lattice.  Against it:
 
 * membership: reduce the vector; it lies in the lattice iff it reaches 0;
@@ -17,20 +17,20 @@ index in its class among the elements of the lattice.  Against it:
   r in 1..n and r = h mod n; it equals minus the t-order of det(basis);
 * equality: the same leading indices plus one containment.
 
-One reduction loop does all of this.  It edits private term dicts in place,
-copying a coordinate on its first write, and recomputes a coordinate's chain
-index only where a step wrote.  Triangularizing a family is that loop plus
-displacement; `chain_walk` triangularizes t M once and then adds one column
-per step, giving `cells` the chain M Lambda_0 < ... < M Lambda_n.
-It runs on integer coefficients: every vector enters scaled to integers, and
-a step multiplies by an integer instead of dividing by a leading coefficient.
-A basis entry (chain index, leading coefficient, vector, offset k) stands for
-t^k times the stored vector, so t^j moves only offsets (+j) and indices (-nj).
+A vector is one dict {chain index: int}, t^e e_r at key r - n*e: the lead is
+the largest key.  Columns enter through `_flat`, scaled to integers, and
+leave through `_column` only for the matrix product of `transformed`.  One
+reduction loop does all of the above, on a private copy, multiplying by an
+integer where it would divide by a leading coefficient.  Triangularizing a
+family is that loop plus displacement; `chain_walk` triangularizes t M once
+and then adds one column per step, giving `cells` the chain
+M Lambda_0 < ... < M Lambda_n.  A basis entry (chain index, leading
+coefficient, vector, offset k) stands for t^k times the stored vector, so t^j
+moves only offsets (+j) and indices (-nj).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
@@ -43,82 +43,77 @@ __all__ = ["Lattice", "AffineFlag", "chain_walk", "vdim", "quotient_dim"]
 _MAX_REDUCTION_STEPS = 200_000
 
 
-def _reduce(v: list[LaurentPoly], k: int, basis: dict, n: int, track=None):
+def _flat(col, n: int) -> dict:
+    """A Laurent column, scaled to integers by `_integral`, as {index: int}."""
+    return {r - n * e: c for r, p in enumerate(_integral(col)[0], 1) for e, c in p._terms.items()}
+
+
+def _column(v: dict, k: int, n: int) -> list[LaurentPoly]:
+    """t^k v as a column of n Laurent polynomials."""
+    terms = [{} for _ in range(n)]
+    for idx, c in v.items():
+        terms[(idx - 1) % n][k - (idx - 1) // n] = c
+    return [_raw(d) for d in terms]
+
+
+def _reduce(v: dict, k: int, basis: dict, n: int, track=None):
     """Reduce t^k v against a triangular basis (keyed by index residue).
 
     Returns None when it reduces to zero; otherwise the basis entry
-    (chain index, leading coefficient, reduced vector, k) where it got stuck.
-    Each step cancels the leading u-term, of coefficient c, using the unique
-    basis vector h in its residue class when h's index is at least as large:
-    t^k v becomes a t^k v - b t^s h, where b/a = c/(h's leading coefficient)
-    in lowest terms and a > 0; the stored v steps by t^(s + k_h - k) times
-    h's stored vector.  The factor a keeps memberships and spans; every
-    vector comes in through `_integral`, so no rational coefficient reaches
-    the step.  The index strictly decreases at each step.  Against the basis
-    of a genuine lattice this terminates for every Laurent vector: an
-    infinite descent would converge t-adically to an element of the
-    completed module, and a Laurent vector in the completion of a lattice
-    already lies in it.
-
-    The loop edits private term dicts in place, each copied from v on its
-    first write, so no given or stored vector changes.  It keeps each
-    coordinate's chain index r - n*(ord(v_r) + k), recomputed only where a
-    step wrote; the lead is the largest (unique: the candidates differ mod
-    n).  The vector is wrapped as polynomials once, on return.
+    (chain index, leading coefficient, reduced t^k v, 0) where it got stuck.
+    Each step cancels the leading term, of index idx and coefficient c, using
+    the unique basis vector h in its residue class when h's index hidx is at
+    least as large: v becomes a v - b t^s h, s = (hidx - idx)/n, where
+    b/a = c/(h's leading coefficient) in lowest terms and a > 0; as h is t^hk
+    times its stored vector, that vector's keys move by idx - hidx - n hk.
+    The factor a keeps memberships and spans; every vector comes in through
+    `_flat`, so no rational coefficient reaches the step.  The index strictly
+    decreases at each step.  Against the basis of a genuine lattice this
+    terminates for every Laurent vector: an infinite descent would converge
+    t-adically to an element of the completed module, and a Laurent vector
+    in the completion of a lattice already lies in it.  The loop edits one
+    copy of v, made at entry, so no given or stored vector changes.
 
     With ``track = [r, P, lam]``, every step multiplies lam and the term
     dict P by a, and a step on the generator g of class r adds b at t^s into
     P: lam t^k v as given stays the current t^k v plus P g plus the others.
     """
-    given = [p._terms for p in v]
-    x = list(given)  # x[j] is given[j] until coordinate j is first written
-    ind = [r - n * (min(d) + k) if d else -math.inf for r, d in enumerate(x, 1)]
+    x = {e - n * k: c for e, c in v.items()}
     steps = 0
-    while True:
-        idx = max(ind)
-        if idx == -math.inf:
-            return None
-        i = (idx - 1) % n
-        coeff = x[i][(i + 1 - idx) // n - k]
+    while x:
+        idx = max(x)
+        coeff = x[idx]
         entry = basis.get(idx % n)
         if entry is None or entry[0] < idx:
-            return idx, coeff, [p if d is g else _raw(d) for p, d, g in zip(v, x, given)], k
+            return idx, coeff, x, 0
         hidx, hcoeff, hvec, hk = entry
-        s = (hidx - idx) // n
         q = _quo(coeff, hcoeff)
         a, b = q.denominator, q.numerator
-        if track is not None:
-            if a != 1:
+        if a != 1:
+            for e in x:
+                x[e] *= a
+            if track is not None:
                 track[1] = {e: a * c for e, c in track[1].items()}
                 track[2] *= a
-            if idx % n == track[0]:
-                track[1][s] = track[1].get(s, 0) + b
-        s += hk - k
-        for j, y in enumerate(hvec):
-            d, y = x[j], y._terms
-            if d is given[j] and (y or a != 1):
-                d = x[j] = dict(d)
-            if a != 1:
-                for e in d:
-                    d[e] *= a
-            if y:
-                _addmul(d, -b, s, y)
-                ind[j] = j + 1 - n * (min(d) + k) if d else -math.inf
+        if track is not None and idx % n == track[0]:
+            s = (hidx - idx) // n
+            track[1][s] = track[1].get(s, 0) + b
+        _addmul(x, -b, idx - hidx - n * hk, hvec)
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise IdentityFailed("reduction failed to terminate; not a unit matrix?")
 
 
 def _triangular_basis(vectors: list, n: int) -> dict:
-    """Triangularize (Laurent vector, offset) pairs spanning a rank-n module:
+    """Triangularize (flat vector, offset) pairs spanning a rank-n module:
     one generator per index residue, each of maximal index in its class.
 
-    Callers pass vectors with integer coefficients (scaled once by
-    `_integral`).  Each is reduced against the basis so far and takes its
-    residue class; a generator it displaces goes back to the pool.  All
-    operations are unimodular column operations, so the determinant of the
-    family is preserved up to a nonzero scalar.  The loop ends because each
-    displacement strictly raises the index held in one class, and in the
+    Callers pass vectors made by `_flat`, with integer coefficients.  Each is
+    reduced against the basis so far and takes its residue class as the entry
+    (index, lead, {index: int}, k); a generator it displaces goes back to the
+    pool.  All operations are unimodular column operations, so the determinant
+    of the family is preserved up to a nonzero scalar.  The loop ends because
+    each displacement strictly raises the index held in one class, and in the
     span of a full-rank family the indices of each class are bounded above.
     """
     basis: dict = {}
@@ -137,7 +132,7 @@ def _triangular_basis(vectors: list, n: int) -> dict:
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A lattice stored as its triangular basis: index residue mod n ->
-    (leading index, leading coefficient, vector, offset k), the generator
+    (leading index, leading coefficient, {index: int} vector, offset k), the generator
     t^k * vector.  A basis given directly (`scaled`, `chain_walk`, `mv_flag`)
     must span a genuine lattice, as `from_columns` checks for outside input:
     `==` tests one containment, which a proper sublattice with the same indices passes.
@@ -157,7 +152,7 @@ class Lattice:
                 "determinant is not a power of t; the span is not a lattice "
                 "(its Laurent span is a proper submodule)"
             )
-        return cls(n=n, basis=_triangular_basis([(_integral(c)[0], 0) for c in zip(*M.rows)], n))
+        return cls(n=n, basis=_triangular_basis([(_flat(c, n), 0) for c in zip(*M.rows)], n))
 
     @classmethod
     def from_basis(cls, M: LaurentMatrix) -> "Lattice":
@@ -175,23 +170,26 @@ class Lattice:
 
     def transformed(self, M: LaurentMatrix) -> "Lattice":
         """The lattice M * L, for M with unit determinant (L's basis has a
-        monomial one); M commutes with t, so each image keeps its offset."""
+        monomial one)."""
         if not det(M).is_monomial():
             raise ValueError("determinant is not a power of t; M * L is not a lattice")
-        entries = list(self.basis.values())
-        image = M * _matrix([[e[2][i] for e in entries] for i in range(self.n)])
-        pairs = [(_integral(image.column(j + 1))[0], e[3]) for j, e in enumerate(entries)]
-        return Lattice(self.n, _triangular_basis(pairs, self.n))
+        n = self.n
+        cols = [_column(v, k, n) for _, _, v, k in self.basis.values()]
+        image = M * _matrix([[c[i] for c in cols] for i in range(n)])
+        return Lattice(n, _triangular_basis([(_flat(c, n), 0) for c in zip(*image.rows)], n))
 
     def _indices(self) -> tuple[int, ...]:
         return tuple(sorted(e[0] for e in self.basis.values()))
 
     def contains(self, v, k: int = 0) -> bool:
-        """Exact k[t]-membership of t^k times a Laurent column vector."""
-        v = list(v)
-        if len(v) != self.n:
-            raise ValueError(f"vector of length {len(v)} in a rank-{self.n} lattice")
-        return _reduce(_integral(v)[0], k, self.basis, self.n) is None
+        """Exact k[t]-membership of t^k times a column of n Laurent
+        polynomials or exact scalars, or times a stored {index: int} vector."""
+        if type(v) is not dict:
+            v = [LaurentPoly._coerce(p) for p in v]
+            if len(v) != self.n:
+                raise ValueError(f"vector of length {len(v)} in a rank-{self.n} lattice")
+            v = _flat(v, self.n)
+        return _reduce(v, k, self.basis, self.n) is None
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(v, k) for _, _, v, k in other.basis.values())
@@ -222,7 +220,7 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
     others.  (v itself spans a proper sublattice unless P is constant.)
     """
     n = M.n
-    cols = [_integral(M.column(j))[0] for j in range(1, n + 1)]
+    cols = [_flat(M.column(j), n) for j in range(1, n + 1)]
     basis = _triangular_basis([(c, 1) for c in cols], n)
     stuck, chain = [], [Lattice(n, dict(basis))]
     for col in cols:
@@ -231,10 +229,12 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
         if _reduce(v, 1, basis, n, track) is not None:
             raise IdentityFailed("t times the reduced column left the previous span")
         r, p, lam = track
-        _, _, g, k = basis[r]  # P tracks t^k g; the new generator sits at offset 0
-        q = _raw({e - 1 + k: c for e, c in p.items() if e > 0 and c})
+        _, _, g, k = basis[r]  # P tracks t^k g
+        q = [(e, c) for e, c in p.items() if e > 0 and c]
         if q:
-            v, coeff = [a.scale(lam) - q * x for a, x in zip(v, g)], coeff * lam
+            v, coeff = {e: lam * c for e, c in v.items()}, coeff * lam
+            for e, c in q:
+                _addmul(v, -c, n * (1 - e - k), g)
         basis[r] = (idx, coeff, v, 0)
         stuck.append(idx)
         chain.append(Lattice(n, dict(basis)))

@@ -556,24 +556,17 @@ class TestRelativePosition:
         assert _relative_position_mismatches() == set(RELATIVE_KINDS)
 
     def test_a_reversed_chain_convention_is_caught(self, monkeypatch):
-        # The planted reduction reads t^e e_r at chain index (n + 1 - r) - n e,
+        # The planted boundary puts t^e e_r at chain index (n + 1 - r) - n e,
         # the chain of w0 L_i.  The walk and every fresh lattice share it, so
         # the step-lattice checks agree with the walk; the oracle does not.
-        source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        for old, new in [
-            ("ind = [r - n * (min(d) + k)", "ind = [n + 1 - r - n * (min(d) + k)"),
-            ("i = (idx - 1) % n", "i = n - 1 - (idx - 1) % n"),
-            ("coeff = x[i][(i + 1 - idx) // n - k]", "coeff = x[i][(n - i - idx) // n - k]"),
-            ("ind[j] = j + 1 - n * (min(d) + k)", "ind[j] = n - j - n * (min(d) + k)"),
-        ]:
-            assert source.count(old) == 1
-            source = source.replace(old, new)
+        source = textwrap.dedent(inspect.getsource(lattices._flat))
+        assert source.count("r - n * e") == 1
         planted = dict(vars(lattices))
-        exec(source, planted)
-        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        exec(source.replace("r - n * e", "n + 1 - r - n * e"), planted)
+        for module in (lattices, cells):
+            monkeypatch.setattr(module, "_flat", planted["_flat"])
         assert _step_window_mismatches() == set()
         assert _relative_position_mismatches() == set(RELATIVE_KINDS)
-
 
 class TestPsi:
     def test_zero(self):

@@ -64,6 +64,13 @@ class TestCanonicalForm:
         with pytest.raises(TypeError, match="not an exact scalar"):
             Lattice.from_columns([[1.0, 0], [0, 1]], 2)
 
+    def test_contains_coerces_exact_scalars(self):
+        E = Lattice.standard(2)
+        assert E.contains([1, 0]) and E.contains([Fraction(1, 2), t(1)])
+        assert not E.contains([0, Fraction(1, 2) * t(-1)])
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            E.contains([1.0, 0])
+
     def test_two_bases_of_a_three_generator_span(self):
         # e_1, e_2 and t^-1 (e_1 + e_2) span the lattice with basis
         # t^-1 (e_1 + e_2), e_2, and also with basis t^-1 (e_1 + e_2), e_1.
@@ -262,14 +269,12 @@ class TestCoefficientType:
     @given(_basis_pairs())
     @settings(max_examples=40, deadline=None)
     def test_from_columns_stores_exact_coefficients(self, pair):
-        # Nonzero, an int when integral and a Fraction otherwise: never a
-        # float, a bool or an integral Fraction.
+        # Every column is scaled to integers on the way in: each stored
+        # coefficient is a nonzero int, never a Fraction, a float or a bool.
         for b in pair:
             for _, lead, vector, offset in Lattice.from_basis(b).basis.values():
-                coeffs = [lead] + [c for p in vector for c in p.terms.values()]
-                assert offset == 0 and all(coeffs)
-                assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-                           for c in coeffs)
+                coeffs = [lead, *vector.values()]
+                assert offset == 0 and all(type(c) is int and c for c in coeffs)
 
 
 class TestMvFlagOracle:
@@ -315,11 +320,13 @@ def _check_chain(m, stuck, chain):
     assert len(stuck) == n and len(chain) == n + 1
     for j, walked in enumerate(chain):
         rebuilt = Lattice.from_columns(
-            [[p.shift(k) for p in v] for _, _, v, k in walked.basis.values()], n)
+            [lattices._column(v, k, n) for _, _, v, k in walked.basis.values()], n)
         explicit = Lattice.from_columns(
             cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]], n)
         assert explicit.contains_lattice(walked) and walked.contains_lattice(explicit)
         assert vdim(walked) == vdim(rebuilt) == vdim(explicit)
+    # t M Lambda_n = M Lambda_0, reduced against generators at offset 1.
+    assert chain[-1].scaled(1) == chain[0]
 
 
 class TestChainWalk:
@@ -341,23 +348,24 @@ class TestChainWalk:
         stuck, chain = chain_walk(m)
         _check_chain(m, stuck, chain)
         coeffs = [c for lat in chain for _, lead, v, _ in lat.basis.values()
-                  for c in [lead] + [c for p in v for c in p.terms.values()]]
+                  for c in [lead, *v.values()]]
         coeffs += [c for p in [det(m)] + [p for row in invert(m).rows for p in row]
                    for c in p.terms.values()]
         assert all(type(c) is int for c in coeffs)
 
     def test_dropped_offset_is_caught(self, monkeypatch):
-        # Against a generator at offset k_h, a vector at offset k steps by
-        # t^(s + k_h - k) in stored terms.  The planted step uses the true
-        # shift s, so on the walk's mixed offsets it no longer cancels the
-        # leading term; its step cap is lowered so that the descent it
-        # starts fails fast.
+        # A generator at offset hk is t^hk times its stored vector, so the
+        # step moves its keys by idx - hidx - n hk.  The walk's own bases
+        # hold offset 0, so the planted step, which drops the offset, walks
+        # right; against the generators of M Lambda_n scaled by t it no
+        # longer cancels the leading term.  Its step cap is lowered so that
+        # a descent it starts fails fast.
         source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        assert source.count("s += hk - k") == 1
+        shift = "idx - hidx - n * hk"
+        assert source.count(shift) == 1
         planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
-        exec(source.replace("s += hk - k", "pass"), planted)
+        exec(source.replace(shift, "idx - hidx"), planted)
         monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
-        # The walk never reaches the oracle: every case ends at the cap.
         errors = (AssertionError, ValueError, IdentityFailed)
         assert _oracle_failures(random.Random(5), 20, errors) == 20
 
@@ -387,15 +395,15 @@ def _oracle_failures(rng, cases, errors):
     return failures
 
 
-# The reduction loop edits private copies of the term dicts it is given.
-# Walked bases and integer inputs pass through `_integral` as the same
-# polynomials, so a loop that wrote into a dict it did not copy would change
-# a caller's matrix, a lattice's stored vectors, or the lattices of a walk
-# that share their vectors with its working basis.
+# The reduction loop edits one private copy of the vector it is given.  A
+# stored vector is shared by the lattices of a walk and its working basis,
+# and is reduced again by `contains_lattice` and by a new triangularization,
+# so a loop that wrote into the dict it was given would change a caller's
+# vector, a lattice's stored vectors, or the lattices of a walk.
 
 
 def _terms(vectors):
-    return [dict(p._terms) for v in vectors for p in v]
+    return [dict(v) for v in vectors]
 
 
 def _stored(*lats):
@@ -403,26 +411,27 @@ def _stored(*lats):
 
 
 def _entries(basis):
-    return {r: (h, c, _terms([v]), k) for r, (h, c, v, k) in basis.items()}
+    return {r: (h, c, dict(v), k) for r, (h, c, v, k) in basis.items()}
 
 
 def _assert_inputs_unchanged(m):
     n = m.n
     cols = [list(m.column(j)) for j in range(1, n + 1)]
-    ints = [lattices._integral(c)[0] for c in cols]
-    before = _terms(cols + ints)
+    flat = [lattices._flat(c, n) for c in cols]
+    before = _terms(flat) + [dict(p._terms) for c in cols for p in c]
     _, chain = chain_walk(m)
     # chain[0] shares its vectors with the basis every later step reduces
     # against: it must still be the triangularization of t M.
-    fresh = lattices._triangular_basis([(c, 1) for c in ints], n)
+    fresh = lattices._triangular_basis([(c, 1) for c in flat], n)
     assert _entries(chain[0].basis) == _entries(fresh)
     stored = _terms(_stored(*chain))
-    for col, inner, outer in zip(ints, chain, chain[1:]):
+    for col, inner, outer in zip(flat, chain, chain[1:]):
         assert outer.contains_lattice(inner) and outer.contains(col)
-    lattices._triangular_basis([(c, 0) for c in ints], n)
+    lattices._triangular_basis([(c, 0) for c in flat], n)
     lattices._triangular_basis([(v, k) for _, _, v, k in chain[-1].basis.values()], n)
     assert chain[0].transformed(m) == chain[-1].transformed(m).scaled(1)
-    assert _terms(_stored(*chain)) == stored and _terms(cols + ints) == before
+    assert _terms(_stored(*chain)) == stored
+    assert _terms(flat) + [dict(p._terms) for c in cols for p in c] == before
 
 
 class TestCopyOnWrite:
@@ -432,16 +441,17 @@ class TestCopyOnWrite:
         _assert_inputs_unchanged(drawn[1])
 
     def test_writing_into_shared_dicts_is_caught(self, monkeypatch):
-        # The planted loop never copies: it steps and scales the dicts it was
-        # given.  Walked lattices share vectors, so on a walk it soon steps a
-        # dict by itself and fails; on a vector that shares no dict with the
-        # basis it still answers right, and only a snapshot sees the write.
-        # A corrupted basis can start an endless descent: the cap is lowered.
+        # The planted loop skips its entry copy when k == 0: it steps and
+        # scales the dict it was given.  Walked lattices share vectors, so on
+        # a walk it corrupts a stored vector; on a vector that shares no dict
+        # with the basis it still answers right, and only a snapshot sees the
+        # write.  A corrupted basis can start an endless descent: the cap is
+        # lowered.
         source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        copy = "d is given[j] and (y or a != 1)"
+        copy = "x = {e - n * k: c for e, c in v.items()}"
         assert source.count(copy) == 1
         planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
-        exec(source.replace(copy, "False"), planted)
+        exec(source.replace(copy, copy.replace("x = ", "x = v if k == 0 else ")), planted)
         monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
         rng = random.Random(7)
         for _ in range(20):
@@ -450,7 +460,7 @@ class TestCopyOnWrite:
                 * random_iwahori(rng, n)
             with pytest.raises((AssertionError, IdentityFailed, RuntimeError)):
                 _assert_inputs_unchanged(m)
-        v = [ONE + t(1), t(2) * 3]
-        before = _terms([v])
+        v = {1: 1, -1: 1, -2: 3}  # e_1 + t e_1 + 3 t^2 e_2
+        before = dict(v)
         assert Lattice.standard(2).contains(v)
-        assert _terms([v]) != before
+        assert v != before

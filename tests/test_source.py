@@ -75,6 +75,16 @@ def test_lattices_make_no_t_shift():
     assert found == []
 
 
+def test_lattice_vectors_have_one_form():
+    # The engine keeps a vector as one {chain index: int} dict; lattices.py
+    # reads a polynomial's terms only in the two boundary helpers, _flat
+    # (columns in) and _column (columns out, for a matrix product).
+    tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
+    owners = {getattr(top, "name", "module level") for top in tree.body
+              for node in ast.walk(top)
+              if isinstance(node, ast.Attribute) and node.attr == "_terms"}
+    assert owners and owners <= {"_flat", "_column"}
+
 def test_cli_has_one_failure_path():
     # Commands raise usage errors; run alone writes the `error:` line and picks
     # the exit code.  The one SystemExit left is argparse's, caught in run, so
