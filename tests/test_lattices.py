@@ -402,7 +402,7 @@ def _oracle_failures(rng, cases, errors):
 # vector, a lattice's stored vectors, or the lattices of a walk.
 
 
-def _terms(vectors):
+def _copies(vectors):
     return [dict(v) for v in vectors]
 
 
@@ -418,20 +418,20 @@ def _assert_inputs_unchanged(m):
     n = m.n
     cols = [list(m.column(j)) for j in range(1, n + 1)]
     flat = [lattices._flat(c, n) for c in cols]
-    before = _terms(flat) + [dict(p._terms) for c in cols for p in c]
+    given = flat + [p._terms for c in cols for p in c]
+    before = _copies(given)
     _, chain = chain_walk(m)
     # chain[0] shares its vectors with the basis every later step reduces
     # against: it must still be the triangularization of t M.
     fresh = lattices._triangular_basis([(c, 1) for c in flat], n)
     assert _entries(chain[0].basis) == _entries(fresh)
-    stored = _terms(_stored(*chain))
+    stored = _copies(_stored(*chain))
     for col, inner, outer in zip(flat, chain, chain[1:]):
         assert outer.contains_lattice(inner) and outer.contains(col)
     lattices._triangular_basis([(c, 0) for c in flat], n)
     lattices._triangular_basis([(v, k) for _, _, v, k in chain[-1].basis.values()], n)
     assert chain[0].transformed(m) == chain[-1].transformed(m).scaled(1)
-    assert _terms(_stored(*chain)) == stored
-    assert _terms(flat) + [dict(p._terms) for c in cols for p in c] == before
+    assert _copies(_stored(*chain)) == stored and _copies(given) == before
 
 
 class TestCopyOnWrite:
@@ -443,10 +443,10 @@ class TestCopyOnWrite:
     def test_writing_into_shared_dicts_is_caught(self, monkeypatch):
         # The planted loop skips its entry copy when k == 0: it steps and
         # scales the dict it was given.  Walked lattices share vectors, so on
-        # a walk it corrupts a stored vector; on a vector that shares no dict
-        # with the basis it still answers right, and only a snapshot sees the
-        # write.  A corrupted basis can start an endless descent: the cap is
-        # lowered.
+        # a walk it soon steps a dict by itself and fails; on a vector that
+        # shares no dict with the basis it still answers right, and only a
+        # snapshot sees the write.  A corrupted basis can start an endless
+        # descent: the cap is lowered.
         source = textwrap.dedent(inspect.getsource(lattices._reduce))
         copy = "x = {e - n * k: c for e, c in v.items()}"
         assert source.count(copy) == 1

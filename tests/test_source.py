@@ -85,6 +85,7 @@ def test_lattice_vectors_have_one_form():
               if isinstance(node, ast.Attribute) and node.attr == "_terms"}
     assert owners and owners <= {"_flat", "_column"}
 
+
 def test_cli_has_one_failure_path():
     # Commands raise usage errors; run alone writes the `error:` line and picks
     # the exit code.  The one SystemExit left is argparse's, caught in run, so
