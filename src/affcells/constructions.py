@@ -11,7 +11,8 @@ Everything here is a finite, exactly checkable computation:
 * ``varpi_witness``: explicit matrices b, c in the standard Iwahori with
   b (1 - t^-1 Z) c equal to a monomial lift of the cell element varpi.
   The corner column of c uses the index that makes the identity hold
-  exactly; a deliberately wrong variant is kept for tests.
+  exactly; ``broken_corner_witness(wit)`` checks a deliberately wrong variant
+  against the witness's own b, Z and lift, as a negative control.
 * ``decompose_varpi(bundle)``: finite w_g and block-preserving w_p with
   varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle; varpi is
   read off the bundle's tableau, from the lift that ``varpi_witness``
@@ -153,10 +154,16 @@ def _richardson(tab: Tableau) -> LaurentMatrix:
 
 @dataclass(frozen=True)
 class VarpiWitness:
+    """The certificate b (1 - t^-1 Z) c = lift of one composition, with the
+    tableau and the Richardson element Z it was built from, so that
+    ``broken_corner_witness`` extends it without rebuilding either."""
+
     varpi: AffinePermutation
     lift: LaurentMatrix
     b: LaurentMatrix
     c: LaurentMatrix
+    tableau: Tableau
+    z: LaurentMatrix
 
 
 def _b_matrix(tab: Tableau) -> LaurentMatrix:
@@ -210,21 +217,22 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     tab = build(lam)
     b = _b_matrix(tab)
     c = _c_matrix(tab)
+    z = _richardson(tab)
     lift = _varpi_lift(tab)
-    if b * deformation(_richardson(tab)) * c != lift:
+    if b * deformation(z) * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
     if not (borel_membership(b) and borel_membership(c)):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
-    return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c)
+    return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c, tableau=tab, z=z)
 
 
-def broken_corner_witness(lam: Composition) -> bool:
-    """Whether the off-by-one corner-column variant of c still satisfies the
-    product identity.  Kept as a negative control; expected False whenever
-    some column has height at least 2."""
-    tab = build(lam)
-    c_bad = _c_matrix(tab, corner_row_offset=1)
-    return _b_matrix(tab) * deformation(_richardson(tab)) * c_bad == _varpi_lift(tab)
+def broken_corner_witness(wit: VarpiWitness) -> bool:
+    """Whether the off-by-one corner-column variant of the witness's c still
+    satisfies the product identity with its b, Z and lift; only the broken c
+    is built.  Kept as a negative control; expected False whenever some
+    column has height at least 2."""
+    c_bad = _c_matrix(wit.tableau, corner_row_offset=1)
+    return wit.b * deformation(wit.z) * c_bad == wit.lift
 
 
 @op

@@ -31,10 +31,11 @@ moves only offsets (+j) and indices (-nj).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _matrix, _quo, _raw, det
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _matrix, _raw, det
 from .ops import op
 from .partitions import Composition
 
@@ -64,8 +65,9 @@ def _reduce(v: dict, k: int, basis: dict, n: int, track=None):
     Each step cancels the leading term, of index idx and coefficient c, using
     the unique basis vector h in its residue class when h's index hidx is at
     least as large: v becomes a v - b t^s h, s = (hidx - idx)/n, where
-    b/a = c/(h's leading coefficient) in lowest terms and a > 0; as h is t^hk
-    times its stored vector, that vector's keys move by idx - hidx - n hk.
+    b/a = c/(h's leading coefficient) in lowest terms, read off their gcd,
+    and a > 0; as h is t^hk times its stored vector, that vector's keys move
+    by idx - hidx - n hk.
     The factor a keeps memberships and spans; every vector comes in through
     `_flat`, so no rational coefficient reaches the step.  The index strictly
     decreases at each step.  Against the basis of a genuine lattice this
@@ -87,8 +89,10 @@ def _reduce(v: dict, k: int, basis: dict, n: int, track=None):
         if entry is None or entry[0] < idx:
             return idx, coeff, x, 0
         hidx, hcoeff, hvec, hk = entry
-        q = _quo(coeff, hcoeff)
-        a, b = q.denominator, q.numerator
+        g = math.gcd(coeff, hcoeff)
+        a, b = hcoeff // g, coeff // g
+        if a < 0:
+            a, b = -a, -b
         if a != 1:
             for e in x:
                 x[e] *= a

@@ -17,14 +17,18 @@ Outside input is coerced once: by `LaurentMatrix(rows)`, or entry by entry
 in `from_entries` and `diagonal`; `_matrix` builds the rest from immutable,
 shared `LaurentPoly` entries.  Every entry is stored, but the loops skip
 structural zeros: the product visits only the nonzero entries of each row
-(Gustavson order), and `+`, `-` and the scalar product pass zeros through.
+(Gustavson order) and builds only the output entries they reach, the others
+sharing one zero; `+`, `-` and the scalar product pass zeros through.
 `det` and `invert` scale each row to integers and run the same fraction-free
 (Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
 every other row of [M | I].  Z[t,t^-1] is an integral domain, so each
-Bareiss division is exact there (Sylvester's identity); `laurent_exact_div`
-does it.  Each step pivots on the fewest-term entry of its column, and a
-step whose pivot equals the previous one skips the rows that are zero in
-the pivot column, which it would leave as they are.
+Bareiss division is exact there (Sylvester's identity).  A division by a
+monomial u t^s happens inside the update, as an exponent shift with u = +-1
+folded into the signs; only a divisor of two or more terms goes through
+`laurent_exact_div`.  Each step pivots on the fewest-term entry of its
+column, so later divisors are mostly monomials, and a step whose pivot
+equals the previous one skips the rows that are zero in the pivot column,
+which it would leave as they are.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -308,13 +312,16 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient a/b in k[t,t^-1], or None when b does not divide a."""
+    """Exact quotient a/b in k[t,t^-1], or None when b does not divide a;
+    a itself when b is 1."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
     if a.is_zero():
         return LaurentPoly.zero()
     if len(b._terms) == 1:
         ((e, c),) = b._terms.items()
+        if e == 0 and c == 1:
+            return a
         return _raw({k - e: _quo(v, c) for k, v in a._terms.items()})
     oa, ob = a.ord(), b.ord()
     q, r = poly_divmod(a.shift(-oa), b.shift(-ob))
@@ -401,23 +408,32 @@ class LaurentMatrix:
 
         Row i of A*B is the sum of a_ik * (row k of B) over the nonzero a_ik
         (Gustavson order): only the nonzero entries of each row of B are
-        visited, and each output entry accumulates in one dict.  Anything
-        that is not a matrix goes through the scalar path, which rejects
+        visited, each output entry they reach accumulates in one dict, and
+        the entries no term reaches share one zero.  Anything that is not a
+        matrix goes through the scalar path, p * entry for each nonzero
+        entry (one `_addmul` per entry when p is a monomial), which rejects
         inexact scalars with a TypeError and leaves zero entries as they are.
         """
         if not isinstance(other, LaurentMatrix):
             p = self._entry(other)
-            return _matrix([[e * p if e._terms else e for e in row] for row in self.rows])
+            return _matrix([[p * e if e._terms else e for e in row] for row in self.rows])
         self._same_size(other)
         brows = [[(j, q._terms) for j, q in enumerate(row) if q._terms] for row in other.rows]
+        zero = LaurentPoly.zero()
         out = []
         for row in self.rows:
-            acc = [{} for _ in range(self.n)]
+            acc = {}
             for p, brow in zip(row, brows):
                 for e, c in p._terms.items():
                     for j, y in brow:
-                        _addmul(acc[j], c, e, y)
-            out.append([_raw(d) for d in acc])
+                        d = acc.get(j)
+                        if d is None:
+                            d = acc[j] = {}
+                        _addmul(d, c, e, y)
+            out_row = [zero] * self.n
+            for j, d in acc.items():
+                out_row[j] = _raw(d)
+            out.append(out_row)
         return _matrix(out)
 
     __rmul__ = __mul__
@@ -465,10 +481,14 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
     divides by a monomial; rows k.. were all transformed alike, so this is
     Bareiss on a row-permuted input.  Then sets a_ij = (piv*a_ij -
     a_ik*a_kj) / prev for i in `rows`, j > k, a division exact by
-    Sylvester's identity (columns <= k are not read again).  When piv ==
-    prev, a row with a_ik = 0 would come out unchanged and is skipped;
-    unipotent and triangular inputs skip almost every row.
-    Returns the sign of the swap, or 0 if there is no pivot.
+    Sylvester's identity (columns <= k are not read again).  A monomial
+    prev = u t^s divides inside the update: the factors' exponents move by
+    -s, u = +-1 folds into their signs, and any other u divides each
+    coefficient; only a prev of two or more terms goes through
+    `laurent_exact_div`.  When piv == prev, a row with a_ik = 0 would come
+    out unchanged and is skipped; unipotent and triangular inputs skip
+    almost every row.  Returns the sign of the swap, or 0 if there is no
+    pivot.
     """
     r, fewest = None, math.inf
     for i in range(k, len(a)):
@@ -481,14 +501,17 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
         return 0
     a[k], a[r] = a[r], a[k]
     top = a[k]
-    piv = top[k]._terms.items()
-    divide = prev != LaurentPoly.one()
     keep = top[k] == prev
+    long = len(prev._terms) > 1
+    ((s, u),) = ((0, 1),) if long else prev._terms.items()
+    sign, u = (u, 1) if u in (1, -1) else (1, u)
+    piv = [(e - s, sign * c) for e, c in top[k]._terms.items()]
     for i in rows:
         row = a[i]
-        f = row[k]._terms.items()
+        f = row[k]._terms
         if keep and not f:
             continue
+        f = [(e - s, -sign * c) for e, c in f.items()]
         for j in range(k + 1, len(top)):
             x, y = row[j]._terms, top[j]._terms
             if not (x or (f and y)):
@@ -497,9 +520,11 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
             for e, c in piv:
                 _addmul(d, c, e, x)
             for e, c in f:
-                _addmul(d, -c, e, y)
+                _addmul(d, c, e, y)
+            if u != 1:
+                d = {e: _quo(c, u) for e, c in d.items()}
             num = _raw(d)
-            if divide:
+            if long:
                 num = laurent_exact_div(num, prev)
                 if num is None:
                     raise IdentityFailed("Bareiss division must be exact")

@@ -307,7 +307,7 @@ def suite_varpi(suite: SuiteResult) -> None:
         borel_ok.record(borel_membership(wit.b) and borel_membership(wit.c), tag)
         nu = lam.column_partition()
         if nu.part(1) >= 2:
-            negative.record(not cons.broken_corner_witness(lam), tag)
+            negative.record(not cons.broken_corner_witness(wit), tag)
 
         n = lam.n
         z = cons.richardson_element(lam)

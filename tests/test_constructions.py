@@ -30,6 +30,7 @@ from affcells.laurent import (
     det,
 )
 from affcells.partitions import Composition, compositions_of, jordan_type
+from affcells.tableau import build
 
 
 class TestKappa:
@@ -155,12 +156,19 @@ class TestVarpiWitness:
 
     def test_printed_corner_variant_fails(self):
         # regression guard: the off-by-one corner column destroys the identity
-        assert not broken_corner_witness(Composition((1, 1)))
-        assert not broken_corner_witness(Composition((2, 2)))
+        assert not broken_corner_witness(varpi_witness(Composition((1, 1))))
+        assert not broken_corner_witness(varpi_witness(Composition((2, 2))))
         for n in range(2, 7):
             for lam in compositions_of(n):
                 if lam.column_partition().part(1) >= 2:
-                    assert not broken_corner_witness(lam)
+                    assert not broken_corner_witness(varpi_witness(lam))
+
+    def test_witness_carries_its_tableau_and_z(self):
+        for n in range(1, 6):
+            for lam in compositions_of(n):
+                wit = varpi_witness(lam)
+                assert wit.tableau == build(lam)
+                assert wit.z == richardson_element(lam)
 
 
 class TestDecomposeVarpi:

@@ -460,12 +460,11 @@ def iwahori_conjugates(seed, per_size):
     return out
 
 
-def det_divmod_calls(monkeypatch, matrices):
-    """poly_divmod calls made by det over `matrices`: the Bareiss divisions
-    by a pivot with two or more terms."""
+def det_calls(monkeypatch, matrices, name):
+    """Calls of laurent.<name> made by det over `matrices`."""
     calls = []
-    divmod_ = laurent.poly_divmod
-    monkeypatch.setattr(laurent, "poly_divmod", lambda a, b: calls.append(1) or divmod_(a, b))
+    fn = getattr(laurent, name)
+    monkeypatch.setattr(laurent, name, lambda a, b: calls.append(1) or fn(a, b))
     for m in matrices:
         det(m)
     return len(calls)
@@ -488,15 +487,78 @@ class TestSparsestPivot:
             assert det(m) == -leibniz_det(m)
 
     def test_divisions_by_long_pivots_are_pinned(self, monkeypatch):
-        # 352 under the first-nonzero rule.
-        assert det_divmod_calls(monkeypatch, iwahori_conjugates(22, 10)) == 148
+        # poly_divmod runs the Bareiss divisions by a pivot with two or more
+        # terms: 352 under the first-nonzero rule.
+        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "poly_divmod") == 148
 
     def test_the_first_nonzero_rule_breaks_the_pin(self, monkeypatch):
         matrices = iwahori_conjugates(22, 10)
         dets = [det(m) for m in matrices]
         plant_in_step(monkeypatch, "if m == 1:", "if m:")
         assert [det(m) for m in matrices] == dets
-        assert det_divmod_calls(monkeypatch, matrices) > 148
+        assert det_calls(monkeypatch, matrices, "poly_divmod") > 148
+
+
+def bareiss_divisors(monkeypatch, m):
+    """The prev that each Bareiss step of det(m) divides by."""
+    divisors = []
+    step = laurent._bareiss_step
+
+    def traced(a, k, rows, prev):
+        divisors.append(prev)
+        return step(a, k, rows, prev)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_bareiss_step", traced)
+        det(m)
+    return divisors
+
+
+# Hand cases whose later steps divide by -t^k (twice), by 3 t, and by -1 and
+# then by the two-term 1 - t.
+FOLDED_DIVISION_CASES = [
+    (LaurentMatrix([[-t(2), t(-1), 1], [1, 0, 2], [3, 0, 0]]), [1, -t(2), -t(-1)]),
+    (LaurentMatrix([[t(1) * 3, 2, 0], [1, t(-1), t(2)], [0, 0, 1]]), [1, t(1) * 3, 1]),
+    (LaurentMatrix([[-1, t(1) - 1, 3], [0, t(1) - 1, 3], [t(1), 3, 0]]), [1, -1, 1 - t(1)]),
+]
+FOLDED_IDS = ["minus-t^k", "3t", "two-term"]
+
+
+class TestFoldedDivision:
+    """A Bareiss step divides by a monomial prev = u t^s inside the update:
+    exponents move by -s, u = +-1 folds into the factors' signs and any
+    other u divides each coefficient.  Only a prev of two or more terms
+    calls laurent_exact_div."""
+
+    @pytest.mark.parametrize("m, divisors", FOLDED_DIVISION_CASES, ids=FOLDED_IDS)
+    def test_det_and_invert_match_the_oracles(self, monkeypatch, m, divisors):
+        assert bareiss_divisors(monkeypatch, m) == divisors
+        assert det(m) == leibniz_det(m)
+        assert invert(m) == cofactor_inverse(m)
+
+    def test_a_dropped_shift_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "((s, u),) = ((0, 1),) if long else prev._terms.items()",
+                      "((s, u),) = ((0, 1),) if long else prev._terms.items(); s = 0")
+        for m, _ in FOLDED_DIVISION_CASES[:2]:
+            assert det(m) != leibniz_det(m)
+            assert invert(m) != cofactor_inverse(m)
+
+    def test_a_dropped_sign_fold_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "sign, u = (u, 1) if u in (1, -1) else (1, u)",
+                      "sign, u = (1, 1) if u in (1, -1) else (1, u)")
+        for m, _ in FOLDED_DIVISION_CASES[::2]:
+            assert det(m) != leibniz_det(m)
+            assert invert(m) != cofactor_inverse(m)
+
+    def test_exact_divisions_are_pinned(self, monkeypatch):
+        # laurent_exact_div runs only the divisions by a pivot with two or
+        # more terms and the final division by the row scales: 1,031 while
+        # every Bareiss division by a prev other than 1 went through it.
+        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "laurent_exact_div") == 173
+
+    def test_division_by_one_returns_the_dividend(self):
+        p = t(-2).scale(Fraction(1, 3)) + 5
+        assert laurent_exact_div(p, LaurentPoly.one()) is p
 
 
 def entrywise_product(A, B):
@@ -546,6 +608,70 @@ class TestProductOracle:
         exec(source.replace("for j, y in brow:", "for j, y in brow[:-1]:"), planted)
         monkeypatch.setattr(LaurentMatrix, "__mul__", planted["__mul__"])
         assert A * B != entrywise_product(A, B)
+
+
+def permutation_matrix(perm, exps):
+    """The monomial matrix with t^exps[j] in row perm[j], column j (0-based)."""
+    return LaurentMatrix.from_entries(len(perm), {(i + 1, j + 1): t(e)
+                                                  for j, (i, e) in enumerate(zip(perm, exps))})
+
+
+def upper_nilpotent(n):
+    """Strictly upper triangular with a Laurent or Fraction entry above the
+    diagonal everywhere: Z^(n-1) != 0 = Z^n."""
+    return LaurentMatrix([[t(j - i) + Fraction(1, i + 1) if j > i else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+class TestSparseOutputProduct:
+    """The product builds only the output entries some term reaches; the
+    rest share one zero.  Against the entrywise sum on products with many
+    structural zeros, and no product's entries change afterwards."""
+
+    def test_permutation_matrices(self):
+        for n in range(1, 5):
+            for p in permutations(range(n)):
+                A = permutation_matrix(p, [i - 1 for i in range(n)])
+                for q in permutations(range(n)):
+                    B = permutation_matrix(q, [1 - i for i in range(n)])
+                    P = A * B
+                    assert P == entrywise_product(A, B)
+                    assert [sum(1 for e in row if e) for row in P.rows] == [1] * n
+
+    def test_powers_of_a_nilpotent(self):
+        for n in range(1, 8):
+            Z = upper_nilpotent(n)
+            power = LaurentMatrix.identity(n)
+            for _ in range(n):
+                assert power * Z == entrywise_product(power, Z)
+                power = power * Z
+            assert power == LaurentMatrix.zero(n)
+
+    def test_zero_row_and_column(self):
+        A = LaurentMatrix([[1, t(-1), 2], [0, 0, 0], [Fraction(1, 2), t(1) + 1, t(2)]])
+        B = LaurentMatrix([[t(1), 0, Fraction(-2, 3)], [1, 0, t(-2)], [3, 0, 0]])
+        for X, Y in [(A, B), (B, A), (A, A), (B, B)]:
+            assert X * Y == entrywise_product(X, Y)
+        assert not any((A * B).rows[1])
+        assert not any(row[1] for row in (A * B).rows)
+
+    def test_later_arithmetic_leaves_products_unchanged(self):
+        A, B = upper_nilpotent(5), permutation_matrix((2, 0, 4, 1, 3), (0, 1, -1, 2, 0))
+        made = []  # (product, the term dicts of its entries when it was made)
+
+        def snapshot(P):
+            made.append((P, [[dict(e._terms) for e in row] for row in P.rows]))
+            return P
+
+        first = [snapshot(X * Y) for X, Y in [(A, B), (B, A), (A, A), (B, B)]]
+        for P in first:
+            for Q in first:
+                R = snapshot(P * Q)
+                snapshot((P + R - snapshot(R * t(-1))) * Q)
+        invert(LaurentMatrix.identity(5) + A)
+        det(first[0] * first[1] + LaurentMatrix.identity(5))
+        for P, snap in made:
+            assert [[e._terms for e in row] for row in P.rows] == snap
 
 
 class TestOperandTypes:

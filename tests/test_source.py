@@ -86,6 +86,13 @@ def test_lattice_vectors_have_one_form():
     assert owners and owners <= {"_flat", "_column"}
 
 
+def test_lattice_reduction_divides_no_coefficient():
+    # Every lattice vector holds ints, so a reduction step reads its factors
+    # a and b off math.gcd; no coefficient quotient (and no Fraction) is made.
+    assert not [c for c in _callers("_quo") if c.startswith("lattices.")]
+    assert "lattices._reduce" in _callers("gcd")
+
+
 def test_cli_has_one_failure_path():
     # Commands raise usage errors; run alone writes the `error:` line and picks
     # the exit code.  The one SystemExit left is argparse's, caught in run, so
