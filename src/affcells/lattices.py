@@ -18,13 +18,13 @@ index in its class among the elements of the lattice.  Against it:
 * equality: the same leading indices plus one containment.
 
 A vector is one dict {chain index: int}, t^e e_r at key r - n*e: the lead is
-the largest key.  Columns enter through `_flat`, scaled to integers, and
-leave through `_column` only for the matrix product of `transformed`.  One
-reduction loop does all of the above, on a private copy, multiplying by an
-integer where it would divide by a leading coefficient.  Triangularizing a
-family is that loop plus displacement; `chain_walk` triangularizes t M once
-and then adds one column per step, giving `cells` the chain
-M Lambda_0 < ... < M Lambda_n.  A basis entry (chain index, leading
+the largest key.  Columns enter through `_flat`, scaled to integers, and no
+vector leaves as a column: M * L is `Lattice.from_basis` of M times a basis
+of L.  One reduction loop does all of the above, on a private copy,
+multiplying by an integer where it would divide by a leading coefficient.
+Triangularizing a family is that loop plus displacement; `chain_walk`
+triangularizes t M once and then adds one column per step, giving `cells`
+the chain M Lambda_0 < ... < M Lambda_n.  A basis entry (chain index, leading
 coefficient, vector, offset k) stands for t^k times the stored vector, so t^j
 moves only offsets (+j) and indices (-nj).
 """
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FlagInvariantError, IdentityFailed, NotContained
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, _matrix, _raw, det
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _integral, det
 from .ops import op
 from .partitions import Composition
 
@@ -47,14 +47,6 @@ _MAX_REDUCTION_STEPS = 200_000
 def _flat(col, n: int) -> dict:
     """A Laurent column, scaled to integers by `_integral`, as {index: int}."""
     return {r - n * e: c for r, p in enumerate(_integral(col)[0], 1) for e, c in p._terms.items()}
-
-
-def _column(v: dict, k: int, n: int) -> list[LaurentPoly]:
-    """t^k v as a column of n Laurent polynomials."""
-    terms = [{} for _ in range(n)]
-    for idx, c in v.items():
-        terms[(idx - 1) % n][k - (idx - 1) // n] = c
-    return [_raw(d) for d in terms]
 
 
 def _reduce(v: dict, k: int, basis: dict, n: int, track=None):
@@ -171,16 +163,6 @@ class Lattice:
         return Lattice(n=self.n, basis={
             r: (h - self.n * k, c, v, j + k) for r, (h, c, v, j) in self.basis.items()
         })
-
-    def transformed(self, M: LaurentMatrix) -> "Lattice":
-        """The lattice M * L, for M with unit determinant (L's basis has a
-        monomial one)."""
-        if not det(M).is_monomial():
-            raise ValueError("determinant is not a power of t; M * L is not a lattice")
-        n = self.n
-        cols = [_column(v, k, n) for _, _, v, k in self.basis.values()]
-        image = M * _matrix([[c[i] for c in cols] for i in range(n)])
-        return Lattice(n, _triangular_basis([(_flat(c, n), 0) for c in zip(*image.rows)], n))
 
     def _indices(self) -> tuple[int, ...]:
         return tuple(sorted(e[0] for e in self.basis.values()))

@@ -584,7 +584,7 @@ class TestPsi:
         for _ in range(5):
             g, ginv = random_conjugate_frame(rng, 3)
             _, lat, _ = psi_map(g * z * ginv)
-            assert lat == psi_map(z)[1].transformed(g)
+            assert lat == Lattice.from_basis(g * psi_map(z)[0])
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):

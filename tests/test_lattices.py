@@ -232,20 +232,6 @@ def _transform_pairs(draw):
     return draw(_bases(n, laurent, laurent)), draw(_bases(n, laurent, laurent))
 
 
-class TestTransformed:
-    @given(_transform_pairs())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_from_basis(self, pair):
-        b, m = pair
-        got, want = Lattice.from_basis(b).transformed(m), Lattice.from_basis(m * b)
-        assert got.contains_lattice(want) and want.contains_lattice(got)
-        assert vdim(got) == vdim(want)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            Lattice.standard(2).transformed(LaurentMatrix.diagonal([ONE + t(1), ONE]))
-
-
 class TestOffsets:
     """t^k moves offsets and indices only: a scaled lattice shares its
     stored vectors and agrees with every other way of reaching it."""
@@ -259,7 +245,7 @@ class TestOffsets:
         assert all(scaled.basis[r][2] is lat.basis[r][2] for r in lat.basis)
         assert lat.scaled(j).scaled(k).basis == lat.scaled(j + k).basis
         assert vdim(scaled) == vdim(lat) - b.n * k
-        got, want = scaled.transformed(m), lat.transformed(m).scaled(k)
+        got, want = Lattice.from_basis(m * b * t(k)), Lattice.from_basis(m * b).scaled(k)
         assert got == want and want.contains_lattice(got)
         assert scaled.contains_lattice(lat.scaled(k + 1))
         assert (k >= 0) == lat.contains_lattice(scaled)
@@ -314,13 +300,21 @@ def _unit_matrices(draw):
     return w, random_iwahori(rng, n) * w.to_matrix() * random_iwahori(rng, n)
 
 
+def _column(v, k, n):
+    """t^k times the stored vector v ({chain index: int}) as a Laurent column."""
+    terms = [{} for _ in range(n)]
+    for idx, c in v.items():
+        terms[(idx - 1) % n][k - (idx - 1) // n] = c
+    return [LaurentPoly(d) for d in terms]
+
+
 def _check_chain(m, stuck, chain):
     n = m.n
     cols = [list(m.column(j)) for j in range(1, n + 1)]
     assert len(stuck) == n and len(chain) == n + 1
     for j, walked in enumerate(chain):
         rebuilt = Lattice.from_columns(
-            [lattices._column(v, k, n) for _, _, v, k in walked.basis.values()], n)
+            [_column(v, k, n) for _, _, v, k in walked.basis.values()], n)
         explicit = Lattice.from_columns(
             cols[:j] + [[p.shift(1) for p in c] for c in cols[j:]], n)
         assert explicit.contains_lattice(walked) and walked.contains_lattice(explicit)
@@ -430,7 +424,6 @@ def _assert_inputs_unchanged(m):
         assert outer.contains_lattice(inner) and outer.contains(col)
     lattices._triangular_basis([(c, 0) for c in flat], n)
     lattices._triangular_basis([(v, k) for _, _, v, k in chain[-1].basis.values()], n)
-    assert chain[0].transformed(m) == chain[-1].transformed(m).scaled(1)
     assert _copies(_stored(*chain)) == stored and _copies(given) == before
 
 

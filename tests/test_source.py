@@ -77,13 +77,21 @@ def test_lattices_make_no_t_shift():
 
 def test_lattice_vectors_have_one_form():
     # The engine keeps a vector as one {chain index: int} dict; lattices.py
-    # reads a polynomial's terms only in the two boundary helpers, _flat
-    # (columns in) and _column (columns out, for a matrix product).
+    # reads a polynomial's terms only in _flat, where columns come in.
     tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
     owners = {getattr(top, "name", "module level") for top in tree.body
               for node in ast.walk(top)
               if isinstance(node, ast.Attribute) and node.attr == "_terms"}
-    assert owners and owners <= {"_flat", "_column"}
+    assert owners == {"_flat"}
+
+
+def test_lattice_vectors_never_leave_as_columns():
+    # lattices.py imports no raw Laurent constructor, so it builds no Laurent
+    # object from a stored vector: M * L is from_basis of M times a basis of L.
+    tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_integral" in imported and not imported & {"_matrix", "_raw"}
 
 
 def test_lattice_reduction_divides_no_coefficient():

@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -247,3 +249,90 @@ class TestDeterminantCounts:
 
     def test_divisors_suite(self):
         assert _deltas("divisors", 3, 7)["laurent.det"] == 205
+
+
+def _planted(module, name, old, new):
+    """module.name with one source line replaced, the @op counter dropped."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    scope = dict(vars(module), op=lambda fn: fn)
+    exec(source.replace(old, new), scope)
+    return scope[name]
+
+
+def _counts(result):
+    return {c.name: (c.passed, c.failed) for c in result.checks}
+
+
+class TestCertifiedChecksStillFail:
+    """A suite records as passed what its construction already raises on
+    (the Iwahori membership of a varpi certificate, tau_q's minimality, a
+    divisor witness's reduction), and compares psi(g X g^-1) with a lattice
+    built afresh from g times the base point.  A fault planted in each such
+    identity still fails the suite's report."""
+
+    def test_varpi_certificate_outside_the_iwahori(self, monkeypatch):
+        from affcells import constructions
+
+        monkeypatch.setattr(constructions, "borel_membership", lambda m: False)
+        r = verify.run_suite("varpi", 3, 7)
+        counts = _counts(r)
+        assert counts["iwahori_certificate_product"] == (0, 7)  # compositions of n <= 3
+        assert counts["witnesses_in_standard_iwahori"] == (0, 0)
+        assert all(w.endswith("must lie in the standard Iwahori")
+                   for w in r.checks[0].witnesses)
+        assert report_obj([r], 3, 7)["ok"] is False
+
+    def test_tau_q_not_minimal(self, monkeypatch):
+        # tau_q s_1 * s_1 sigma is still kappa, but tau_q s_1 is not the
+        # minimal representative of kappa modulo the finite Weyl group.
+        from affcells import constructions
+
+        planted = _planted(
+            constructions, "kappa_bundle",
+            "    tau_q = affine.translation(n, q)\n",
+            "    tau_q = affine.translation(n, q)\n"
+            "    if n >= 2:\n"
+            "        s = affine.simple_reflection(n, 1)\n"
+            "        tau_q, sigma = tau_q * s, s * sigma\n",
+        )
+        monkeypatch.setattr(constructions, "kappa_bundle", planted)
+        r = verify.run_suite("kappa", 3, 7)
+        assert _counts(r)["kappa_bundle_identities"] == (1, 6)  # only lambda = (1,) passes
+        assert all(w.endswith("tau_q is not the minimal representative of kappa")
+                   for w in r.checks[0].witnesses)
+        assert report_obj([r], 3, 7)["ok"] is False
+
+    def test_divisor_reduction_off_by_a_reflection(self, monkeypatch):
+        # The planted reduction is still monomial, but of v_k's minimal
+        # representative times s_1.
+        from affcells import constructions
+
+        reduced = "reduced = b1 * b2 * point * b3"
+        planted = _planted(
+            constructions, "divisor_witnesses", reduced,
+            reduced + " * lift_finite(affine.simple_reflection(n, 1))",
+        )
+        monkeypatch.setattr(constructions, "divisor_witnesses", planted)
+        r = verify.run_suite("divisors", 3, 7)
+        check = next(c for c in r.checks if c.name == "witness_reduction_to_monomial")
+        assert (check.passed, check.failed) == (0, 50)  # 5 divisors, 10 samples each
+        assert all(w.endswith("witness reduction does not produce v_k's representative")
+                   for w in check.witnesses)
+        assert report_obj([r], 3, 7)["ok"] is False
+
+    def test_psi_returning_t_times_its_lattice(self, monkeypatch):
+        # A reference read off psi_map(base) would be scaled alike; the
+        # lattice built afresh from g times the base point is not.
+        from affcells import cells
+
+        real = cells.psi_map
+
+        def planted(x):
+            point, lat, w = real(x)
+            return point, lat.scaled(1), w
+
+        monkeypatch.setattr(cells, "psi_map", planted)
+        r = verify.run_suite("embeddings", 3, 7, samples=1)
+        assert _counts(r)["psi_lattice_equivariance"] == (0, 50)
+        assert report_obj([r], 3, 7)["ok"] is False
