@@ -31,10 +31,10 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _raw, det, invert
+from .laurent import LaurentMatrix, _addmul, _matrix, _raw, det, invert
 from .lattices import AffineFlag, Lattice, _flat, _triangular_basis, chain_walk
 from .ops import op
-from .partitions import Composition
+from .partitions import Composition, constant_rows, row_product, scalar_det
 
 __all__ = [
     "deformation",
@@ -84,13 +84,15 @@ def parabolic_cell(M: LaurentMatrix, J) -> AffinePermutation:
 # ---------------------------------------------------------------------------
 
 
-def _check_nilradical(X: LaurentMatrix, lam: Composition) -> None:
-    if not X.is_constant():
+def _check_nilradical(rows, lam: Composition) -> None:
+    """X, given by its `constant_rows` (None: X is not constant), carries
+    each standard block into earlier ones."""
+    if rows is None:
         raise NotInNilradical("X must be constant")
     blocks = lam.blocks
-    for p in range(1, lam.n + 1):
-        for q in range(1, lam.n + 1):
-            if X.entry(p, q).coeff(0) and blocks[p - 1] >= blocks[q - 1]:
+    for p, row in enumerate(rows, 1):
+        for q, c in enumerate(row, 1):
+            if c and blocks[p - 1] >= blocks[q - 1]:
                 raise NotInNilradical(
                     f"entry ({p},{q}) crosses blocks {blocks[p-1]} >= {blocks[q-1]}"
                 )
@@ -110,16 +112,22 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
 
     Preconditions: g constant with determinant 1; X constant carrying each
     standard block into the previous one.  Together they give det(point) = 1,
-    so w needs no determinant.  The returned flag is validated.
+    so w needs no determinant.  g and X are read once as scalar rows: det(g)
+    and the nilradical test run on them, and the point is g - t^-1 (g X),
+    built entry by entry from one scalar product.  The returned flag is
+    validated.
     """
     if not g.n == X.n == lam.n:
         raise SizeMismatch(f"frame {g.n}, X {X.n} and lambda {lam.n} must agree")
-    if not g.is_constant():
+    grows = constant_rows(g)
+    if grows is None:
         raise NotUnimodular("frame g must be constant")
-    if det(g) != LaurentPoly.one():
+    if scalar_det(grows) != 1:
         raise NotUnimodular("frame g must have determinant one")
-    _check_nilradical(X, lam)
-    point = g * deformation(X)
+    xrows = constant_rows(X)
+    _check_nilradical(xrows, lam)
+    point = _matrix([[_raw({e: c for e, c in ((0, a), (-1, -b)) if c}) for a, b in zip(*rows)]
+                     for rows in zip(grows, row_product(grows, xrows))])
     stuck, chain = chain_walk(point)
     flag = AffineFlag(lattices=tuple(chain[d].scaled(-1) for d in lam.d), shape=lam)
     flag.validate()
@@ -155,12 +163,13 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     n = lam.n
     if frame is None:
         frame = LaurentMatrix.identity(n)
-    if not (X.is_constant() and frame.is_constant()):
+    xrows, frows = constant_rows(X), constant_rows(frame)
+    if xrows is None or frows is None:
         raise NotInNilradical("mv_flag expects constant matrices")
-    if det(frame).is_zero():
+    if not scalar_det(frows):
         raise NotUnimodular("frame must be invertible")
     # X F_i <= F_{i-1} says that X in frame coordinates lies in the nilradical.
-    _check_nilradical(invert(frame) * X * frame, lam)
+    _check_nilradical(row_product(constant_rows(invert(frame)), row_product(xrows, frows)), lam)
     # L_i has the basis {t^-1 f_k : k <= d_i} + {(1 - t^-1 X) f_k : k > d_i}
     # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,

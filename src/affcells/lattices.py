@@ -178,7 +178,14 @@ class Lattice:
         return _reduce(v, k, self.basis, self.n) is None
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(v, k) for _, _, v, k in other.basis.values())
+        # A generator that self holds too (the same stored vector at the same
+        # offset) needs no reduction; consecutive walked lattices share most.
+        return all(self._holds(r, v, k) or self.contains(v, k)
+                   for r, (_, _, v, k) in other.basis.items())
+
+    def _holds(self, r: int, v: dict, k: int) -> bool:
+        entry = self.basis.get(r)
+        return entry is not None and entry[2] is v and entry[3] == k
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):

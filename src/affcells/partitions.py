@@ -8,16 +8,22 @@ Jordan types of constant nilpotent matrices are computed by exact ranks of
 powers over the rationals (fraction-free elimination never enters: every
 quotient goes through the exact `laurent._quo`).  `vector_rank` is the one
 exact rank routine of the package.
+
+Beside it, constant matrices are rows of exact scalars, an int wherever a
+value is integral (as in `laurent`): `constant_rows` reads the t^0 rows of
+a matrix (None when it is not constant), `row_product` multiplies two, and
+`scalar_det` runs fraction-free (Bareiss) elimination on integer-scaled rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from .errors import NotNilpotent, SizeMismatch
-from .laurent import LaurentMatrix, _quo
+from .laurent import LaurentMatrix, _as_scalar, _quo
 from .ops import op
 
 __all__ = [
@@ -27,6 +33,9 @@ __all__ = [
     "dominance_leq",
     "jordan_type",
     "vector_rank",
+    "constant_rows",
+    "row_product",
+    "scalar_det",
     "partitions_of",
     "compositions_of",
 ]
@@ -149,6 +158,52 @@ def vector_rank(vectors) -> int:
         if rank == rows:
             break
     return rank
+
+
+def constant_rows(M: LaurentMatrix):
+    """The t^0 coefficients of M as rows of exact scalars, or None when M is
+    not constant."""
+    if not M.is_constant():
+        return None
+    return [[p.coeff(0) for p in row] for row in M.rows]
+
+
+def row_product(a, b) -> list:
+    """The product of two square matrices given as rows of exact scalars."""
+    cols = list(zip(*b))
+    return [[_as_scalar(sum(x * y for x, y in zip(row, col) if x)) for col in cols]
+            for row in a]
+
+
+def scalar_det(rows):
+    """Exact determinant of a square matrix given as rows of exact scalars.
+
+    Each row is scaled to integers by the lcm of its denominators; Bareiss
+    elimination then divides exactly in the integers (Sylvester's identity),
+    and the last pivot is +-det times the product of the row scales.
+    """
+    a, scale = [], 1
+    for row in rows:
+        s = math.lcm(*(c.denominator for c in row))
+        a.append([c.numerator * (s // c.denominator) for c in row])
+        scale *= s
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top = a[k]
+        piv = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+    return _quo(sign * prev, scale)
 
 
 @op

@@ -1,11 +1,14 @@
 """Seeded random generators for property sweeps.
 
 Everything takes an explicit random.Random so runs are reproducible.
-Group-valued samples are products of elementary matrices 1 + p E_ij and
+Group-valued samples are products of elementary matrices 1 + c t^s E_ij and
 balanced diagonal pairs, which keeps determinants exactly one; a raw
 "identity plus noise" draw would almost never have unit determinant.  Each
 factor is applied to the running product in place, as a column operation
-on its rows, so no matrix product is formed.
+on its rows of {exponent: coefficient} dicts through `laurent._addmul`, so
+a t-multiple is an exponent shift and no matrix product or `LaurentPoly`
+arithmetic is formed; the rows are wrapped as a `LaurentMatrix` once, at
+the end.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffinePermutation
-from .laurent import LaurentMatrix, LaurentPoly, _matrix, _quo, invert
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _quo, _raw, invert
 from .partitions import Composition, Partition
 
 __all__ = [
@@ -32,19 +35,24 @@ _SMALL = (-2, -1, 1, 2)
 _UNITS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
-def _add_column(m: list, i: int, j: int, p: LaurentPoly) -> None:
-    """m <- m (1 + p E_ij) on a list of rows: add p times column i to column j."""
+def _unit(n: int) -> list:
+    """The identity as rows of term dicts."""
+    return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+
+
+def _column_op(m: list, i: int, j: int, c, s: int = 0) -> None:
+    """m <- m (1 + c t^s E_ij) on rows of term dicts: column j gains c t^s
+    times column i.  For i = j it scales column j by 1 + c, so a balanced
+    diagonal pair (u at i, 1/u at j) is two calls."""
+    if not c:
+        return
     for row in m:
         if row[i - 1]:
-            row[j - 1] = row[j - 1] + row[i - 1] * p
+            row[j - 1] = _addmul(dict(row[j - 1]) if i == j else row[j - 1], c, s, row[i - 1])
 
 
-def _scale_pair(m: list, i: int, j: int, u) -> None:
-    """m <- m D on a list of rows, D diagonal with u at i, 1/u at j, 1 elsewhere."""
-    for k, c in ((i - 1, u), (j - 1, _quo(1, u))):
-        for row in m:
-            if row[k]:
-                row[k] = row[k].scale(c)
+def _wrap(m: list) -> LaurentMatrix:
+    return _matrix([[_raw(d) for d in row] for row in m])
 
 
 def random_iwahori(rng: random.Random, n: int) -> LaurentMatrix:
@@ -55,49 +63,51 @@ def random_iwahori(rng: random.Random, n: int) -> LaurentMatrix:
     """
     if n == 1:
         return LaurentMatrix.identity(1)
-    m = [list(row) for row in LaurentMatrix.identity(n).rows]
+    m = _unit(n)
     for _ in range(2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0:
             i = rng.randrange(1, n)
             j = rng.randrange(i + 1, n + 1)
-            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
+            _column_op(m, i, j, rng.choice(_SMALL))
         elif kind == 1:
             j = rng.randrange(1, n)
             i = rng.randrange(j + 1, n + 1)
-            _add_column(m, i, j, LaurentPoly.monomial(1, rng.choice(_SMALL)))
+            _column_op(m, i, j, rng.choice(_SMALL), 1)
         else:
             i = rng.randrange(1, n + 1)
             j = rng.randrange(1, n + 1)
             if i != j:
-                _scale_pair(m, i, j, rng.choice(_UNITS))
-    return _matrix(m)
+                u = rng.choice(_UNITS)
+                _column_op(m, i, i, u - 1)
+                _column_op(m, j, j, _quo(1, u) - 1)
+    return _wrap(m)
 
 
 def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
     """A random constant upper-triangular matrix with determinant one."""
-    m = [list(row) for row in LaurentMatrix.identity(n).rows]
+    m = _unit(n)
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            c = rng.choice(_SMALL + (0, 0))
-            if c:
-                _add_column(m, i, j, LaurentPoly.constant(c))
+            _column_op(m, i, j, rng.choice(_SMALL + (0, 0)))
     for i in range(1, n):
-        _scale_pair(m, i, i + 1, rng.choice(_UNITS))
-    return _matrix(m)
+        u = rng.choice(_UNITS)
+        _column_op(m, i, i, u - 1)
+        _column_op(m, i + 1, i + 1, _quo(1, u) - 1)
+    return _wrap(m)
 
 
 def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
     """A random constant matrix of determinant one (product of elementaries)."""
     if n == 1:
         return LaurentMatrix.identity(1)
-    m = [list(row) for row in LaurentMatrix.identity(n).rows]
+    m = _unit(n)
     for _ in range(2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:
-            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
-    return _matrix(m)
+            _column_op(m, i, j, rng.choice(_SMALL))
+    return _wrap(m)
 
 
 def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
@@ -118,18 +128,20 @@ def random_parabolic(rng: random.Random, lam: Composition) -> LaurentMatrix:
     """A random constant block-upper-triangular matrix with determinant one."""
     n = lam.n
     block = lam.blocks
-    m = [list(row) for row in LaurentMatrix.identity(n).rows]
+    m = _unit(n)
     for _ in range(2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j and block[i - 1] <= block[j - 1]:
-            _add_column(m, i, j, LaurentPoly.constant(rng.choice(_SMALL)))
+            _column_op(m, i, j, rng.choice(_SMALL))
     for _ in range(2):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:
-            _scale_pair(m, i, j, rng.choice(_UNITS))
-    return _matrix(m)
+            u = rng.choice(_UNITS)
+            _column_op(m, i, i, u - 1)
+            _column_op(m, j, j, _quo(1, u) - 1)
+    return _wrap(m)
 
 
 def random_window(rng: random.Random, n: int, spread: int = 3) -> AffinePermutation:

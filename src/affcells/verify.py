@@ -69,7 +69,12 @@ class CheckResult:
             self.witnesses.append(witness or "unspecified input")
 
     def expect_equal(self, got, want, witness: str) -> None:
-        self.record(got == want, f"{witness}: got {got!r}, want {want!r}")
+        # The witness, with the reprs of matrices, lattices and flags, is
+        # formatted only for a failure; a pass is still one record call.
+        if got == want:
+            self.record(True)
+        else:
+            self.record(False, f"{witness}: got {got!r}, want {want!r}")
 
     @contextmanager
     def guard(self, witness: str):
@@ -458,10 +463,11 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
             lam_conj = Composition(parts=tuple(parts.conjugate(mu).parts))
             tau = cons.kappa_bundle(lam_conj).tau_q
             # The base point's cell is walked afresh, through iwahori_cell's
-            # determinant, as the reference each conjugate's walked cell meets.
+            # determinant, as the reference each conjugate's walked cell meets;
+            # psi_map itself runs on the conjugates below.
             base_cell = None
             with psi_bound.guard(f"mu={mu.parts} base"):
-                base_point = cells.psi_map(base)[0]
+                base_point = cells.deformation(base)
                 base_cell = cells.parabolic_cell(base_point, finite)
             if base_cell is None:
                 continue

@@ -42,6 +42,7 @@ from affcells.sampling import (
     random_finite_borel,
     random_iwahori,
     random_nilradical,
+    random_parabolic,
     random_sl,
     random_window,
 )
@@ -193,15 +194,46 @@ class TestPhi:
                 rebuilt = Lattice.from_basis(point * LaurentMatrix.diagonal(diag))
                 assert walked == rebuilt and rebuilt.contains_lattice(walked)
 
+    def test_point_is_the_frame_times_the_deformation(self):
+        # phi_map builds g - t^-1 (g X) from scalar rows; Laurent matrix
+        # arithmetic is the reference.  Frames and X carry Fractions, so
+        # some products of Fractions are integral: every stored coefficient
+        # must be a nonzero int or a Fraction that is not integral.
+        rng = random.Random(37)
+        frames = (random_sl, random_finite_borel,
+                  lambda rng, n: random_parabolic(rng, Composition((n,))))
+        seen = set()
+        for n in range(1, 6):
+            for lam in compositions_of(n):
+                for frame in frames:
+                    g = frame(rng, n)
+                    x = random_nilradical(rng, lam) * rng.choice((1, Fraction(1, 2), Fraction(2, 3)))
+                    point = phi_map(g, x, lam)[0]
+                    assert point == g * cells.deformation(x)
+                    coeffs = [c for row in point.rows for p in row for c in p.terms.values()]
+                    assert all(c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+                               for c in coeffs)
+                    seen.update(map(type, coeffs))
+        assert seen == {int, Fraction}
+
     def test_rejects_bad_inputs(self):
         lam = Composition((2, 1))
         low = LaurentMatrix.from_entries(3, {(3, 1): LaurentPoly.one()})
         with pytest.raises(NotInNilradical):
             phi_map(LaurentMatrix.identity(3), low, lam)
+        with pytest.raises(NotInNilradical):
+            phi_map(LaurentMatrix.identity(3), LaurentMatrix.from_entries(3, {(1, 3): t(1)}), lam)
         not_sl = LaurentMatrix.diagonal([LaurentPoly.constant(2),
                                          LaurentPoly.one(), LaurentPoly.one()])
         with pytest.raises(NotUnimodular):
             phi_map(not_sl, LaurentMatrix.zero(3), lam)
+        # det 2 from Fraction entries: 1/2 * 4 * 1
+        half = LaurentMatrix.diagonal([Fraction(1, 2), 4, 1])
+        with pytest.raises(NotUnimodular):
+            phi_map(half, LaurentMatrix.zero(3), lam)
+        # a frame with det 1 that is not constant
+        with pytest.raises(NotUnimodular):
+            phi_map(LaurentMatrix.diagonal([t(1), t(-1), 1]), LaurentMatrix.zero(3), lam)
         # matrices smaller, or larger, than the composition
         with pytest.raises(SizeMismatch):
             phi_map(LaurentMatrix.identity(2), LaurentMatrix.zero(2), lam)

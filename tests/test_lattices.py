@@ -389,6 +389,50 @@ def _oracle_failures(rng, cases, errors):
     return failures
 
 
+def _reduced_containment(outer, inner):
+    """contains_lattice with every generator of inner reduced against outer."""
+    return all(outer.contains(v, k) for _, _, v, k in inner.basis.values())
+
+
+class TestSharedGenerators:
+    """contains_lattice skips a generator of the other lattice that it holds
+    itself (the same stored vector at the same offset); consecutive walked
+    lattices share most of theirs.  The answer must be the one that reduces
+    every generator."""
+
+    @given(_unit_matrices(), st.integers(-1, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_walked_chains(self, drawn, k):
+        _, chain = chain_walk(drawn[1])
+        lats = chain + [lat.scaled(k) for lat in chain]
+        for outer in lats:
+            for inner in lats:
+                assert outer.contains_lattice(inner) == _reduced_containment(outer, inner)
+
+    @given(_unit_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_lattices_sharing_no_entries(self, drawn):
+        m = drawn[1]
+        _, chain = chain_walk(m)
+        fresh = [Lattice.from_basis(m), Lattice.from_basis(m * LaurentPoly.t(1))]
+        for walked in (chain[0], chain[-1]):
+            for other in fresh:
+                assert not {id(v) for v in _stored(walked)} & {id(v) for v in _stored(other)}
+                for outer, inner in ((walked, other), (other, walked)):
+                    assert outer.contains_lattice(inner) == _reduced_containment(outer, inner)
+
+    def test_shared_generators_occur(self):
+        # The walk's consecutive lattices do share stored vectors, so the
+        # skip is taken on them.
+        rng = random.Random(11)
+        m = random_iwahori(rng, 4) * random_window(rng, 4, 2).to_matrix() * random_iwahori(rng, 4)
+        _, chain = chain_walk(m)
+        shared = sum(outer._holds(r, v, k) for inner, outer in zip(chain, chain[1:])
+                     for r, (_, _, v, k) in inner.basis.items())
+        assert shared > 0
+        assert all(outer.contains_lattice(inner) for inner, outer in zip(chain, chain[1:]))
+
+
 # The reduction loop edits one private copy of the vector it is given.  A
 # stored vector is shared by the lattices of a walk and its working basis,
 # and is reduced again by `contains_lattice` and by a new triangularization,

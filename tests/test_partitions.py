@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affcells.errors import NotNilpotent, SizeMismatch
-from affcells.laurent import LaurentMatrix, LaurentPoly
+from affcells.laurent import LaurentMatrix, LaurentPoly, det
 from affcells.partitions import (
     Composition,
     Partition,
     compositions_of,
     conjugate,
+    constant_rows,
     dominance_leq,
     jordan_type,
     partitions_of,
+    row_product,
+    scalar_det,
     vector_rank,
 )
 from affcells.sampling import jordan_matrix, random_conjugate_frame
@@ -161,6 +164,79 @@ class TestVectorRank:
             x = g * jordan_matrix(mu) * ginv
             rows = [[p.coeff(0) for p in row] for row in x.rows]
             assert vector_rank(rows) == 5 - len(mu)
+
+
+# Exact scalars as the package stores them: an int when integral, else a
+# Fraction.  Zeros are frequent, so pivots are often missing from the
+# diagonal (a row swap) or from a whole column (a singular matrix).
+SCALARS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+square_scalar_rows = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from(SCALARS), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+def _exact(c):
+    """An int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestScalarRows:
+    """The helpers for constant matrices on rows of exact scalars, against
+    Leibniz's formula and the Laurent matrix operations."""
+
+    @given(square_scalar_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_leibniz_and_laurent_det(self, rows):
+        d = scalar_det(rows)
+        assert _exact(d)
+        assert d == _fraction_det(rows)
+        assert det(LaurentMatrix(rows)) == d
+
+    @given(square_scalar_rows, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_singular_rows(self, rows, data):
+        # A row repeated as a multiple of another, over int and Fraction.
+        if not rows:
+            return
+        n = len(rows)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(st.sampled_from(SCALARS))
+        rows = [list(r) for r in rows]
+        if i != j:
+            rows[j] = [c * x for x in rows[i]]
+        else:
+            rows[i] = [0] * n
+        assert scalar_det(rows) == 0 == _fraction_det(rows)
+
+    def test_row_swaps(self):
+        assert scalar_det([[0, 1], [1, 0]]) == -1
+        assert scalar_det([[0, 0, 2], [0, 3, 0], [Fraction(1, 2), 0, 0]]) == -3
+        assert scalar_det([[0, 1, 1], [0, 1, 2], [5, 7, 9]]) == 5
+        assert scalar_det([[1, 2], [2, 4]]) == 0
+        assert scalar_det([]) == 1
+
+    def test_leaves_its_input_alone(self):
+        rows = [[0, Fraction(1, 2)], [3, 4]]
+        scalar_det(rows)
+        assert rows == [[0, Fraction(1, 2)], [3, 4]]
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[
+        st.lists(st.lists(st.sampled_from(SCALARS), min_size=n, max_size=n),
+                 min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_laurent_product(self, pair):
+        a, b = pair
+        product = row_product(a, b)
+        assert product == constant_rows(LaurentMatrix(a) * LaurentMatrix(b))
+        assert all(_exact(c) for row in product for c in row)
+
+    def test_constant_rows(self):
+        m = LaurentMatrix([[1, Fraction(1, 2)], [0, -3]])
+        assert constant_rows(m) == [[1, Fraction(1, 2)], [0, -3]]
+        assert constant_rows(LaurentMatrix.diagonal([LaurentPoly.t(1), 1])) is None
+        assert constant_rows(LaurentMatrix.diagonal([LaurentPoly.t(-1) + 1, 1])) is None
 
 
 class TestComposition:
