@@ -31,10 +31,10 @@ from .errors import (
     NotUnimodular,
     SizeMismatch,
 )
-from .laurent import LaurentMatrix, _addmul, _matrix, _raw, det, invert
+from .laurent import LaurentMatrix, _addmul, _matrix, _raw, det
 from .lattices import AffineFlag, Lattice, _flat, _triangular_basis, chain_walk
 from .ops import op
-from .partitions import Composition, constant_rows, row_product, scalar_det
+from .partitions import Composition, constant_rows, row_product, scalar_det, vector_rank
 
 __all__ = [
     "deformation",
@@ -99,8 +99,14 @@ def _check_nilradical(rows, lam: Composition) -> None:
 
 
 def deformation(X: LaurentMatrix) -> LaurentMatrix:
-    """The point 1 - t^-1 X, for any Laurent X, built one entry at a time."""
-    return _matrix([[_raw(_addmul({0: 1} if i == j else {}, -1, -1, p._terms))
+    """The point 1 - t^-1 X, for any Laurent X, built one entry at a time.
+
+    Only a nonzero entry of X goes through `_addmul`, into a fresh dict; an
+    off-diagonal zero entry passes through as itself (entries are never
+    edited in place) and a diagonal zero becomes a fresh constant one.
+    """
+    return _matrix([[_raw(_addmul({0: 1} if i == j else {}, -1, -1, p._terms)) if p._terms
+                     else _raw({0: 1}) if i == j else p
                      for j, p in enumerate(row)] for i, row in enumerate(X.rows)])
 
 
@@ -137,14 +143,19 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
 @op
 def psi_map(X: LaurentMatrix):
     """Embed a nilpotent into the affine Grassmannian: (point, lattice, w),
-    point V[t] and its cell read off one chain walk (X^n = 0: det(point) = 1)."""
-    n = X.n
-    if not X.is_constant():
+    point V[t] and its cell read off one chain walk (X^n = 0: det(point) = 1).
+
+    X is read once as scalar rows, and X^n = 0 is checked on them."""
+    rows = constant_rows(X)
+    if rows is None:
         raise NotNilpotent("X must be constant")
-    power = X
-    for _ in range(n - 1):
-        power = power * X
-    if power != LaurentMatrix.zero(n):
+    # X^k = 0 for some k <= n proves X^n = 0, so the powers stop at the first zero one.
+    power = rows
+    for _ in range(X.n - 1):
+        if not any(map(any, power)):
+            break
+        power = row_product(power, rows)
+    if any(map(any, power)):
         raise NotNilpotent("X^n != 0")
     point = deformation(X)
     stuck, chain = chain_walk(point)
@@ -168,8 +179,12 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
         raise NotInNilradical("mv_flag expects constant matrices")
     if not scalar_det(frows):
         raise NotUnimodular("frame must be invertible")
-    # X F_i <= F_{i-1} says that X in frame coordinates lies in the nilradical.
-    _check_nilradical(row_product(constant_rows(invert(frame)), row_product(xrows, frows)), lam)
+    # X F_i <= F_{i-1}: the images of the frame columns of block i add
+    # nothing to the span of the columns before that block.
+    fcols, xcols = list(zip(*frows)), list(zip(*row_product(xrows, frows)))
+    for lo, hi in zip(lam.d, lam.d[1:]):
+        if vector_rank(fcols[:lo] + xcols[lo:hi]) > lo:
+            raise NotInNilradical(f"X carries frame columns {lo + 1}..{hi} outside columns 1..{lo}")
     # L_i has the basis {t^-1 f_k : k <= d_i} + {(1 - t^-1 X) f_k : k > d_i}
     # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,
     # as X f_k lies in F_{i-1}.  In frame coordinates it is upper triangular,

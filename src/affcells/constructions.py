@@ -11,8 +11,9 @@ Everything here is a finite, exactly checkable computation:
 * ``varpi_witness``: explicit matrices b, c in the standard Iwahori with
   b (1 - t^-1 Z) c equal to a monomial lift of the cell element varpi.
   The corner column of c uses the index that makes the identity hold
-  exactly; ``broken_corner_witness(wit)`` checks a deliberately wrong variant
-  against the witness's own b, Z and lift, as a negative control.
+  exactly.  The witness carries the product bz = b (1 - t^-1 Z), formed
+  once, and ``broken_corner_witness(wit)`` checks a deliberately wrong
+  variant of c against that bz and the lift, as a negative control.
 * ``decompose_varpi(bundle)``: finite w_g and block-preserving w_p with
   varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle; varpi is
   read off the bundle's tableau, from the lift that ``varpi_witness``
@@ -28,7 +29,9 @@ Everything here is a finite, exactly checkable computation:
 
 kappa, sigma, w_g, w_p and v_k are built as windows, the canonical form in
 ``affine``; Laurent matrices appear only in the stated matrix identities: b,
-c, Z, the varpi lift, finite lifts and the divisor witnesses.
+c, Z, the varpi lift, finite lifts and the divisor witnesses.  b, c, Z and
+the lift are written as one normalized term dict per entry (``_sparse``)
+and wrapped once.
 
 Everything is derived once from a composition: ``kappa_bundle(lam)``,
 ``varpi_witness(lam)`` and ``divisor_data(lam, i)`` build from lambda, and the
@@ -46,8 +49,11 @@ from .errors import BadDivisorIndex, IdentityFailed
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
+    _addmul,
     _as_scalar,
+    _matrix,
     _quo,
+    _raw,
     borel_membership,
     det,
 )
@@ -145,18 +151,34 @@ def richardson_element(lam: Composition) -> LaurentMatrix:
 
 
 def _richardson(tab: Tableau) -> LaurentMatrix:
+    return _sparse(tab.n, [(tab.f[(i, j)], tab.f[(i, j + 1)], 1, 0)
+                           for i in range(1, tab.s + 1) for j in range(1, tab.nu.part(i))])
+
+
+def _sparse(n: int, terms) -> LaurentMatrix:
+    """The n x n matrix sum c t^e E_ij over the (i, j, c, e) of terms, 1-based,
+    c != 0: each entry is summed into one normalized term dict, and the
+    entries no term reaches share one zero."""
     entries = {}
-    for i in range(1, tab.s + 1):
-        for j in range(1, tab.nu.part(i)):
-            entries[(tab.f[(i, j)], tab.f[(i, j + 1)])] = LaurentPoly.one()
-    return LaurentMatrix.from_entries(tab.n, entries)
+    for i, j, c, e in terms:
+        d = entries.get((i, j))
+        if d is None:
+            entries[i, j] = {e: c}
+        else:
+            _addmul(d, c, e, {0: 1})
+    zero = LaurentPoly.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), d in entries.items():
+        rows[i - 1][j - 1] = _raw(d)
+    return _matrix(rows)
 
 
 @dataclass(frozen=True)
 class VarpiWitness:
     """The certificate b (1 - t^-1 Z) c = lift of one composition, with the
-    tableau and the Richardson element Z it was built from, so that
-    ``broken_corner_witness`` extends it without rebuilding either."""
+    tableau and the Richardson element Z it was built from and the product
+    bz = b (1 - t^-1 Z) it was checked through, so that
+    ``broken_corner_witness`` extends it without rebuilding any of them."""
 
     varpi: AffinePermutation
     lift: LaurentMatrix
@@ -164,16 +186,17 @@ class VarpiWitness:
     c: LaurentMatrix
     tableau: Tableau
     z: LaurentMatrix
+    bz: LaurentMatrix
 
 
 def _b_matrix(tab: Tableau) -> LaurentMatrix:
-    entries = {}
+    terms = []
     for i in range(1, tab.s + 1):
         h = tab.nu.part(i)
         for j in range(1, h + 1):
             for k in range(j, h + 1):
-                entries[(tab.f[(i, k)], tab.f[(i, j)])] = LaurentPoly.t(k - j)
-    return LaurentMatrix.from_entries(tab.n, entries)
+                terms.append((tab.f[(i, k)], tab.f[(i, j)], 1, k - j))
+    return _sparse(tab.n, terms)
 
 
 def _c_matrix(tab: Tableau, corner_row_offset: int = 0) -> LaurentMatrix:
@@ -183,26 +206,24 @@ def _c_matrix(tab: Tableau, corner_row_offset: int = 0) -> LaurentMatrix:
     retained as a negative control (it destroys the product identity and
     even the determinant).
     """
-    entries = {}
+    terms = []
     for i in range(1, tab.s + 1):
         h = tab.nu.part(i)
         for j in range(1, h + 1):
-            key = (tab.f[(i, j)], tab.f[(i, j)])
-            entries[key] = entries.get(key, LaurentPoly.zero()) + LaurentPoly.one()
+            terms.append((tab.f[(i, j)], tab.f[(i, j)], 1, 0))
         for j in range(2, h + 1):
-            key = (tab.f[(i, j - corner_row_offset)], tab.f[(i, 1)])
-            entries[key] = entries.get(key, LaurentPoly.zero()) + LaurentPoly.t(j - 1)
-    return LaurentMatrix.from_entries(tab.n, entries)
+            terms.append((tab.f[(i, j - corner_row_offset)], tab.f[(i, 1)], 1, j - 1))
+    return _sparse(tab.n, terms)
 
 
 def _varpi_lift(tab: Tableau) -> LaurentMatrix:
-    entries = {}
+    terms = []
     for i in range(1, tab.s + 1):
         h = tab.nu.part(i)
-        entries[(tab.f[(i, h)], tab.f[(i, 1)])] = LaurentPoly.t(h - 1)
+        terms.append((tab.f[(i, h)], tab.f[(i, 1)], 1, h - 1))
         for j in range(2, h + 1):
-            entries[(tab.f[(i, j - 1)], tab.f[(i, j)])] = -LaurentPoly.t(-1)
-    return LaurentMatrix.from_entries(tab.n, entries)
+            terms.append((tab.f[(i, j - 1)], tab.f[(i, j)], -1, -1))
+    return _sparse(tab.n, terms)
 
 
 @op
@@ -219,20 +240,22 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     c = _c_matrix(tab)
     z = _richardson(tab)
     lift = _varpi_lift(tab)
-    if b * deformation(z) * c != lift:
+    bz = b * deformation(z)
+    if bz * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
     if not (borel_membership(b) and borel_membership(c)):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
-    return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c, tableau=tab, z=z)
+    return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c, tableau=tab, z=z,
+                        bz=bz)
 
 
 def broken_corner_witness(wit: VarpiWitness) -> bool:
     """Whether the off-by-one corner-column variant of the witness's c still
-    satisfies the product identity with its b, Z and lift; only the broken c
-    is built.  Kept as a negative control; expected False whenever some
-    column has height at least 2."""
+    satisfies the product identity with its bz = b (1 - t^-1 Z) and lift;
+    only the broken c is built, and one product formed.  Kept as a negative
+    control; expected False whenever some column has height at least 2."""
     c_bad = _c_matrix(wit.tableau, corner_row_offset=1)
-    return wit.b * deformation(wit.z) * c_bad == wit.lift
+    return wit.bz * c_bad == wit.lift
 
 
 @op

@@ -8,7 +8,8 @@ factor is applied to the running product in place, as a column operation
 on its rows of {exponent: coefficient} dicts through `laurent._addmul`, so
 a t-multiple is an exponent shift and no matrix product or `LaurentPoly`
 arithmetic is formed; the rows are wrapped as a `LaurentMatrix` once, at
-the end.
+the end.  `random_conjugate_frame` builds a frame's inverse alongside it,
+each inverse factor applied as a row operation, so no sampler inverts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .affine import AffinePermutation
-from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _quo, _raw, invert
+from .laurent import LaurentMatrix, LaurentPoly, _addmul, _matrix, _quo, _raw
 from .partitions import Composition, Partition
 
 __all__ = [
@@ -49,6 +50,14 @@ def _column_op(m: list, i: int, j: int, c, s: int = 0) -> None:
     for row in m:
         if row[i - 1]:
             row[j - 1] = _addmul(dict(row[j - 1]) if i == j else row[j - 1], c, s, row[i - 1])
+
+
+def _row_op(m: list, i: int, j: int, c) -> None:
+    """m <- (1 + c E_ij) m on rows of term dicts, for i != j: row i gains c
+    times row j."""
+    for k, d in enumerate(m[j - 1]):
+        if d:
+            m[i - 1][k] = _addmul(m[i - 1][k], c, 0, d)
 
 
 def _wrap(m: list) -> LaurentMatrix:
@@ -97,16 +106,22 @@ def random_finite_borel(rng: random.Random, n: int) -> LaurentMatrix:
     return _wrap(m)
 
 
+def _sl_factors(rng: random.Random, n: int):
+    """The factors 1 + c E_ij of a `random_sl` draw, as (i, j, c), in order."""
+    for _ in range(2 * n):
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(1, n + 1)
+        if i != j:
+            yield i, j, rng.choice(_SMALL)
+
+
 def random_sl(rng: random.Random, n: int) -> LaurentMatrix:
     """A random constant matrix of determinant one (product of elementaries)."""
     if n == 1:
         return LaurentMatrix.identity(1)
     m = _unit(n)
-    for _ in range(2 * n):
-        i = rng.randrange(1, n + 1)
-        j = rng.randrange(1, n + 1)
-        if i != j:
-            _column_op(m, i, j, rng.choice(_SMALL))
+    for i, j, c in _sl_factors(rng, n):
+        _column_op(m, i, j, c)
     return _wrap(m)
 
 
@@ -165,6 +180,15 @@ def jordan_matrix(mu: Partition) -> LaurentMatrix:
 
 
 def random_conjugate_frame(rng: random.Random, n: int) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """A random determinant-one frame together with its exact inverse."""
-    g = random_sl(rng, n)
-    return g, invert(g)
+    """A random determinant-one frame together with its exact inverse.
+
+    The frame is drawn as `random_sl` draws it, and the inverse is built
+    alongside: each factor 1 + c E_ij multiplies the frame on the right, and
+    its inverse 1 - c E_ij multiplies the inverse on the left, as a row
+    operation, so no elimination is run."""
+    g, ginv = _unit(n), _unit(n)
+    if n > 1:
+        for i, j, c in _sl_factors(rng, n):
+            _column_op(g, i, j, c)
+            _row_op(ginv, i, j, -c)
+    return _wrap(g), _wrap(ginv)

@@ -35,7 +35,7 @@ from affcells.errors import (
 )
 from affcells.lattices import Lattice, quotient_dim
 from affcells.laurent import LaurentMatrix, LaurentPoly, invert
-from affcells.partitions import Composition, compositions_of, partitions_of
+from affcells.partitions import Composition, Partition, compositions_of, partitions_of
 from affcells.sampling import (
     jordan_matrix,
     random_conjugate_frame,
@@ -86,6 +86,23 @@ class TestDeformation:
     def test_cancelling_diagonal(self):
         # 1 - t^-1 (t 1) = 0: the cancelled constant leaves zero entries.
         assert cells.deformation(LaurentMatrix.diagonal([t(1)] * 3)) == LaurentMatrix.zero(3)
+
+    def test_zero_entries_and_no_aliasing(self):
+        # Zero entries of X, on and off the diagonal, pass into the point
+        # without _addmul; products formed later edit neither X nor the point.
+        x = LaurentMatrix.from_entries(3, {(1, 2): LaurentPoly.one(), (2, 3): t(1) + 2,
+                                           (3, 3): Fraction(1, 2)})
+        point = cells.deformation(x)
+        assert point == LaurentMatrix.identity(3) - x * t(-1)
+        assert point.rows[0][0] == LaurentPoly.one() and point.rows[1][0] is x.rows[1][0]
+
+        def snapshot(m):
+            return [[dict(p._terms) for p in row] for row in m.rows]
+
+        before = snapshot(x), snapshot(point)
+        for m in (point * point, point * x, x * point, point * t(-1), point + point):
+            assert (snapshot(x), snapshot(point)) == before
+            assert m != point
 
 
 class TestIwahoriCell:
@@ -621,6 +638,21 @@ class TestPsi:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):
             psi_map(LaurentMatrix.identity(2))
+        # X^2 = 0 != X stops the powers early; a 3-cycle never reaches zero.
+        psi_map(LaurentMatrix.from_entries(3, {(1, 3): LaurentPoly.one()}))
+        with pytest.raises(NotNilpotent):
+            psi_map(LaurentMatrix.from_entries(3, {(1, 2): 1, (2, 3): 1, (3, 1): 1}))
+        with pytest.raises(NotNilpotent):
+            psi_map(LaurentMatrix.from_entries(2, {(1, 2): t(1)}))
+
+    def test_nilpotency_stops_at_the_first_zero_power(self):
+        # Every Jordan type passes, however early its powers vanish; closing
+        # the single block into an n-cycle (no power is zero) raises.
+        for n in range(1, 6):
+            for mu in partitions_of(n):
+                psi_map(jordan_matrix(mu))
+            with pytest.raises(NotNilpotent):
+                psi_map(jordan_matrix(Partition((n,))) + LaurentMatrix.from_entries(n, {(n, 1): 1}))
 
 
 def _mv_flag_mismatches():
@@ -691,6 +723,27 @@ class TestMvFlag:
         x = LaurentMatrix.from_entries(2, {(1, 2): LaurentPoly.one()})
         with pytest.raises(NotInNilradical):
             mv_flag(x, lam, frame=frame)
+
+    def test_frame_coordinates_match_the_inverse(self):
+        # mv_flag accepts X exactly when frame^-1 X frame lies in the
+        # nilradical, read here through laurent.invert.
+        rng = random.Random(59)
+        for n in range(2, 5):
+            for lam in compositions_of(n):
+                if lam.r != 2:
+                    continue
+                for _ in range(4):
+                    g = random_sl(rng, n)
+                    x = random_nilradical(rng, lam) + random_nilradical(rng, lam) * g
+                    coords = invert(g) * x * g
+                    ok = coords.is_constant() and all(
+                        not coords.entry(p, q) or lam.blocks[p - 1] < lam.blocks[q - 1]
+                        for p in range(1, n + 1) for q in range(1, n + 1))
+                    if ok:
+                        mv_flag(x, lam, frame=g)
+                    else:
+                        with pytest.raises(NotInNilradical):
+                            mv_flag(x, lam, frame=g)
 
     def test_rejects_singular_frame(self):
         lam = Composition((1, 1))

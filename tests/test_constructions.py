@@ -6,7 +6,9 @@ import pytest
 
 from affcells import affine
 from affcells.affine import AffinePermutation, Root, Side
+from affcells.cells import deformation
 from affcells.constructions import (
+    _c_matrix,
     broken_corner_witness,
     check_kappa,
     conormal_directions,
@@ -169,6 +171,21 @@ class TestVarpiWitness:
                 wit = varpi_witness(lam)
                 assert wit.tableau == build(lam)
                 assert wit.z == richardson_element(lam)
+
+    def test_witness_carries_the_product_it_was_checked_through(self):
+        # bz = b (1 - t^-1 Z), formed once; broken_corner_witness reuses it.
+        for n in range(1, 8):
+            for lam in compositions_of(n):
+                wit = varpi_witness(lam)
+                assert wit.bz == wit.b * deformation(wit.z)
+                assert wit.bz * wit.c == wit.lift
+
+    def test_broken_corner_sums_onto_the_diagonal(self):
+        # The off-by-one corner of a height-two column lands on the diagonal,
+        # where its t is summed with the 1 already there.
+        tab = varpi_witness(Composition((1, 1))).tableau
+        assert _c_matrix(tab, corner_row_offset=1) == LaurentMatrix.diagonal(
+            [LaurentPoly.one() + LaurentPoly.t(1), LaurentPoly.one()])
 
 
 class TestDecomposeVarpi:

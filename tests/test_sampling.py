@@ -108,3 +108,13 @@ def test_parabolic_is_block_upper_triangular():
             for j in range(n)
             if blocks[i] > blocks[j]
         )
+
+
+def test_conjugate_frame_is_a_random_sl_draw_and_its_inverse():
+    # The same draws as random_sl, and the inverse built by row operations
+    # alongside is exact on both sides.
+    for seed in SEEDS:
+        for n in SIZES:
+            g, ginv = sampling.random_conjugate_frame(random.Random(seed), n)
+            assert g == sampling.random_sl(random.Random(seed), n)
+            assert g * ginv == LaurentMatrix.identity(n) == ginv * g

@@ -168,6 +168,19 @@ def test_laurent_polys_are_coerced_at_one_boundary():
     assert _callers("LaurentPoly") == ["jsonio.matrix_from_obj"]
 
 
+def test_frames_are_not_inverted_by_elimination():
+    # random_conjugate_frame builds g^-1 alongside g from the inverse factors,
+    # and mv_flag tests X F_i <= F_{i-1} by vector_rank on the frame's
+    # columns: neither the samplers nor mv_flag run laurent.invert.
+    tree = ast.parse((PACKAGE / "sampling.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "_addmul" in imported and "invert" not in imported
+    callers = _callers("invert")
+    assert "verify.suite_varpi" in callers
+    assert [c for c in callers if c.startswith("sampling.") or c == "cells.mv_flag"] == []
+
+
 def test_only_the_varpi_suite_builds_the_varpi_certificate():
     # The other suites read varpi off the kappa bundle (decompose_varpi), so
     # none builds a whole certificate just to read its window.

@@ -2,11 +2,13 @@ import importlib
 import inspect
 import json
 import textwrap
+from collections import Counter
 
 import pytest
 
 from affcells import affine, ops, verify
 from affcells.errors import FlagInvariantError, IdentityFailed
+from affcells.laurent import LaurentMatrix
 from affcells.partitions import compositions_of
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
 
@@ -275,6 +277,55 @@ class TestDeterminantCounts:
 
     def test_divisors_suite(self):
         assert _deltas("divisors", 3, 7)["laurent.det"] == 155
+
+
+class TestCertificateProducts:
+    """The varpi suite forms each matrix of the certificate check once:
+    varpi_witness forms b (1 - t^-1 Z) once and the broken corner variant
+    reuses it, and the inverse series sum t^-k Z^k stops at the first zero
+    power of Z, with no scalar product and no matrix sum.  The counts are
+    deterministic; they may only be re-pinned downward (1,136 matrix
+    products, 642 scalar products and 374 deformations while the series ran
+    to n - 1 through a scalar product and a matrix sum per power and the
+    broken corner variant rebuilt b (1 - t^-1 Z))."""
+
+    def test_varpi_suite(self, monkeypatch):
+        from affcells import cells, constructions
+
+        calls = Counter()
+        mul, deformation = LaurentMatrix.__mul__, cells.deformation
+
+        def counted_mul(self, other):
+            calls["matrix" if isinstance(other, LaurentMatrix) else "scalar"] += 1
+            return mul(self, other)
+
+        def counted_deformation(x):
+            calls["deformation"] += 1
+            return deformation(x)
+
+        monkeypatch.setattr(LaurentMatrix, "__mul__", counted_mul)
+        monkeypatch.setattr(LaurentMatrix, "__rmul__", counted_mul)
+        for module in (cells, constructions):
+            monkeypatch.setattr(module, "deformation", counted_deformation)
+        r = verify.run_suite("varpi", 7, 7)
+        assert report_obj([r], 7, 7)["ok"]
+        assert calls == {"matrix": 695, "deformation": 254}
+
+
+class TestInverseSeriesFaults:
+    """A series that misses a power of Z fails the inverse oracle."""
+
+    @pytest.mark.parametrize("old, new, failed", [
+        # drop the last nonzero power: it is added only if the next is nonzero
+        ("while k < n and power != zero:", "while k < n and power * z != zero:", 120),
+        # stop one power early: Z^(n-1) is missed where it is nonzero
+        ("while k < n and power != zero:", "while k < n - 1 and power != zero:", 6),
+    ])
+    def test_planted_series_fault(self, monkeypatch, old, new, failed):
+        monkeypatch.setitem(verify.SUITES, "varpi", _planted(verify, "suite_varpi", old, new))
+        r = verify.run_suite("varpi", 7, 7)
+        assert _counts(r)["nilpotent_deformation_inverse"] == (127 - failed, failed)
+        assert report_obj([r], 7, 7)["ok"] is False
 
 
 def _planted(module, name, old, new):
