@@ -11,9 +11,10 @@ Everything here is a finite, exactly checkable computation:
 * ``varpi_witness``: explicit matrices b, c in the standard Iwahori with
   b (1 - t^-1 Z) c equal to a monomial lift of the cell element varpi.
   The corner column of c uses the index that makes the identity hold
-  exactly.  The witness carries the product bz = b (1 - t^-1 Z), formed
-  once, and ``broken_corner_witness(wit)`` checks a deliberately wrong
-  variant of c against that bz and the lift, as a negative control.
+  exactly.  The witness carries Z, the point 1 - t^-1 Z and the product
+  bz = b (1 - t^-1 Z), each formed once, and ``broken_corner_witness(wit)``
+  checks a deliberately wrong variant of c against that bz and the lift, as
+  a negative control.
 * ``decompose_varpi(bundle)``: finite w_g and block-preserving w_p with
   varpi = w_g * kappa * w_p, exactly, for the kappa of the bundle; varpi is
   read off the bundle's tableau, from the lift that ``varpi_witness``
@@ -176,9 +177,10 @@ def _sparse(n: int, terms) -> LaurentMatrix:
 @dataclass(frozen=True)
 class VarpiWitness:
     """The certificate b (1 - t^-1 Z) c = lift of one composition, with the
-    tableau and the Richardson element Z it was built from and the product
-    bz = b (1 - t^-1 Z) it was checked through, so that
-    ``broken_corner_witness`` extends it without rebuilding any of them."""
+    tableau and the Richardson element Z it was built from, the point
+    1 - t^-1 Z and the product bz = b (1 - t^-1 Z) it was checked through,
+    so that ``broken_corner_witness`` and the varpi suite extend it without
+    rebuilding any of them."""
 
     varpi: AffinePermutation
     lift: LaurentMatrix
@@ -186,6 +188,7 @@ class VarpiWitness:
     c: LaurentMatrix
     tableau: Tableau
     z: LaurentMatrix
+    point: LaurentMatrix
     bz: LaurentMatrix
 
 
@@ -240,13 +243,14 @@ def varpi_witness(lam: Composition) -> VarpiWitness:
     c = _c_matrix(tab)
     z = _richardson(tab)
     lift = _varpi_lift(tab)
-    bz = b * deformation(z)
+    point = deformation(z)
+    bz = b * point
     if bz * c != lift:
         raise IdentityFailed("b (1 - t^-1 Z) c does not equal the varpi lift")
     if not (borel_membership(b) and borel_membership(c)):
         raise IdentityFailed("witness matrices must lie in the standard Iwahori")
     return VarpiWitness(varpi=affine.from_matrix(lift), lift=lift, b=b, c=c, tableau=tab, z=z,
-                        bz=bz)
+                        point=point, bz=bz)
 
 
 def broken_corner_witness(wit: VarpiWitness) -> bool:

@@ -46,7 +46,7 @@ _MAX_REDUCTION_STEPS = 200_000
 
 def _flat(col, n: int) -> dict:
     """A Laurent column, scaled to integers by `_integral`, as {index: int}."""
-    return {r - n * e: c for r, p in enumerate(_integral(col)[0], 1) for e, c in p._terms.items()}
+    return {r - n * e: c for r, d in enumerate(_integral(col)[0], 1) for e, c in d.items()}
 
 
 def _reduce(v: dict, k: int, basis: dict, n: int, track=None):

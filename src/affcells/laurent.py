@@ -19,16 +19,18 @@ shared `LaurentPoly` entries.  Every entry is stored, but the loops skip
 structural zeros: the product visits only the nonzero entries of each row
 (Gustavson order) and builds only the output entries they reach, the others
 sharing one zero; `+`, `-` and the scalar product pass zeros through.
-`det` and `invert` scale each row to integers and run the same fraction-free
-(Bareiss) elimination step: `det` on the rows below each pivot, `invert` on
-every other row of [M | I].  Z[t,t^-1] is an integral domain, so each
-Bareiss division is exact there (Sylvester's identity).  A division by a
-monomial u t^s happens inside the update, as an exponent shift with u = +-1
-folded into the signs; only a divisor of two or more terms goes through
-`laurent_exact_div`.  Each step pivots on the fewest-term entry of its
-column, so later divisors are mostly monomials, and a step whose pivot
-equals the previous one skips the rows that are zero in the pivot column,
-which it would leave as they are.
+`det` and `invert` scale each row to integers with `_integral`, which gives
+plain term dicts, run the same fraction-free (Bareiss) elimination step on
+those dict rows, and wrap the result once: `det` steps on the rows below
+each pivot, `invert` on every other row of [M | I].  Z[t,t^-1] is an
+integral domain, so each Bareiss division is exact there (Sylvester's
+identity).  A division by a monomial u t^s happens inside the update, as an
+exponent shift with u = +-1 folded into the signs; only a divisor of two or
+more terms goes through `laurent_exact_div`.  Each step pivots completely,
+on the fewest-term entry of the whole remaining block (swapping a column as
+well as a row), so later divisors are mostly monomials, and a step whose
+pivot equals the previous one skips the rows that are zero in the pivot
+column, which it would leave as they are.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -112,17 +114,27 @@ def _addmul(d: dict, c, s: int, b: dict) -> dict:
 
 
 def _integral(polys) -> tuple[list, int]:
-    """(polys times s, s) for s the lcm of their coefficient denominators.
-    s is a multiple of each, so a Fraction c scales to c.numerator * (s // c.denominator).
-    A zero polynomial is its own multiple and passes through as itself."""
+    """(the term dicts of polys times s, s) for s the lcm of their
+    coefficient denominators, so every coefficient is an int.  s is a
+    multiple of each, so a Fraction c scales to c.numerator * (s // c.denominator).
+    With s = 1 the dicts are the polynomials' own: callers read them and
+    never edit one in place."""
     s = 1
     for p in polys:
         for c in p._terms.values():
             if type(c) is not int:
                 s = math.lcm(s, c.denominator)
-    return [_raw({e: c * s if type(c) is int else c.numerator * (s // c.denominator)
-                  for e, c in p._terms.items()}) if p._terms else p
-            for p in polys] if s > 1 else list(polys), s
+    if s == 1:
+        return [p._terms for p in polys], 1
+    return [{e: c * s if type(c) is int else c.numerator * (s // c.denominator)
+             for e, c in p._terms.items()} for p in polys], s
+
+
+def _shift_div(d: dict, s: int, u) -> dict:
+    """The term dict d divided by the monomial u t^s; d itself when that is 1."""
+    if s == 0 and u == 1:
+        return d
+    return {e - s: _quo(c, u) for e, c in d.items()}
 
 
 class LaurentPoly:
@@ -320,9 +332,7 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         return LaurentPoly.zero()
     if len(b._terms) == 1:
         ((e, c),) = b._terms.items()
-        if e == 0 and c == 1:
-            return a
-        return _raw({k - e: _quo(v, c) for k, v in a._terms.items()})
+        return a if e == 0 and c == 1 else _raw(_shift_div(a._terms, e, c))
     oa, ob = a.ord(), b.ord()
     q, r = poly_divmod(a.shift(-oa), b.shift(-ob))
     if not r.is_zero():
@@ -473,47 +483,61 @@ def _matrix(rows) -> LaurentMatrix:
     return m
 
 
-def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
-    """One fraction-free elimination step at pivot column k, in place.
+def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
+    """One fraction-free elimination step at pivot (k, k), in place, on rows
+    of integer term dicts.
 
-    Swaps into row k the row from k down whose column-k entry has the fewest
-    terms (the first monomial, else the lowest), so the next step mostly
-    divides by a monomial; rows k.. were all transformed alike, so this is
-    Bareiss on a row-permuted input.  Then sets a_ij = (piv*a_ij -
-    a_ik*a_kj) / prev for i in `rows`, j > k, a division exact by
-    Sylvester's identity (columns <= k are not read again).  A monomial
-    prev = u t^s divides inside the update: the factors' exponents move by
-    -s, u = +-1 folds into their signs, and any other u divides each
-    coefficient; only a prev of two or more terms goes through
-    `laurent_exact_div`.  When piv == prev, a row with a_ik = 0 would come
-    out unchanged and is skipped; unipotent and triangular inputs skip
-    almost every row.  Returns the sign of the swap, or 0 if there is no
-    pivot.
+    The pivot is the fewest-term entry of the block of rows and columns
+    k..n-1, n = len(a): the first monomial in row order from (k, k), else
+    the first entry of fewest terms, so the next step mostly divides by a
+    monomial and a unipotent input, or a triangular one with a monomial
+    diagonal, pivots on its diagonal.  Its row is swapped into row k and its
+    column, in every row and in `order`, into column k; each row and column
+    of the block was transformed alike, so this is Bareiss on a permuted
+    input.  Then sets a_ij = (piv*a_ij - a_ik*a_kj) / prev for i in `rows`,
+    j > k, a division exact by Sylvester's identity (columns <= k are not
+    read again).  A monomial prev = u t^s divides inside the update: the
+    factors' exponents move by -s, u = +-1 folds into their signs, and any
+    other u divides each coefficient; only a prev of two or more terms goes
+    through `laurent_exact_div`.  When piv == prev, a row with a_ik = 0
+    would come out unchanged and is skipped; unipotent and triangular
+    inputs skip almost every row.  Returns the sign of the two swaps, or 0
+    if the block is zero.
     """
-    r, fewest = None, math.inf
-    for i in range(k, len(a)):
-        m = len(a[i][k]._terms)
-        if 0 < m < fewest:
-            r, fewest = i, m
-            if m == 1:
-                break
+    n = len(a)
+    r = col = None
+    fewest = math.inf
+    for i in range(k, n):
+        row = a[i]
+        for j in range(k, n):
+            m = len(row[j])
+            if 0 < m < fewest:
+                r, col, fewest = i, j, m
+                if m == 1:
+                    break
+        if fewest == 1:
+            break
     if r is None:
         return 0
     a[k], a[r] = a[r], a[k]
+    if col != k:
+        for row in a:
+            row[k], row[col] = row[col], row[k]
+        order[k], order[col] = order[col], order[k]
     top = a[k]
     keep = top[k] == prev
-    long = len(prev._terms) > 1
-    ((s, u),) = ((0, 1),) if long else prev._terms.items()
+    long = len(prev) > 1
+    ((s, u),) = ((0, 1),) if long else prev.items()
     sign, u = (u, 1) if u in (1, -1) else (1, u)
-    piv = [(e - s, sign * c) for e, c in top[k]._terms.items()]
+    piv = [(e - s, sign * c) for e, c in top[k].items()]
     for i in rows:
         row = a[i]
-        f = row[k]._terms
+        f = row[k]
         if keep and not f:
             continue
         f = [(e - s, -sign * c) for e, c in f.items()]
         for j in range(k + 1, len(top)):
-            x, y = row[j]._terms, top[j]._terms
+            x, y = row[j], top[j]
             if not (x or (f and y)):
                 continue
             d = {}
@@ -522,14 +546,31 @@ def _bareiss_step(a: list, k: int, rows, prev: LaurentPoly) -> int:
             for e, c in f:
                 _addmul(d, c, e, y)
             if u != 1:
-                d = {e: _quo(c, u) for e, c in d.items()}
-            num = _raw(d)
+                d = _shift_div(d, 0, u)
             if long:
-                num = laurent_exact_div(num, prev)
-                if num is None:
+                q = laurent_exact_div(_raw(d), _raw(prev))
+                if q is None:
                     raise IdentityFailed("Bareiss division must be exact")
-            row[j] = num
-    return 1 if r == k else -1
+                d = q._terms
+            row[j] = d
+    return (1 if r == k else -1) * (1 if col == k else -1)
+
+
+def _bareiss(rows, n: int, others: bool) -> tuple[list, list, dict, int]:
+    """The n Bareiss steps on rows scaled to integers, each on the rows below
+    its pivot or with `others` on every other row: (dict rows, column order,
+    last pivot prev, c) with prev = c det of the first n columns, c = 0 when
+    they are singular."""
+    scaled = [_integral(row) for row in rows]
+    a, c = [row for row, _ in scaled], math.prod(s for _, s in scaled)
+    order, prev = list(range(n)), {0: 1}
+    for k in range(n):
+        c *= _bareiss_step(a, k, [i for i in range(n) if i != k] if others else range(k + 1, n),
+                           prev, order)
+        if not c:
+            break
+        prev = a[k][k]
+    return a, order, prev, c
 
 
 @op
@@ -540,18 +581,8 @@ def det(M: LaurentMatrix) -> LaurentPoly:
     each pivot; the last pivot is +-det times the product of the row scales.
     Every internal division is exact in Z[t,t^-1].
     """
-    n = M.n
-    rows = [_integral(row) for row in M.rows]
-    a, scale = [row for row, _ in rows], math.prod(s for _, s in rows)
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n):
-        sign *= _bareiss_step(a, k, range(k + 1, n), prev)
-        if not sign:
-            return LaurentPoly.zero()
-        prev = a[k][k]
-    d = prev if sign == 1 else -prev
-    return d if scale == 1 else laurent_exact_div(d, LaurentPoly.constant(scale))
+    _, _, prev, c = _bareiss(M.rows, M.n, False)
+    return _raw(_shift_div(prev, 0, c)) if c else LaurentPoly.zero()
 
 
 @op
@@ -559,27 +590,26 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse for matrices whose determinant is a unit c*t^k.
 
     One fraction-free Gauss-Jordan pass over D [M | I], D the diagonal of row
-    scales to integers: step k updates every row but the pivot row.  At the
-    end the left block is d*I and the right block d*(D M)^-1 D = d*M^-1, with
-    d the last pivot, +-det(D M); dividing by d gives M^-1.
+    scales to integers: step k updates every row but the pivot row.  Its
+    column swaps permute M to M P, so at the end the left block is d*I and
+    the right block d*(D M P)^-1 D = d*P^-1 M^-1, with d the last pivot,
+    +-det(D M): row k of it, divided by d, is row order[k] of M^-1.
 
     Raises NotAUnit when det has two or more terms or is zero; in that case
     the inverse has entries outside k[t,t^-1].
     """
     n = M.n
-    rows = [_integral(row + unit) for row, unit in zip(M.rows, LaurentMatrix.identity(n).rows)]
-    a, scale = [row for row, _ in rows], math.prod(s for _, s in rows)
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n):
-        sign *= _bareiss_step(a, k, [i for i in range(n) if i != k], prev)
-        if not sign:
-            raise NotAUnit("determinant 0 is not a monomial")
-        prev = a[k][k]
-    if not prev.is_monomial():
-        d = laurent_exact_div(prev if sign == 1 else -prev, LaurentPoly.constant(scale))
-        raise NotAUnit(f"determinant {d!r} is not a monomial")
-    return _matrix([[laurent_exact_div(p, prev) for p in row[n:]] for row in a])
+    a, order, prev, c = _bareiss([row + unit for row, unit in
+                                  zip(M.rows, LaurentMatrix.identity(n).rows)], n, True)
+    if not c:
+        raise NotAUnit("determinant 0 is not a monomial")
+    if len(prev) != 1:
+        raise NotAUnit(f"determinant {_raw(_shift_div(prev, 0, c))!r} is not a monomial")
+    ((s, u),) = prev.items()
+    out = [None] * n
+    for i, row in zip(order, a):
+        out[i] = [_raw(_shift_div(d, s, u)) for d in row[n:]]
+    return _matrix(out)
 
 
 @op

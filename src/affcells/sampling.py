@@ -8,8 +8,9 @@ factor is applied to the running product in place, as a column operation
 on its rows of {exponent: coefficient} dicts through `laurent._addmul`, so
 a t-multiple is an exponent shift and no matrix product or `LaurentPoly`
 arithmetic is formed; the rows are wrapped as a `LaurentMatrix` once, at
-the end.  `random_conjugate_frame` builds a frame's inverse alongside it,
-each inverse factor applied as a row operation, so no sampler inverts.
+the end.  `random_conjugate_frame` and `random_parabolic` build the
+inverse alongside, each inverse factor applied as a row operation, so no
+sampler inverts.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ def _column_op(m: list, i: int, j: int, c, s: int = 0) -> None:
 
 
 def _row_op(m: list, i: int, j: int, c) -> None:
-    """m <- (1 + c E_ij) m on rows of term dicts, for i != j: row i gains c
-    times row j."""
+    """m <- (1 + c E_ij) m on rows of term dicts: row i gains c times row j.
+    For i = j it scales row i by 1 + c."""
+    if not c:
+        return
     for k, d in enumerate(m[j - 1]):
         if d:
-            m[i - 1][k] = _addmul(m[i - 1][k], c, 0, d)
+            m[i - 1][k] = _addmul(dict(d) if i == j else m[i - 1][k], c, 0, d)
 
 
 def _wrap(m: list) -> LaurentMatrix:
@@ -139,24 +142,30 @@ def random_nilradical(rng: random.Random, lam: Composition) -> LaurentMatrix:
     return LaurentMatrix.from_entries(lam.n, entries)
 
 
-def random_parabolic(rng: random.Random, lam: Composition) -> LaurentMatrix:
-    """A random constant block-upper-triangular matrix with determinant one."""
+def random_parabolic(rng: random.Random, lam: Composition) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """A random constant block-upper-triangular matrix with determinant one,
+    together with its exact inverse, built alongside as
+    `random_conjugate_frame` builds one: each factor's inverse multiplies
+    the inverse on the left, as a row operation."""
     n = lam.n
     block = lam.blocks
-    m = _unit(n)
+    m, inv = _unit(n), _unit(n)
     for _ in range(2 * n):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j and block[i - 1] <= block[j - 1]:
-            _column_op(m, i, j, rng.choice(_SMALL))
+            c = rng.choice(_SMALL)
+            _column_op(m, i, j, c)
+            _row_op(inv, i, j, -c)
     for _ in range(2):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i != j:
             u = rng.choice(_UNITS)
-            _column_op(m, i, i, u - 1)
-            _column_op(m, j, j, _quo(1, u) - 1)
-    return _wrap(m)
+            for k, v in ((i, u), (j, _quo(1, u))):
+                _column_op(m, k, k, v - 1)
+                _row_op(inv, k, k, _quo(1, v) - 1)
+    return _wrap(m), _wrap(inv)
 
 
 def random_window(rng: random.Random, n: int, spread: int = 3) -> AffinePermutation:

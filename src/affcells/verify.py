@@ -316,8 +316,7 @@ def suite_varpi(suite: SuiteResult) -> None:
             negative.record(not cons.broken_corner_witness(wit), tag)
 
         n = lam.n
-        z = cons.richardson_element(lam)
-        point = cells.deformation(z)
+        z, point = wit.z, wit.point
         d = det(point)
         unit_det.record(d == LaurentPoly.one() and d.ord() == 0, f"{tag}: det={d!r}")
 
@@ -447,8 +446,7 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
                 b2 = random_iwahori(rng, n)
                 with cell_invariance.guard(stag):
                     cell_invariance.expect_equal(cells.iwahori_cell(b1 * point * b2), cell, stag)
-                p = random_parabolic(rng, lam)
-                pinv = invert(p)
+                p, pinv = random_parabolic(rng, lam)
                 with equivariance.guard(stag):
                     flag2 = cells.phi_map(g * p, pinv * x * p, lam)[1]
                     equivariance.expect_equal(flag2, flag, stag)

@@ -192,7 +192,7 @@ class TestPhi:
         for _ in range(5):
             g = random_sl(rng, 4)
             x = random_nilradical(rng, lam)
-            p = random_parabolic(rng, lam)
+            p = random_parabolic(rng, lam)[0]
             _, flag, _ = phi_map(g, x, lam)
             _, flag2, _ = phi_map(g * p, invert(p) * x * p, lam)
             assert flag == flag2
@@ -218,7 +218,7 @@ class TestPhi:
         # must be a nonzero int or a Fraction that is not integral.
         rng = random.Random(37)
         frames = (random_sl, random_finite_borel,
-                  lambda rng, n: random_parabolic(rng, Composition((n,))))
+                  lambda rng, n: random_parabolic(rng, Composition((n,)))[0])
         seen = set()
         for n in range(1, 6):
             for lam in compositions_of(n):

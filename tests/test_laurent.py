@@ -411,14 +411,19 @@ def fraction_upper():
 ROW_SKIP_CASES = [upper_235(), fraction_upper()]
 
 
-def plant_in_step(monkeypatch, old, new):
-    """Replace `_bareiss_step` by its own source with `old` (found once)
-    replaced by `new`."""
-    source = textwrap.dedent(inspect.getsource(laurent._bareiss_step))
+def planted(fn, old, new):
+    """`fn` rebuilt, undecorated, from its own source in laurent's namespace,
+    with `old` (found once) replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn)).removeprefix("@op\n")
     assert source.count(old) == 1
-    planted = dict(vars(laurent))
-    exec(source.replace(old, new), planted)
-    monkeypatch.setattr(laurent, "_bareiss_step", planted["_bareiss_step"])
+    namespace = dict(vars(laurent))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def plant_in_step(monkeypatch, old, new):
+    """Replace `_bareiss_step` by its own source with `old` replaced by `new`."""
+    monkeypatch.setattr(laurent, "_bareiss_step", planted(laurent._bareiss_step, old, new))
 
 
 class TestBareissRowSkip:
@@ -438,15 +443,20 @@ class TestBareissRowSkip:
             assert invert(m) != cofactor_inverse(m)
 
 
-# The first nonzero entry of the first column is dense and a monomial lies
-# below it, so the first step swaps rows.
+# The entry at (1, 1) is dense and a monomial lies in another column, so the
+# first step swaps columns; "row" swaps rows only, and "both" swaps rows and
+# columns, an odd number of columns in all.
 SPARSE_PIVOT_CASES = [
     LaurentMatrix([[1 + t(1), 1], [t(1), 0]]),
     LaurentMatrix([[1 + t(1), 1, t(-1)], [t(1) + t(2), 0, 1], [t(1), 1 + t(1), 0]]),
     LaurentMatrix([[(1 + t(1)).scale(Fraction(1, 2)), Fraction(1, 2), t(-1).scale(Fraction(1, 2))],
                    [(t(1) + t(2)).scale(Fraction(2, 3)), 0, Fraction(2, 3)],
                    [t(1).scale(Fraction(3, 4)), (1 + t(1)).scale(Fraction(3, 4)), 0]]),
+    LaurentMatrix([[1 + t(1), 1 + t(2)], [t(1), 1]]),
+    LaurentMatrix([[1 + t(1), 0, 1 - t(1)], [t(-1) + 2, 1 + t(2), t(1) * 2], [1, t(1), 3]]),
 ]
+SPARSE_PIVOT_IDS = ["two", "three", "fraction", "row", "both"]
+UNIT_PIVOT_CASES = SPARSE_PIVOT_CASES[:3]
 
 
 def iwahori_conjugates(seed, per_size):
@@ -471,32 +481,54 @@ def det_calls(monkeypatch, matrices, name):
 
 
 class TestSparsestPivot:
-    """Each Bareiss step pivots on the fewest-term entry of its column
-    (the first monomial, else the lowest such row).  The choice is free in
-    fraction-free elimination, so the answers match the oracles; what it
-    buys is fewer divisions by long pivots."""
+    """Each Bareiss step pivots completely, on the fewest-term entry of the
+    whole remaining block (the first monomial in row order, else the first
+    entry of fewest terms), swapping its row and its column in.  The choice
+    is free in fraction-free elimination, so the answers match the oracles;
+    det takes the sign of both swaps and invert un-permutes the rows of its
+    result.  What the choice buys is fewer divisions by long pivots."""
 
-    @pytest.mark.parametrize("m", SPARSE_PIVOT_CASES, ids=["two", "three", "fraction"])
+    @pytest.mark.parametrize("m", SPARSE_PIVOT_CASES, ids=SPARSE_PIVOT_IDS)
     def test_det_and_invert_match_the_oracles(self, m):
         assert det(m) == leibniz_det(m)
-        assert invert(m) == cofactor_inverse(m)
+        if m in UNIT_PIVOT_CASES:
+            assert invert(m) == cofactor_inverse(m)
+
+    @pytest.mark.parametrize("m", SPARSE_PIVOT_CASES, ids=SPARSE_PIVOT_IDS)
+    def test_det_and_invert_match_sympy(self, sympy, m):
+        assert sympy.expand(matrix_to_sympy(sympy, m).det(method="berkowitz")
+                            - to_sympy(sympy, det(m))) == 0
+        if m in UNIT_PIVOT_CASES:
+            want = matrix_to_sympy(sympy, m).inv(method="DM")
+            assert all(sympy.cancel(x) == 0 for x in want - matrix_to_sympy(sympy, invert(m)))
 
     def test_a_dropped_swap_sign_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "return 1 if r == k else -1", "return 1")
-        for m in SPARSE_PIVOT_CASES:
+        plant_in_step(monkeypatch, "(1 if r == k else -1) * ", "")
+        for m in SPARSE_PIVOT_CASES[3:4]:
             assert det(m) == -leibniz_det(m)
+
+    def test_a_dropped_column_swap_sign_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, " * (1 if col == k else -1)", "")
+        for m in SPARSE_PIVOT_CASES[::4]:
+            assert det(m) == -leibniz_det(m)
+
+    def test_inverse_rows_left_permuted_are_caught(self):
+        unpermuted = planted(laurent.invert, "zip(order, a)", "enumerate(a)")
+        for m in UNIT_PIVOT_CASES:
+            assert unpermuted(m) != cofactor_inverse(m)
 
     def test_divisions_by_long_pivots_are_pinned(self, monkeypatch):
         # poly_divmod runs the Bareiss divisions by a pivot with two or more
-        # terms: 352 under the first-nonzero rule.
-        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "poly_divmod") == 148
+        # terms: 352 under the first-nonzero rule, 148 while each step
+        # pivoted on the fewest-term entry of its column alone.
+        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "poly_divmod") == 4
 
     def test_the_first_nonzero_rule_breaks_the_pin(self, monkeypatch):
         matrices = iwahori_conjugates(22, 10)
         dets = [det(m) for m in matrices]
-        plant_in_step(monkeypatch, "if m == 1:", "if m:")
+        plant_in_step(monkeypatch, "if 0 < m < fewest:", "if m and r is None:")
         assert [det(m) for m in matrices] == dets
-        assert det_calls(monkeypatch, matrices, "poly_divmod") > 148
+        assert det_calls(monkeypatch, matrices, "poly_divmod") > 4
 
 
 def bareiss_divisors(monkeypatch, m):
@@ -504,9 +536,9 @@ def bareiss_divisors(monkeypatch, m):
     divisors = []
     step = laurent._bareiss_step
 
-    def traced(a, k, rows, prev):
-        divisors.append(prev)
-        return step(a, k, rows, prev)
+    def traced(a, k, rows, prev, order):
+        divisors.append(LaurentPoly(prev))
+        return step(a, k, rows, prev, order)
 
     with monkeypatch.context() as patch:
         patch.setattr(laurent, "_bareiss_step", traced)
@@ -514,14 +546,30 @@ def bareiss_divisors(monkeypatch, m):
     return divisors
 
 
-# Hand cases whose later steps divide by -t^k (twice), by 3 t, and by -1 and
-# then by the two-term 1 - t.
+# Hand cases whose later steps divide by -t^2 (with a shift and a sign
+# fold), by 3 t (a coefficient division, after a column swap), and by the
+# two-term 1 - t^2 and -2 + 2 t, a block without a monomial.
 FOLDED_DIVISION_CASES = [
-    (LaurentMatrix([[-t(2), t(-1), 1], [1, 0, 2], [3, 0, 0]]), [1, -t(2), -t(-1)]),
-    (LaurentMatrix([[t(1) * 3, 2, 0], [1, t(-1), t(2)], [0, 0, 1]]), [1, t(1) * 3, 1]),
-    (LaurentMatrix([[-1, t(1) - 1, 3], [0, t(1) - 1, 3], [t(1), 3, 0]]), [1, -1, 1 - t(1)]),
+    (LaurentMatrix([[-t(2), t(-1), t(1)], [0, t(1) * 3, 0], [2, t(1) * 3, t(-1)]]),
+     [1, -t(2), t(3) * -3]),
+    (LaurentMatrix([[1 + t(1), t(1) * 3, 0], [3, 0, 0], [1 - t(1), 0, 2]]),
+     [1, t(1) * 3, t(1) * 9]),
+    (LaurentMatrix([[1 - t(2), t(1) - 1, 1 - t(1) * 2],
+                    [-1 - t(2), t(1) - 1, 1 - t(1) * 2],
+                    [1 + t(2) * 2, 1 + t(1), -1 - t(1) * 2]]),
+     [1, 1 - t(2), t(1) * 2 - 2]),
 ]
 FOLDED_IDS = ["minus-t^k", "3t", "two-term"]
+
+
+def assert_wrong(cases):
+    """det is wrong on each case, and invert wrong or refusing."""
+    for m, _ in cases:
+        assert det(m) != leibniz_det(m)
+        try:
+            assert invert(m) != cofactor_inverse(m)
+        except NotAUnit:
+            pass
 
 
 class TestFoldedDivision:
@@ -537,24 +585,29 @@ class TestFoldedDivision:
         assert invert(m) == cofactor_inverse(m)
 
     def test_a_dropped_shift_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "((s, u),) = ((0, 1),) if long else prev._terms.items()",
-                      "((s, u),) = ((0, 1),) if long else prev._terms.items(); s = 0")
-        for m, _ in FOLDED_DIVISION_CASES[:2]:
-            assert det(m) != leibniz_det(m)
-            assert invert(m) != cofactor_inverse(m)
+        plant_in_step(monkeypatch, "((s, u),) = ((0, 1),) if long else prev.items()",
+                      "((s, u),) = ((0, 1),) if long else prev.items(); s = 0")
+        assert_wrong(FOLDED_DIVISION_CASES[:2])
 
     def test_a_dropped_sign_fold_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "sign, u = (u, 1) if u in (1, -1) else (1, u)",
                       "sign, u = (1, 1) if u in (1, -1) else (1, u)")
-        for m, _ in FOLDED_DIVISION_CASES[::2]:
-            assert det(m) != leibniz_det(m)
-            assert invert(m) != cofactor_inverse(m)
+        assert_wrong(FOLDED_DIVISION_CASES[:1])
+
+    def test_a_dropped_coefficient_division_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "d = _shift_div(d, 0, u)", "pass")
+        assert_wrong(FOLDED_DIVISION_CASES[1:2])
+
+    def test_a_dropped_exact_division_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "d = q._terms", "pass")
+        assert_wrong(FOLDED_DIVISION_CASES[2:])
 
     def test_exact_divisions_are_pinned(self, monkeypatch):
         # laurent_exact_div runs only the divisions by a pivot with two or
-        # more terms and the final division by the row scales: 1,031 while
-        # every Bareiss division by a prev other than 1 went through it.
-        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "laurent_exact_div") == 173
+        # more terms: 1,031 while every Bareiss division by a prev other
+        # than 1 went through it, 173 while each step pivoted within its
+        # column and det divided the row scales out through it.
+        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "laurent_exact_div") == 5
 
     def test_division_by_one_returns_the_dividend(self):
         p = t(-2).scale(Fraction(1, 3)) + 5
@@ -764,17 +817,17 @@ class TestElementwiseOracle:
 
 
 def assert_integral_scaling(polys, integral=laurent._integral):
-    """`_integral` against LaurentPoly arithmetic: the scaled polynomials
-    are polys times s, in ints, for s the lcm of the denominators; a zero
-    polynomial comes back as itself, and scaling them again is the
-    identity."""
+    """`_integral` against LaurentPoly arithmetic: the scaled term dicts are
+    those of polys times s, in ints, for s the lcm of the denominators; with
+    s = 1 they are the polynomials' own dicts, so scaling the scaled
+    polynomials again hands back their dicts."""
     scaled, s = integral(polys)
     assert s == math.lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
-    assert scaled == [p * s for p in polys]
-    assert all(q is p for p, q in zip(polys, scaled, strict=True) if p.is_zero())
-    assert all(type(c) is int for c in coefficients(*scaled))
-    again, one = integral(scaled)
-    assert one == 1 and all(p is q for p, q in zip(again, scaled, strict=True))
+    assert scaled == [(p * s).terms for p in polys]
+    assert all(type(c) is int for d in scaled for c in d.values())
+    wrapped = [LaurentPoly(d) for d in scaled]
+    again, one = integral(wrapped)
+    assert one == 1 and all(d is p._terms for d, p in zip(again, wrapped, strict=True))
 
 
 class TestIntegralScaling:
@@ -782,6 +835,15 @@ class TestIntegralScaling:
     @settings(max_examples=80, deadline=None)
     def test_matches_poly_arithmetic(self, polys):
         assert_integral_scaling(polys)
+
+    @given(unit_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_det_and_invert_leave_the_entries_unchanged(self, m):
+        # Integral rows are eliminated on the entries' own term dicts.
+        before = [[p.terms for p in row] for row in m.rows]
+        det(m)
+        invert(m)
+        assert [[p.terms for p in row] for row in m.rows] == before
 
     def test_a_numerator_times_s_is_caught(self):
         # Each Fraction c must scale by s // c.denominator: times s alone

@@ -30,7 +30,8 @@ SAMPLERS = {
     "random_finite_borel": lambda rng, n, lam: sampling.random_finite_borel(rng, n),
     "random_sl": lambda rng, n, lam: sampling.random_sl(rng, n),
     "random_nilradical": lambda rng, n, lam: sampling.random_nilradical(rng, lam),
-    "random_parabolic": lambda rng, n, lam: sampling.random_parabolic(rng, lam),
+    # The digest pins p alone; its inverse is checked below.
+    "random_parabolic": lambda rng, n, lam: sampling.random_parabolic(rng, lam)[0],
     "random_window": lambda rng, n, lam: sampling.random_window(rng, n).window,
     "random_conjugate_frame": lambda rng, n, lam: sampling.random_conjugate_frame(rng, n),
 }
@@ -98,16 +99,17 @@ def test_finite_borel_is_constant_upper_triangular():
 
 
 def test_parabolic_is_block_upper_triangular():
+    # The inverse lies in the same parabolic.
     for rng, n, lam in _cases():
-        p = sampling.random_parabolic(rng, lam)
-        assert p.is_constant()
-        blocks = lam.blocks
-        assert all(
-            p.rows[i][j].is_zero()
-            for i in range(n)
-            for j in range(n)
-            if blocks[i] > blocks[j]
-        )
+        for p in sampling.random_parabolic(rng, lam):
+            assert p.is_constant()
+            blocks = lam.blocks
+            assert all(
+                p.rows[i][j].is_zero()
+                for i in range(n)
+                for j in range(n)
+                if blocks[i] > blocks[j]
+            )
 
 
 def test_conjugate_frame_is_a_random_sl_draw_and_its_inverse():
@@ -118,3 +120,12 @@ def test_conjugate_frame_is_a_random_sl_draw_and_its_inverse():
             g, ginv = sampling.random_conjugate_frame(random.Random(seed), n)
             assert g == sampling.random_sl(random.Random(seed), n)
             assert g * ginv == LaurentMatrix.identity(n) == ginv * g
+
+
+def test_parabolic_comes_with_its_inverse():
+    # The inverse is built by row operations alongside p, from the same draws.
+    for seed in SEEDS:
+        for n in range(1, 7):
+            lam = _lam(seed, n)
+            p, pinv = sampling.random_parabolic(random.Random(seed), lam)
+            assert p * pinv == LaurentMatrix.identity(n) == pinv * p

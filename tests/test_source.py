@@ -76,13 +76,12 @@ def test_lattices_make_no_t_shift():
 
 
 def test_lattice_vectors_have_one_form():
-    # The engine keeps a vector as one {chain index: int} dict; lattices.py
-    # reads a polynomial's terms only in _flat, where columns come in.
+    # The engine keeps a vector as one {chain index: int} dict; columns come
+    # in through _flat as the integer term dicts of laurent._integral, so
+    # lattices.py reads no polynomial's terms.
     tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
-    owners = {getattr(top, "name", "module level") for top in tree.body
-              for node in ast.walk(top)
-              if isinstance(node, ast.Attribute) and node.attr == "_terms"}
-    assert owners == {"_flat"}
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"] == []
 
 
 def test_lattice_vectors_never_leave_as_columns():
@@ -179,6 +178,12 @@ def test_frames_are_not_inverted_by_elimination():
     callers = _callers("invert")
     assert "verify.suite_varpi" in callers
     assert [c for c in callers if c.startswith("sampling.") or c == "cells.mv_flag"] == []
+
+
+def test_only_the_varpi_suite_inverts():
+    # The samplers build each inverse a suite needs alongside the matrix, so
+    # in verify.py laurent.invert runs only on the varpi identity under test.
+    assert [c for c in _callers("invert") if c.startswith("verify.")] == ["verify.suite_varpi"]
 
 
 def test_only_the_varpi_suite_builds_the_varpi_certificate():

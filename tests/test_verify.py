@@ -241,10 +241,12 @@ class TestDerivedOncePerComposition:
         assert calls["tableau.build"] == 2 * 127
 
     def test_varpi_suite(self):
-        # varpi_witness and richardson_element build one each; the broken
-        # corner variant reads the witness's tableau (374 while it rebuilt
-        # one for every composition with a column of height two or more).
-        assert _deltas("varpi", 7, 7)["tableau.build"] == 2 * 127
+        # varpi_witness builds one; the broken corner variant and the suite's
+        # determinant and inverse checks read the witness's tableau, Z and
+        # 1 - t^-1 Z (374 while the broken corner variant rebuilt a tableau
+        # for every composition with a column of height two or more, 254
+        # while the suite built Z again through richardson_element).
+        assert _deltas("varpi", 7, 7)["tableau.build"] == 127
 
     def test_divisors_suite(self):
         pairs = sum(lam.r - 1 for n in range(1, 6) for lam in compositions_of(n))
@@ -283,11 +285,13 @@ class TestCertificateProducts:
     """The varpi suite forms each matrix of the certificate check once:
     varpi_witness forms b (1 - t^-1 Z) once and the broken corner variant
     reuses it, and the inverse series sum t^-k Z^k stops at the first zero
-    power of Z, with no scalar product and no matrix sum.  The counts are
-    deterministic; they may only be re-pinned downward (1,136 matrix
-    products, 642 scalar products and 374 deformations while the series ran
-    to n - 1 through a scalar product and a matrix sum per power and the
-    broken corner variant rebuilt b (1 - t^-1 Z))."""
+    power of Z, with no scalar product and no matrix sum; the suite reads
+    1 - t^-1 Z off the witness.  The counts are deterministic; they may only
+    be re-pinned downward (1,136 matrix products, 642 scalar products and
+    374 deformations while the series ran to n - 1 through a scalar product
+    and a matrix sum per power and the broken corner variant rebuilt
+    b (1 - t^-1 Z); 254 deformations while the suite formed 1 - t^-1 Z
+    again)."""
 
     def test_varpi_suite(self, monkeypatch):
         from affcells import cells, constructions
@@ -309,7 +313,7 @@ class TestCertificateProducts:
             monkeypatch.setattr(module, "deformation", counted_deformation)
         r = verify.run_suite("varpi", 7, 7)
         assert report_obj([r], 7, 7)["ok"]
-        assert calls == {"matrix": 695, "deformation": 254}
+        assert calls == {"matrix": 695, "deformation": 127}
 
 
 class TestInverseSeriesFaults:
