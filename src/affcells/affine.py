@@ -215,14 +215,17 @@ def from_matrix(M: LaurentMatrix) -> AffinePermutation:
     one monomial per row and column, and the t-orders matter.
     """
     n = M.n
+    columns = [[] for _ in range(n)]
+    for i, row in enumerate(M.rows, start=1):
+        for hits, p in zip(columns, row):
+            if p._terms:
+                hits.append((i, p))
     window = [None] * n
     seen_rows = set()
-    for j in range(1, n + 1):
-        hits = [i for i in range(1, n + 1) if not M.entry(i, j).is_zero()]
+    for j, hits in enumerate(columns, start=1):
         if len(hits) != 1:
             raise NotMonomialPermutation(f"column {j} has {len(hits)} nonzero entries")
-        i = hits[0]
-        p = M.entry(i, j)
+        ((i, p),) = hits
         if not p.is_monomial():
             raise NotMonomialPermutation(f"entry ({i},{j}) is not a single term")
         if i in seen_rows:

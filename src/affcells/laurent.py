@@ -28,9 +28,12 @@ identity).  A division by a monomial u t^s happens inside the update, as an
 exponent shift with u = +-1 folded into the signs; only a divisor of two or
 more terms goes through `laurent_exact_div`.  Each step pivots completely,
 on the fewest-term entry of the whole remaining block (swapping a column as
-well as a row), so later divisors are mostly monomials, and a step whose
+well as a row), so later divisors are mostly monomials.  A step whose
 pivot equals the previous one skips the rows that are zero in the pivot
-column, which it would leave as they are.
+column, which it would leave as they are; when that pivot is +-t^s, it also
+rebuilds only the entries in the columns where the pivot row is nonzero, so
+the sparse unipotent matrices of the certificate check cost little more
+than their nonzero entries.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -500,9 +503,11 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
     factors' exponents move by -s, u = +-1 folds into their signs, and any
     other u divides each coefficient; only a prev of two or more terms goes
     through `laurent_exact_div`.  When piv == prev, a row with a_ik = 0
-    would come out unchanged and is skipped; unipotent and triangular
-    inputs skip almost every row.  Returns the sign of the two swaps, or 0
-    if the block is zero.
+    would come out unchanged and is skipped.  When moreover prev = +-t^s,
+    the update is a_ij - a_ik * a_kj / prev, which changes a_ij only where
+    the pivot row is nonzero: those entries are built on a copy of a_ij and
+    every other entry keeps its dict, so a lower unitriangular input updates
+    nothing.  Returns the sign of the two swaps, or 0 if the block is zero.
     """
     n = len(a)
     r = col = None
@@ -529,30 +534,43 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
     long = len(prev) > 1
     ((s, u),) = ((0, 1),) if long else prev.items()
     sign, u = (u, 1) if u in (1, -1) else (1, u)
-    piv = [(e - s, sign * c) for e, c in top[k].items()]
-    for i in rows:
-        row = a[i]
-        f = row[k]
-        if keep and not f:
-            continue
-        f = [(e - s, -sign * c) for e, c in f.items()]
-        for j in range(k + 1, len(top)):
-            x, y = row[j], top[j]
-            if not (x or (f and y)):
+    if keep and u == 1 and not long:
+        right = [(j, y) for j, y in enumerate(top[k + 1:], k + 1) if y]
+        for i in rows:
+            row = a[i]
+            f = row[k]
+            if f:
+                f = [(e - s, -sign * c) for e, c in f.items()]
+                for j, y in right:
+                    d = dict(row[j])
+                    for e, c in f:
+                        _addmul(d, c, e, y)
+                    row[j] = d
+    else:
+        piv = [(e - s, sign * c) for e, c in top[k].items()]
+        for i in rows:
+            row = a[i]
+            f = row[k]
+            if keep and not f:
                 continue
-            d = {}
-            for e, c in piv:
-                _addmul(d, c, e, x)
-            for e, c in f:
-                _addmul(d, c, e, y)
-            if u != 1:
-                d = _shift_div(d, 0, u)
-            if long:
-                q = laurent_exact_div(_raw(d), _raw(prev))
-                if q is None:
-                    raise IdentityFailed("Bareiss division must be exact")
-                d = q._terms
-            row[j] = d
+            f = [(e - s, -sign * c) for e, c in f.items()]
+            for j in range(k + 1, len(top)):
+                x, y = row[j], top[j]
+                if not (x or (f and y)):
+                    continue
+                d = {}
+                for e, c in piv:
+                    _addmul(d, c, e, x)
+                for e, c in f:
+                    _addmul(d, c, e, y)
+                if u != 1:
+                    d = _shift_div(d, 0, u)
+                if long:
+                    q = laurent_exact_div(_raw(d), _raw(prev))
+                    if q is None:
+                        raise IdentityFailed("Bareiss division must be exact")
+                    d = q._terms
+                row[j] = d
     return (1 if r == k else -1) * (1 if col == k else -1)
 
 
@@ -615,20 +633,15 @@ def invert(M: LaurentMatrix) -> LaurentMatrix:
 @op
 def borel_membership(M: LaurentMatrix) -> bool:
     """Membership in the standard Iwahori subgroup: all entries lie in k[t],
-    det is a nonzero constant, and M mod t is upper triangular."""
-    d = det(M)
-    return (
-        d.is_monomial()
-        and d.ord() == 0
-        and all(p.is_polynomial() for row in M.rows for p in row)
-        and _upper_at_zero(M)
-    )
+    M mod t is upper triangular, and det is a nonzero constant.
 
-
-def _upper_at_zero(M: LaurentMatrix) -> bool:
-    """Upper-triangularity of the t^0 coefficient matrix."""
-    for i in range(M.n):
-        for j in range(i):
-            if M.rows[i][j].coeff(0):
+    The entries are checked first, in one pass over their term dicts (no
+    negative exponent anywhere, no t^0 term below the diagonal), so only a
+    matrix that passes them pays for the det.
+    """
+    for i, row in enumerate(M.rows):
+        for j, p in enumerate(row):
+            if p._terms and min(p._terms) < (1 if j < i else 0):
                 return False
-    return True
+    d = det(M)._terms
+    return len(d) == 1 and 0 in d

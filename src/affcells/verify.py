@@ -23,9 +23,7 @@ from fractions import Fraction
 
 from . import affine, cells, constructions as cons, lattices, ops, partitions as parts
 from .laurent import (
-    LaurentMatrix,
     LaurentPoly,
-    _addmul,
     _matrix,
     _raw,
     borel_membership,
@@ -311,27 +309,33 @@ def suite_varpi(suite: SuiteResult) -> None:
             continue
         # varpi_witness raises unless b and c lie in the standard Iwahori.
         borel_ok.record(True)
-        nu = lam.column_partition()
-        if nu.part(1) >= 2:
+        if wit.tableau.nu.part(1) >= 2:
             negative.record(not cons.broken_corner_witness(wit), tag)
 
         n = lam.n
-        z, point = wit.z, wit.point
-        d = det(point)
+        d = det(wit.point)
         unit_det.record(d == LaurentPoly.one() and d.ord() == 0, f"{tag}: det={d!r}")
 
-        # sum_{k<n} t^-k Z^k, summed into one term dict per entry; once a
-        # power of Z is zero every later term is too, so the sum stops there.
-        inv = invert(point)
+        # sum_{k<n} t^-k Z^k, one term dict per entry.  Z is constant: its
+        # powers are products of sparse scalar rows {column: int}, read once
+        # off its t^0 terms.  Once a power is zero every later one is too, so
+        # the sum stops there.
+        inv = invert(wit.point)
+        z = [{j: p.coeff(0) for j, p in enumerate(row) if p} for row in wit.z.rows]
         series = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
-        zero = LaurentMatrix.zero(n)
         power, k = z, 1
-        while k < n and power != zero:
-            for terms, row in zip(series, power.rows):
-                for d, p in zip(terms, row):
-                    if p._terms:
-                        _addmul(d, 1, -k, p._terms)
-            power, k = power * z, k + 1
+        while k < n and any(power):
+            for terms, row in zip(series, power):
+                for j, c in row.items():
+                    terms[j][-k] = c
+            product = []
+            for row in power:
+                acc = {}
+                for m, c in row.items():
+                    for j, v in z[m].items():
+                        acc[j] = acc.get(j, 0) + c * v
+                product.append({j: v for j, v in acc.items() if v})
+            power, k = product, k + 1
         inverse_ok.expect_equal(inv, _matrix([[_raw(d) for d in row] for row in series]), tag)
 
 

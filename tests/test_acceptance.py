@@ -53,12 +53,12 @@ def test_criterion_2_length_formula_vs_oracle():
 
 def test_criterion_3_cell_certificate_identity():
     start = time.monotonic()
-    result = verify.run_suite("varpi", nmax=9, seed=SEED)
+    result = verify.run_suite("varpi", nmax=10, seed=SEED)
     _assert_clean(result, "cell certificate")
     elapsed = time.monotonic() - start
     assert elapsed < 2.5, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 3: b(1 - t^-1 Z)c certificate exact for all "
-          f"compositions n <= 9, {result.passed} checks ({elapsed:.1f}s)")
+          f"compositions n <= 10, {result.passed} checks ({elapsed:.1f}s)")
 
 
 def test_criterion_4_kappa_structure():

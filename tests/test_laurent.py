@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affcells import laurent
-from affcells.errors import NotAUnit
+from affcells.errors import IdentityFailed, NotAUnit
 from affcells.laurent import (
     ORD_ZERO,
     LaurentMatrix,
@@ -426,6 +426,16 @@ def plant_in_step(monkeypatch, old, new):
     monkeypatch.setattr(laurent, "_bareiss_step", planted(laurent._bareiss_step, old, new))
 
 
+def assert_wrong(matrices):
+    """det is wrong on each matrix, and invert wrong or refusing."""
+    for m in matrices:
+        assert det(m) != leibniz_det(m)
+        try:
+            assert invert(m) != cofactor_inverse(m)
+        except (NotAUnit, IdentityFailed):
+            pass
+
+
 class TestBareissRowSkip:
     """A Bareiss step leaves a row that is zero in the pivot column as it is
     only when the pivot equals the previous one; otherwise the row is
@@ -441,6 +451,127 @@ class TestBareissRowSkip:
         for m in ROW_SKIP_CASES:
             assert det(m) != leibniz_det(m)
             assert invert(m) != cofactor_inverse(m)
+
+
+def lower_unit(n, below, diagonal=1):
+    """Lower triangular with diagonal (`diagonal`, 1, ..., 1) and the
+    entries `below` {(i, j): p} (0-based, i > j)."""
+    return LaurentMatrix([[diagonal if i == j == 0 else 1 if i == j
+                           else below.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+def lu(diagonal):
+    """L U with L lower unitriangular and U upper triangular with diagonal
+    (`diagonal`, 1, 1, 1): every leading minor is `diagonal`, so each step
+    after the first pivots on piv = prev = `diagonal`, and the pivot row and
+    the rows below are nonzero right of the pivot column."""
+    lower = lower_unit(4, {(1, 0): t(1), (2, 0): 1 - t(2), (2, 1): 2, (3, 1): t(-1), (3, 2): 3})
+    upper = LaurentMatrix([[diagonal, t(1), 1, 2], [0, 1, -t(1), t(2)],
+                           [0, 0, 1, 1 + t(1)], [0, 0, 0, 1]])
+    return lower * upper
+
+
+# b and c shapes: lower triangular, so each pivot row is zero right of the
+# pivot while the rows below hold entries there; the first diagonal entry
+# -t^2, t^-1 or t makes every later step pivot on piv = prev = +-t^s.
+# Gauss-Jordan steps of invert also update the rows above, through the
+# identity block.
+EQUAL_PIVOT_CASES = [
+    lower_unit(4, {(1, 0): t(1), (2, 0): t(2), (3, 0): 1 + t(3), (2, 1): t(1), (3, 2): 2},
+               -t(2)),
+    lower_unit(4, {(1, 0): t(1), (2, 0): t(2), (3, 0): t(3)}, t(-1)),
+    lu(t(1)),
+    lu(-t(2)),
+]
+EQUAL_PIVOT_IDS = ["b-shape", "c-shape", "lu-t", "lu-minus-t^2"]
+# prev = 3 t: piv = prev, but the update must still divide by 3.
+NON_UNIT_PREV = lu(t(1) * 3)
+
+
+def step_pivots(monkeypatch, m, fn):
+    """(prev, piv) of each Bareiss step of fn(m)."""
+    pairs = []
+    step = laurent._bareiss_step
+
+    def traced(a, k, rows, prev, order):
+        sign = step(a, k, rows, prev, order)
+        pairs.append((LaurentPoly(prev), LaurentPoly(a[k][k])))
+        return sign
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_bareiss_step", traced)
+        fn(m)
+    return pairs
+
+
+class TestEqualPivotUpdate:
+    """When a step's pivot equals the previous pivot and that is +-t^s, the
+    Bareiss update (piv a_ij - a_ik a_kj) / prev is a_ij - a_ik a_kj / prev:
+    a row changes only in the columns where the pivot row is nonzero, and
+    every other entry keeps its dict.  Any other pivot (piv != prev, or a
+    prev u t^s with u != +-1, or of two or more terms) takes the general
+    update."""
+
+    @pytest.mark.parametrize("m", EQUAL_PIVOT_CASES + [NON_UNIT_PREV],
+                             ids=EQUAL_PIVOT_IDS + ["lu-3t"])
+    def test_det_and_invert_match_the_oracles(self, monkeypatch, m):
+        for fn in (det, invert):
+            pairs = step_pivots(monkeypatch, m, fn)
+            assert pairs[0][1] != pairs[0][0]
+            assert [piv == prev for prev, piv in pairs[1:]] == [True] * 3
+        assert det(m) == leibniz_det(m)
+        assert invert(m) == cofactor_inverse(m)
+
+    @pytest.mark.parametrize("m", EQUAL_PIVOT_CASES + [NON_UNIT_PREV],
+                             ids=EQUAL_PIVOT_IDS + ["lu-3t"])
+    def test_det_and_invert_match_sympy(self, sympy, m):
+        assert sympy.expand(matrix_to_sympy(sympy, m).det(method="berkowitz")
+                            - to_sympy(sympy, det(m))) == 0
+        want = matrix_to_sympy(sympy, m).inv(method="DM")
+        assert all(sympy.cancel(x) == 0 for x in want - matrix_to_sympy(sympy, invert(m)))
+
+    def test_entries_the_pivot_row_misses_keep_their_dicts(self):
+        # Step 1 with piv = prev = -t^2: the pivot row is nonzero only in
+        # column 3, so row 2 gets a new dict there, (-t^2 * 2 - t * t) / -t^2
+        # = 3, and keeps its dict in column 2; row 3 is zero in the pivot
+        # column and keeps every dict.  No dict is edited in place.
+        a = [[{2: -1}, {}, {}, {}],
+             [{}, {2: -1}, {}, {1: 1}],
+             [{}, {1: 1}, {0: 5}, {0: 2}],
+             [{}, {}, {3: 1}, {0: 1}]]
+        before = [list(row) for row in a]
+        laurent._bareiss_step(a, 1, range(2, 4), {2: -1}, list(range(4)))
+        assert a[2][2] is before[2][2] and a[2][3] == {0: 3} and before[2][3] == {0: 2}
+        assert all(x is y for x, y in zip(a[3], before[3]))
+
+    def test_the_input_entries_stay_unchanged(self):
+        # With s = 1 the Bareiss rows hold the entries' own term dicts, so
+        # the update builds each changed entry on a copy; on lu(1) every
+        # step, the first included, takes the equal-pivot update.
+        for m in EQUAL_PIVOT_CASES[2:] + [lu(1)]:
+            before = [[dict(p.terms) for p in row] for row in m.rows]
+            det(m), invert(m)
+            assert [[p.terms for p in row] for row in m.rows] == before
+
+    def test_an_update_in_place_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "d = dict(row[j])", "d = row[j]")
+        m = lu(1)
+        before = [[dict(p.terms) for p in row] for row in m.rows]
+        det(m)
+        assert [[p.terms for p in row] for row in m.rows] != before
+
+    def test_the_shortcut_on_a_non_unit_prev_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "if keep and u == 1 and not long:", "if keep and not long:")
+        assert_wrong([NON_UNIT_PREV])
+
+    def test_the_shortcut_on_an_unequal_pivot_is_caught(self, monkeypatch):
+        plant_in_step(monkeypatch, "if keep and u == 1 and not long:", "if u == 1 and not long:")
+        assert_wrong(EQUAL_PIVOT_CASES)
+
+    def test_a_skipped_column_is_caught(self, monkeypatch):
+        # Only the LU cases' pivot rows are nonzero right of the pivot.
+        plant_in_step(monkeypatch, "enumerate(top[k + 1:], k + 1)", "enumerate(top[k + 2:], k + 2)")
+        assert_wrong(EQUAL_PIVOT_CASES[2:])
 
 
 # The entry at (1, 1) is dense and a monomial lies in another column, so the
@@ -533,17 +664,7 @@ class TestSparsestPivot:
 
 def bareiss_divisors(monkeypatch, m):
     """The prev that each Bareiss step of det(m) divides by."""
-    divisors = []
-    step = laurent._bareiss_step
-
-    def traced(a, k, rows, prev, order):
-        divisors.append(LaurentPoly(prev))
-        return step(a, k, rows, prev, order)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(laurent, "_bareiss_step", traced)
-        det(m)
-    return divisors
+    return [prev for prev, _ in step_pivots(monkeypatch, m, det)]
 
 
 # Hand cases whose later steps divide by -t^2 (with a shift and a sign
@@ -562,16 +683,6 @@ FOLDED_DIVISION_CASES = [
 FOLDED_IDS = ["minus-t^k", "3t", "two-term"]
 
 
-def assert_wrong(cases):
-    """det is wrong on each case, and invert wrong or refusing."""
-    for m, _ in cases:
-        assert det(m) != leibniz_det(m)
-        try:
-            assert invert(m) != cofactor_inverse(m)
-        except NotAUnit:
-            pass
-
-
 class TestFoldedDivision:
     """A Bareiss step divides by a monomial prev = u t^s inside the update:
     exponents move by -s, u = +-1 folds into the factors' signs and any
@@ -587,20 +698,20 @@ class TestFoldedDivision:
     def test_a_dropped_shift_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "((s, u),) = ((0, 1),) if long else prev.items()",
                       "((s, u),) = ((0, 1),) if long else prev.items(); s = 0")
-        assert_wrong(FOLDED_DIVISION_CASES[:2])
+        assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[:2])
 
     def test_a_dropped_sign_fold_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "sign, u = (u, 1) if u in (1, -1) else (1, u)",
                       "sign, u = (1, 1) if u in (1, -1) else (1, u)")
-        assert_wrong(FOLDED_DIVISION_CASES[:1])
+        assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[:1])
 
     def test_a_dropped_coefficient_division_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "d = _shift_div(d, 0, u)", "pass")
-        assert_wrong(FOLDED_DIVISION_CASES[1:2])
+        assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[1:2])
 
     def test_a_dropped_exact_division_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "d = q._terms", "pass")
-        assert_wrong(FOLDED_DIVISION_CASES[2:])
+        assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[2:])
 
     def test_exact_divisions_are_pinned(self, monkeypatch):
         # laurent_exact_div runs only the divisions by a pivot with two or
@@ -929,3 +1040,15 @@ class TestBorel:
     def test_nonconstant_determinant_rejected(self):
         m = LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()])
         assert borel_membership(m) is False
+
+    @pytest.mark.parametrize("m, member, dets", [
+        (LaurentMatrix([[1, t(-1)], [0, 1]]), False, 0),             # a t^-1 entry
+        (LaurentMatrix([[1, 0], [2 + t(1), 1]]), False, 0),          # t^0 below the diagonal
+        (LaurentMatrix.diagonal([t(1) + 1, LaurentPoly.one()]), False, 1),
+        (LaurentMatrix([[1, 2 + t(1)], [t(1), (1 + t(1)) * (1 + t(1))]]), True, 1),
+    ], ids=["t^-1", "t^0-below", "det-1+t", "member"])
+    def test_the_entries_are_checked_before_det(self, monkeypatch, m, member, dets):
+        calls = []
+        monkeypatch.setattr(laurent, "det", lambda m: calls.append(m) or det(m))
+        assert borel_membership(m) is member
+        assert len(calls) == dets

@@ -186,6 +186,29 @@ def test_only_the_varpi_suite_inverts():
     assert [c for c in _callers("invert") if c.startswith("verify.")] == ["verify.suite_varpi"]
 
 
+def test_the_varpi_inverse_series_runs_on_scalar_rows():
+    # suite_varpi sums t^-k Z^k on Z's t^0 terms, read before its loop into
+    # {column: int} rows, so the oracle shares no code with the invert it
+    # checks: the loop names nothing imported from laurent and none of the
+    # suite's Laurent objects, and calls only dict and list methods, so it
+    # makes no LaurentMatrix product and calls no laurent function.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    laurent = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "laurent"
+               for alias in node.names}
+    suite = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "suite_varpi")
+    bound = {node.id for node in ast.walk(suite)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    laurent_objects = {"wit", "inv", "d"}  # the witness, M^-1 and det M
+    assert {"det", "invert", "_matrix"} <= laurent and laurent_objects <= bound
+    (loop,) = [node for node in ast.walk(suite) if isinstance(node, ast.While)]
+    names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+    assert "z" in names and not names & (laurent | laurent_objects)
+    assert {node.attr for node in ast.walk(loop)
+            if isinstance(node, ast.Attribute)} <= {"items", "get", "append"}
+
+
 def test_only_the_varpi_suite_builds_the_varpi_certificate():
     # The other suites read varpi off the kappa bundle (decompose_varpi), so
     # none builds a whole certificate just to read its window.

@@ -284,14 +284,15 @@ class TestDeterminantCounts:
 class TestCertificateProducts:
     """The varpi suite forms each matrix of the certificate check once:
     varpi_witness forms b (1 - t^-1 Z) once and the broken corner variant
-    reuses it, and the inverse series sum t^-k Z^k stops at the first zero
-    power of Z, with no scalar product and no matrix sum; the suite reads
-    1 - t^-1 Z off the witness.  The counts are deterministic; they may only
-    be re-pinned downward (1,136 matrix products, 642 scalar products and
-    374 deformations while the series ran to n - 1 through a scalar product
-    and a matrix sum per power and the broken corner variant rebuilt
-    b (1 - t^-1 Z); 254 deformations while the suite formed 1 - t^-1 Z
-    again)."""
+    reuses it, and the inverse series sum t^-k Z^k multiplies the powers of
+    Z as sparse scalar rows, with no matrix product, and stops at the first
+    zero power; the suite reads 1 - t^-1 Z off the witness.  The counts are
+    deterministic; they may only be re-pinned downward (1,136 matrix
+    products, 642 scalar products and 374 deformations while the series ran
+    to n - 1 through a scalar product and a matrix sum per power and the
+    broken corner variant rebuilt b (1 - t^-1 Z); 254 deformations while the
+    suite formed 1 - t^-1 Z again; 695 matrix products while the series
+    multiplied the powers of Z as Laurent matrices)."""
 
     def test_varpi_suite(self, monkeypatch):
         from affcells import cells, constructions
@@ -313,7 +314,7 @@ class TestCertificateProducts:
             monkeypatch.setattr(module, "deformation", counted_deformation)
         r = verify.run_suite("varpi", 7, 7)
         assert report_obj([r], 7, 7)["ok"]
-        assert calls == {"matrix": 695, "deformation": 127}
+        assert calls == {"matrix": 374, "deformation": 127}
 
 
 class TestInverseSeriesFaults:
@@ -321,10 +322,12 @@ class TestInverseSeriesFaults:
 
     @pytest.mark.parametrize("old, new, failed", [
         # drop the last nonzero power: it is added only if the next is nonzero
-        ("while k < n and power != zero:", "while k < n and power * z != zero:", 120),
+        ("            for terms, row in zip(series, power):\n",
+         "            for terms, row in zip(series, power if any(z[m] for r in power for m in r)"
+         " else []):\n", 120),
         # stop one power early: Z^(n-1) is missed where it is nonzero
-        ("while k < n and power != zero:", "while k < n - 1 and power != zero:", 6),
-    ])
+        ("while k < n and any(power):", "while k < n - 1 and any(power):", 6),
+    ], ids=["last_power_dropped", "one_power_early"])
     def test_planted_series_fault(self, monkeypatch, old, new, failed):
         monkeypatch.setitem(verify.SUITES, "varpi", _planted(verify, "suite_varpi", old, new))
         r = verify.run_suite("varpi", 7, 7)
