@@ -18,15 +18,16 @@ index in its class among the elements of the lattice.  Against it:
 * equality: the same leading indices plus one containment.
 
 A vector is one dict {chain index: int}, t^e e_r at key r - n*e: the lead is
-the largest key.  Columns enter through `_flat`, scaled to integers, and no
-vector leaves as a column: M * L is `Lattice.from_basis` of M times a basis
-of L.  One reduction loop does all of the above, on a private copy,
-multiplying by an integer where it would divide by a leading coefficient.
-Triangularizing a family is that loop plus displacement; `chain_walk`
-triangularizes t M once and then adds one column per step, giving `cells`
-the chain M Lambda_0 < ... < M Lambda_n.  A basis entry (chain index, leading
-coefficient, vector, offset k) stands for t^k times the stored vector, so t^j
-moves only offsets (+j) and indices (-nj).
+the largest key.  Columns, read off the matrix rows, enter through `_flat`,
+scaled to integers, and no vector leaves as a column: M * L is
+`Lattice.from_basis` of M times a basis of L.  One reduction loop does all
+of the above, on a private copy (a plain `dict` copy unless it shifts by
+t^k), multiplying by an integer where it would divide by a leading
+coefficient.  Triangularizing a family is that loop plus displacement;
+`chain_walk` triangularizes t M once and then adds one column per step,
+giving `cells` the chain M Lambda_0 < ... < M Lambda_n.  A basis entry
+(chain index, leading coefficient, vector, offset k) stands for t^k times
+the stored vector, so t^j moves only offsets (+j) and indices (-nj).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _reduce(v: dict, k: int, basis: dict, n: int, track=None):
     dict P by a, and a step on the generator g of class r adds b at t^s into
     P: lam t^k v as given stays the current t^k v plus P g plus the others.
     """
-    x = {e - n * k: c for e, c in v.items()}
+    x = dict(v) if k == 0 else {e - n * k: c for e, c in v.items()}
     steps = 0
     while x:
         idx = max(x)
@@ -205,15 +206,16 @@ def chain_walk(M: LaurentMatrix) -> tuple[list[int], list[Lattice]]:
     the chain index where column j gets stuck against M Lambda_{j-1} for
     j = 1..n, and the lattices M Lambda_0 < ... < M Lambda_n.
 
-    t M (the columns, scaled to integers, at offset 1) is triangularized
-    once.  Step j reduces column j to v, of index h + n over the generator g
-    of its class; t v reduces to zero with lam t v = P g + multiples of the
-    other generators, P(0) != 0.  lam v - ((P - P(0))/t) g replaces g, which
-    stays in the span since t times it is P(0) g plus multiples of the
-    others.  (v itself spans a proper sublattice unless P is constant.)
+    t M (the columns read off the rows, each scaled to integers by `_flat`,
+    at offset 1) is triangularized once.  Step j reduces column j to v, of
+    index h + n over the generator g of its class; t v reduces to zero with
+    lam t v = P g + multiples of the other generators, P(0) != 0.
+    lam v - ((P - P(0))/t) g replaces g, which stays in the span since t
+    times it is P(0) g plus multiples of the others.  (v itself spans a
+    proper sublattice unless P is constant.)
     """
     n = M.n
-    cols = [_flat(M.column(j), n) for j in range(1, n + 1)]
+    cols = [_flat(col, n) for col in zip(*M.rows)]
     basis = _triangular_basis([(c, 1) for c in cols], n)
     stuck, chain = [], [Lattice(n, dict(basis))]
     for col in cols:

@@ -25,8 +25,9 @@ those dict rows, and wrap the result once: `det` steps on the rows below
 each pivot, `invert` on every other row of [M | I].  Z[t,t^-1] is an
 integral domain, so each Bareiss division is exact there (Sylvester's
 identity).  A division by a monomial u t^s happens inside the update, as an
-exponent shift with u = +-1 folded into the signs; only a divisor of two or
-more terms goes through `laurent_exact_div`.  Each step pivots completely,
+exponent shift with u = +-1 folded into the signs and any other u dividing
+the fresh update's integers in place, checked exact; only a divisor of two
+or more terms goes through `laurent_exact_div`.  Each step pivots completely,
 on the fewest-term entry of the whole remaining block (swapping a column as
 well as a row), so later divisors are mostly monomials.  A step whose
 pivot equals the previous one skips the rows that are zero in the pivot
@@ -85,8 +86,9 @@ def _as_exp(e) -> int:
 
 def _quo(a, b):
     """The exact quotient of two coefficients: a // b when b divides a,
-    else Fraction(a, b) (an int again when that is integral).  Every
-    coefficient division in the package goes through here."""
+    else Fraction(a, b) (an int again when that is integral).  The one
+    division that may leave the integers; a division known to be exact on
+    ints (the Bareiss updates, `partitions.scalar_det`) uses // or divmod."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
@@ -501,7 +503,8 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
     j > k, a division exact by Sylvester's identity (columns <= k are not
     read again).  A monomial prev = u t^s divides inside the update: the
     factors' exponents move by -s, u = +-1 folds into their signs, and any
-    other u divides each coefficient; only a prev of two or more terms goes
+    other u divides each coefficient of the fresh update dict in place, where
+    a remainder raises IdentityFailed; only a prev of two or more terms goes
     through `laurent_exact_div`.  When piv == prev, a row with a_ik = 0
     would come out unchanged and is skipped.  When moreover prev = +-t^s,
     the update is a_ij - a_ik * a_kj / prev, which changes a_ij only where
@@ -564,7 +567,10 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
                 for e, c in f:
                     _addmul(d, c, e, y)
                 if u != 1:
-                    d = _shift_div(d, 0, u)
+                    for e, c in d.items():
+                        d[e], c = divmod(c, u)
+                        if c:
+                            raise IdentityFailed("Bareiss division must be exact")
                 if long:
                     q = laurent_exact_div(_raw(d), _raw(prev))
                     if q is None:

@@ -1,14 +1,16 @@
 import inspect
+import math
 import random
 import textwrap
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affcells import lattices
-from affcells.cells import mv_flag
+from affcells import lattices, laurent
+from affcells.cells import iwahori_cell, mv_flag
 from affcells.errors import FlagInvariantError, IdentityFailed, NotContained
 from affcells.lattices import AffineFlag, Lattice, chain_walk, quotient_dim, vdim
 from affcells.laurent import LaurentMatrix, LaurentPoly, det, invert
@@ -389,6 +391,68 @@ def _oracle_failures(rng, cases, errors):
     return failures
 
 
+# Points shaped like the locate inputs: b1 P_w b2, with b1 and b2 products of
+# Iwahori generators, a quarter of them diagonal pairs u E_ii + u^-1 E_jj with
+# u in 2, 1/2, -1, so different columns carry different denominators and
+# _flat scales each by its own.
+_UNITS = (2, Fraction(1, 2), -1)
+
+
+def _iwahori_generator(rng, n):
+    i, j = rng.sample(range(n), 2)
+    if rng.randrange(4) == 0:
+        u = Fraction(rng.choice(_UNITS))
+        return LaurentMatrix.diagonal([u if k == i else 1 / u if k == j else 1 for k in range(n)])
+    p = LaurentPoly.monomial(rng.randint(1 if i > j else 0, 1), rng.choice((-2, -1, 1, 2)))
+    return LaurentMatrix.identity(n) + LaurentMatrix.from_entries(n, {(i + 1, j + 1): p})
+
+
+def _rational_point(rng, n):
+    w = random_window(rng, n, spread=5)
+    m = w.to_matrix()
+    for _ in range(3 * n // 2):
+        m = _iwahori_generator(rng, n) * m * _iwahori_generator(rng, n)
+    return m, w
+
+
+def _leibniz_det(m):
+    total = LaurentPoly.zero()
+    for perm in permutations(range(m.n)):
+        term = LaurentPoly.one()
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        odd = sum(perm[a] > perm[b] for a in range(m.n) for b in range(a + 1, m.n)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+class TestRationalColumns:
+    """The walk and det on points whose columns need different scales."""
+
+    def test_cell_det_and_stored_vectors(self, monkeypatch):
+        rng = random.Random(5)
+        cases = [_rational_point(rng, n) for n in (4, 6) for _ in range(6)]
+        scales = [{math.lcm(*(c.denominator for p in col for c in map(Fraction, p.terms.values())))
+                   for col in zip(*m.rows)} for m, _ in cases]
+        assert sum(len(s) > 1 for s in scales) >= len(cases) - 2
+        divisors = []
+        step = laurent._bareiss_step
+
+        def traced(a, k, rows, prev, order):
+            divisors.extend(c for c in prev.values() if len(prev) == 1 and abs(c) != 1)
+            return step(a, k, rows, prev, order)
+
+        monkeypatch.setattr(laurent, "_bareiss_step", traced)
+        for m, w in cases:
+            assert iwahori_cell(m) == w
+            _, chain = chain_walk(m)
+            assert all(type(c) is int for lat in chain for _, lead, v, _ in lat.basis.values()
+                       for c in [lead, *v.values()])
+            assert det(m) == _leibniz_det(m)
+        # det divides by a pivot coefficient other than +-1 on these points.
+        assert divisors
+
+
 def _reduced_containment(outer, inner):
     """contains_lattice with every generator of inner reduced against outer."""
     return all(outer.contains(v, k) for _, _, v, k in inner.basis.values())
@@ -485,10 +549,10 @@ class TestCopyOnWrite:
         # snapshot sees the write.  A corrupted basis can start an endless
         # descent: the cap is lowered.
         source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        copy = "x = {e - n * k: c for e, c in v.items()}"
+        copy = "x = dict(v) if k == 0 else "
         assert source.count(copy) == 1
         planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
-        exec(source.replace(copy, copy.replace("x = ", "x = v if k == 0 else ")), planted)
+        exec(source.replace(copy, "x = v if k == 0 else "), planted)
         monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
         rng = random.Random(7)
         for _ in range(20):

@@ -447,10 +447,10 @@ class TestBareissRowSkip:
         assert invert(m) == cofactor_inverse(m)
 
     def test_skipping_on_a_zero_entry_alone_is_caught(self, monkeypatch):
+        # invert's update is no longer divisible by prev, and the exact
+        # division raises on it.
         plant_in_step(monkeypatch, "if keep and not f:", "if not f:")
-        for m in ROW_SKIP_CASES:
-            assert det(m) != leibniz_det(m)
-            assert invert(m) != cofactor_inverse(m)
+        assert_wrong(ROW_SKIP_CASES)
 
 
 def lower_unit(n, below, diagonal=1):
@@ -686,8 +686,9 @@ FOLDED_IDS = ["minus-t^k", "3t", "two-term"]
 class TestFoldedDivision:
     """A Bareiss step divides by a monomial prev = u t^s inside the update:
     exponents move by -s, u = +-1 folds into the factors' signs and any
-    other u divides each coefficient.  Only a prev of two or more terms
-    calls laurent_exact_div."""
+    other u divides each coefficient of the fresh update in place, raising
+    on a remainder.  Only a prev of two or more terms calls
+    laurent_exact_div."""
 
     @pytest.mark.parametrize("m, divisors", FOLDED_DIVISION_CASES, ids=FOLDED_IDS)
     def test_det_and_invert_match_the_oracles(self, monkeypatch, m, divisors):
@@ -706,12 +707,39 @@ class TestFoldedDivision:
         assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[:1])
 
     def test_a_dropped_coefficient_division_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "d = _shift_div(d, 0, u)", "pass")
+        plant_in_step(monkeypatch, "d[e], c = divmod(c, u)", "c = 0")
         assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[1:2])
 
     def test_a_dropped_exact_division_is_caught(self, monkeypatch):
         plant_in_step(monkeypatch, "d = q._terms", "pass")
         assert_wrong(m for m, _ in FOLDED_DIVISION_CASES[2:])
+
+    def test_a_wrong_divisor_raises(self, monkeypatch):
+        # Dividing by 2u in place of u: wherever a coefficient leaves a
+        # remainder the step raises, so no floored quotient comes back; an
+        # input whose updates 2u happens to divide exactly comes back wrong.
+        matrices = [FOLDED_DIVISION_CASES[1][0], NON_UNIT_PREV] + iwahori_conjugates(22, 10)
+        remainders = []
+
+        def recorded(c, u):
+            q, r = divmod(c, u)
+            remainders.append(r)
+            return q, r
+
+        step = planted(laurent._bareiss_step, "divmod(c, u)", "divmod(c, 2 * u)")
+        step.__globals__["divmod"] = recorded
+        monkeypatch.setattr(laurent, "_bareiss_step", step)
+        raised = 0
+        for m in matrices:
+            remainders.clear()
+            try:
+                d = det(m)
+            except IdentityFailed:
+                raised += 1
+                assert remainders[-1]
+            else:
+                assert remainders and not any(remainders) and d != leibniz_det(m)
+        assert raised == 20
 
     def test_exact_divisions_are_pinned(self, monkeypatch):
         # laurent_exact_div runs only the divisions by a pivot with two or
@@ -719,6 +747,12 @@ class TestFoldedDivision:
         # than 1 went through it, 173 while each step pivoted within its
         # column and det divided the row scales out through it.
         assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "laurent_exact_div") == 5
+
+    def test_coefficient_divisions_are_pinned(self, monkeypatch):
+        # _quo runs det's last division by the row scales, not the updates:
+        # 2,323 while each update by a prev u t^s with u != +-1 divided
+        # through _shift_div.
+        assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "_quo") == 26
 
     def test_division_by_one_returns_the_dividend(self):
         p = t(-2).scale(Fraction(1, 3)) + 5
