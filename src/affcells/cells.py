@@ -27,14 +27,14 @@ from .affine import AffinePermutation
 from .errors import (
     NotInNilradical,
     NotMaximalParabolic,
-    NotNilpotent,
     NotUnimodular,
     SizeMismatch,
 )
 from .laurent import LaurentMatrix, _addmul, _matrix, _raw, det
 from .lattices import AffineFlag, Lattice, _flat, _triangular_basis, chain_walk
 from .ops import op
-from .partitions import Composition, constant_rows, row_product, scalar_det, vector_rank
+from .partitions import (Composition, constant_rows, nilpotent_powers, row_product,
+                         scalar_det, vector_rank)
 
 __all__ = [
     "deformation",
@@ -145,18 +145,8 @@ def psi_map(X: LaurentMatrix):
     """Embed a nilpotent into the affine Grassmannian: (point, lattice, w),
     point V[t] and its cell read off one chain walk (X^n = 0: det(point) = 1).
 
-    X is read once as scalar rows, and X^n = 0 is checked on them."""
-    rows = constant_rows(X)
-    if rows is None:
-        raise NotNilpotent("X must be constant")
-    # X^k = 0 for some k <= n proves X^n = 0, so the powers stop at the first zero one.
-    power = rows
-    for _ in range(X.n - 1):
-        if not any(map(any, power)):
-            break
-        power = row_product(power, rows)
-    if any(map(any, power)):
-        raise NotNilpotent("X^n != 0")
+    X^n = 0 is checked by `nilpotent_powers`, on X's t^0 terms."""
+    nilpotent_powers(X)
     point = deformation(X)
     stuck, chain = chain_walk(point)
     return point, chain[0].scaled(-1), AffinePermutation(tuple(stuck))

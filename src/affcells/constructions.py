@@ -488,7 +488,7 @@ def divisor_witnesses(data: DivisorBundle, a) -> DivisorWitnesses:
     n = data.lift.n
     k = data.k  # n - d_i
     top, bottom = data.gamma.i, data.gamma.j  # d_{i-1} + 1 and d_{i+1}
-    e_sign = data.lift.entry(k, top).trailing_coeff()
+    e_sign = data.lift.entry(k, top).coeff(0)
 
     b2 = LaurentMatrix.identity(n) + unit(n, k + 1, k, LaurentPoly.t(1).scale(_quo(e_sign, a)))
     b3 = LaurentMatrix.identity(n) + unit(n, bottom, top, LaurentPoly.t(1).scale(_quo(1, a)))

@@ -214,14 +214,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {0}
 
-    def leading_coeff(self):
-        """Coefficient of the highest power; 0 for the zero polynomial."""
-        return self._terms[max(self._terms)] if self._terms else 0
-
-    def trailing_coeff(self):
-        """Coefficient of the lowest power; 0 for the zero polynomial."""
-        return self._terms[min(self._terms)] if self._terms else 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -320,7 +312,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         raise ValueError("poly_divmod requires arguments in k[t]")
     q, r = {}, dict(a._terms)
     db = b.degree()
-    lb = b.leading_coeff()
+    lb = b._terms[db]
     while r and (dr := max(r)) >= db:
         c = _quo(r[dr], lb)
         q[dr - db] = c

@@ -4,10 +4,12 @@ A partition is a weakly decreasing tuple of positive integers with implicit
 zero-extension.  A composition is any tuple of positive integers; its prefix
 sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 
-Jordan types of constant nilpotent matrices are computed by exact ranks of
-powers over the rationals (fraction-free elimination never enters: every
-quotient goes through the exact `laurent._quo`).  `vector_rank` is the one
-exact rank routine of the package.
+`nilpotent_powers` is the one routine that forms the powers of a constant
+nilpotent, as sparse rows {column: c} read once off its t^0 terms; Jordan
+types, `cells.psi_map`'s X^n = 0 check and the varpi inverse series run on
+them.  Jordan types are exact ranks of those powers over the rationals
+(every quotient goes through the exact `laurent._quo`); `vector_rank` is the
+one exact rank routine of the package.
 
 Beside it, constant matrices are rows of exact scalars, an int wherever a
 value is integral (as in `laurent`): `constant_rows` reads the t^0 rows of
@@ -32,6 +34,7 @@ __all__ = [
     "conjugate",
     "dominance_leq",
     "jordan_type",
+    "nilpotent_powers",
     "vector_rank",
     "constant_rows",
     "row_product",
@@ -206,24 +209,51 @@ def scalar_det(rows):
     return _quo(sign * prev, scale)
 
 
+def nilpotent_powers(X: LaurentMatrix) -> list:
+    """X, X^2, ... up to the first zero power, which is not listed, as
+    sparse rows {column: c} of nonzero exact scalars (ints for an integer X).
+
+    X's t^0 terms are read once, in the pass that checks every entry is
+    constant; the powers are products of those rows.  X^k = 0 for some
+    k <= n proves X^n = 0, so at most n - 1 products are formed.  Raises
+    NotNilpotent when X is not constant or X^n != 0.
+    """
+    x = []
+    for row in X.rows:
+        r = {}
+        for j, p in enumerate(row):
+            if terms := p._terms:
+                if len(terms) > 1 or 0 not in terms:
+                    raise NotNilpotent("matrix is not constant")
+                r[j] = terms[0]
+        x.append(r)
+    powers, power = [], x
+    while any(power):
+        powers.append(power)
+        if len(powers) == len(x):
+            raise NotNilpotent("X^n is not zero")
+        product = []
+        for row in power:
+            acc = {}
+            for m, c in row.items():
+                for j, v in x[m].items():
+                    acc[j] = acc.get(j, 0) + c * v
+            product.append({j: v for j, v in acc.items() if v})
+        power = product
+    return powers
+
+
 @op
 def jordan_type(X: LaurentMatrix) -> Partition:
     """Jordan type of a constant nilpotent matrix, by ranks of powers.
 
-    The conjugate partition has i-th entry dim ker X^i - dim ker X^{i-1};
-    the powers stop at the first zero one.  Raises NotNilpotent when X is
-    not constant or X^n != 0.
+    The conjugate partition has i-th entry dim ker X^i - dim ker X^{i-1},
+    from the `vector_rank` of each power `nilpotent_powers` returns, which
+    raises NotNilpotent when X is not constant or X^n != 0.
     """
-    if not X.is_constant():
-        raise NotNilpotent("matrix is not constant")
     n = X.n
-    ranks = [n]
-    power = LaurentMatrix.identity(n)
-    while ranks[-1] and len(ranks) <= n:
-        power = power * X
-        ranks.append(vector_rank([p.coeff(0) for p in row] for row in power.rows))
-    if ranks[-1] != 0:
-        raise NotNilpotent("X^n is not zero")
+    ranks = [n, *(vector_rank([row.get(j, 0) for j in range(n)] for row in power)
+                  for power in nilpotent_powers(X)), 0]
     diffs = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     cols = tuple(d for d in diffs if d > 0)
     if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affcells.cells import psi_map
 from affcells.errors import NotNilpotent, SizeMismatch
 from affcells.laurent import LaurentMatrix, LaurentPoly, det
 from affcells.partitions import (
@@ -16,6 +17,7 @@ from affcells.partitions import (
     constant_rows,
     dominance_leq,
     jordan_type,
+    nilpotent_powers,
     partitions_of,
     row_product,
     scalar_det,
@@ -100,6 +102,49 @@ class TestJordanType:
         with pytest.raises(NotNilpotent):
             jordan_type(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.t(-1)]))
 
+
+
+class TestNilpotentPowers:
+    """nilpotent_powers against dense row_product powers of the same rows."""
+
+    @staticmethod
+    def _dense_powers(x):
+        rows = constant_rows(x)
+        powers, power = [], rows
+        while any(map(any, power)):
+            powers.append(power)
+            power = row_product(power, rows)
+        return powers
+
+    def test_matches_dense_powers(self):
+        rng = random.Random(29)
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                base = jordan_matrix(mu)
+                g, ginv = random_conjugate_frame(rng, n)
+                for x in (base, g * base * ginv):
+                    powers = nilpotent_powers(x)
+                    # X^k != 0 exactly for k below the largest block.
+                    assert len(powers) == mu.parts[0] - 1
+                    assert all(c for power in powers for row in power for c in row.values())
+                    dense = [[[row.get(j, 0) for j in range(n)] for row in power]
+                             for power in powers]
+                    assert dense == self._dense_powers(x)
+
+    def test_zero(self):
+        assert nilpotent_powers(LaurentMatrix.zero(4)) == []
+
+    @pytest.mark.parametrize("x", [
+        jordan_matrix(Partition((4,))) + LaurentMatrix.from_entries(4, {(4, 1): 1}),
+        LaurentMatrix.from_entries(2, {(1, 2): LaurentPoly.t(1)}),
+        # X^2 = 0 over k[t, t^-1]: only the constancy check rejects it
+        LaurentMatrix.from_entries(2, {(1, 2): LaurentPoly.one() + LaurentPoly.t(1)}),
+    ], ids=["n_cycle", "t_entry", "mixed_entry"])
+    @pytest.mark.parametrize("fn", [nilpotent_powers, jordan_type, psi_map],
+                             ids=["nilpotent_powers", "jordan_type", "psi_map"])
+    def test_rejects(self, fn, x):
+        with pytest.raises(NotNilpotent):
+            fn(x)
 
 def _fraction_det(rows):
     total = Fraction(0)

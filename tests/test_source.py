@@ -186,27 +186,76 @@ def test_only_the_varpi_suite_inverts():
     assert [c for c in _callers("invert") if c.startswith("verify.")] == ["verify.suite_varpi"]
 
 
+def _function(module, name):
+    """The top-level function `name` of the package module `module`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _laurent_imports(module):
+    """The names `module` imports from laurent."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "laurent"
+            for alias in node.names}
+
+
+def _body(fn):
+    """Every node of fn's body, without its signature's annotations."""
+    return [node for stmt in fn.body for node in ast.walk(stmt)]
+
+
 def test_the_varpi_inverse_series_runs_on_scalar_rows():
-    # suite_varpi sums t^-k Z^k on Z's t^0 terms, read before its loop into
-    # {column: int} rows, so the oracle shares no code with the invert it
-    # checks: the loop names nothing imported from laurent and none of the
-    # suite's Laurent objects, and calls only dict and list methods, so it
-    # makes no LaurentMatrix product and calls no laurent function.
-    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
-    laurent = {alias.asname or alias.name for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.module == "laurent"
-               for alias in node.names}
-    suite = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "suite_varpi")
+    # suite_varpi sums t^-k Z^k over the powers partitions.nilpotent_powers
+    # returns as {column: scalar} rows, so the oracle shares no code with
+    # the invert it checks: the series loop calls only that routine and dict
+    # and list methods, and names nothing imported from laurent and none of
+    # the suite's Laurent objects past Z; the routine's body names nothing
+    # imported from laurent and calls only builtins and dict and list
+    # methods, so neither makes a LaurentMatrix product or calls a laurent
+    # function.
+    laurent = _laurent_imports("verify")
+    suite = _function("verify", "suite_varpi")
     bound = {node.id for node in ast.walk(suite)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     laurent_objects = {"wit", "inv", "d"}  # the witness, M^-1 and det M
     assert {"det", "invert", "_matrix"} <= laurent and laurent_objects <= bound
-    (loop,) = [node for node in ast.walk(suite) if isinstance(node, ast.While)]
-    names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
-    assert "z" in names and not names & (laurent | laurent_objects)
-    assert {node.attr for node in ast.walk(loop)
-            if isinstance(node, ast.Attribute)} <= {"items", "get", "append"}
+    (loop,) = [node for node in ast.walk(suite) if isinstance(node, ast.For)
+               and "nilpotent_powers" in ast.unparse(node.iter)]
+    assert ast.unparse(loop.iter) == "enumerate(parts.nilpotent_powers(wit.z), 1)"
+    body = _body(loop)
+    names = {node.id for node in body if isinstance(node, ast.Name)}
+    assert "series" in names and not names & (laurent | laurent_objects)
+    calls = [node.func for node in body if isinstance(node, ast.Call)]
+    assert {ast.unparse(f) for f in calls if isinstance(f, ast.Name)} <= {"zip"}
+    assert {f.attr for f in calls if isinstance(f, ast.Attribute)} <= {"items", "get", "append"}
+
+    routine = _body(_function("partitions", "nilpotent_powers"))
+    laurent = _laurent_imports("partitions")
+    assert {"LaurentMatrix", "_quo"} <= laurent
+    assert not {node.id for node in routine if isinstance(node, ast.Name)} & laurent
+    calls = [node.func for node in routine if isinstance(node, ast.Call)]
+    assert {ast.unparse(f) for f in calls if isinstance(f, ast.Name)} <= {
+        "any", "enumerate", "len", "NotNilpotent"}
+    assert {f.attr for f in calls if isinstance(f, ast.Attribute)} <= {"items", "get", "append"}
+
+
+def test_nilpotent_powers_are_formed_in_one_place():
+    # partitions.nilpotent_powers is the one loop over the powers of a
+    # constant nilpotent: jordan_type, psi_map and suite_varpi call it, and
+    # none of them multiplies anything itself (so forms no LaurentMatrix
+    # product), names LaurentMatrix or calls row_product.
+    callers = ["cells.psi_map", "partitions.jordan_type", "verify.suite_varpi"]
+    assert _callers("nilpotent_powers") == callers
+    found = []
+    for caller in callers:
+        body = _body(_function(*caller.split(".")))
+        found += [f"{caller}:{node.lineno}" for node in body
+                  if (isinstance(node, ast.BinOp)
+                      and isinstance(node.op, (ast.Mult, ast.MatMult, ast.Pow)))
+                  or (isinstance(node, ast.Name) and node.id in ("LaurentMatrix", "row_product"))]
+    assert found == []
 
 
 def test_only_the_varpi_suite_builds_the_varpi_certificate():

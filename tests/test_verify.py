@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from affcells import affine, ops, verify
+from affcells import affine, ops, partitions, verify
 from affcells.errors import FlagInvariantError, IdentityFailed
 from affcells.laurent import LaurentMatrix
 from affcells.partitions import compositions_of
@@ -284,15 +284,16 @@ class TestDeterminantCounts:
 class TestCertificateProducts:
     """The varpi suite forms each matrix of the certificate check once:
     varpi_witness forms b (1 - t^-1 Z) once and the broken corner variant
-    reuses it, and the inverse series sum t^-k Z^k multiplies the powers of
-    Z as sparse scalar rows, with no matrix product, and stops at the first
-    zero power; the suite reads 1 - t^-1 Z off the witness.  The counts are
-    deterministic; they may only be re-pinned downward (1,136 matrix
-    products, 642 scalar products and 374 deformations while the series ran
-    to n - 1 through a scalar product and a matrix sum per power and the
-    broken corner variant rebuilt b (1 - t^-1 Z); 254 deformations while the
-    suite formed 1 - t^-1 Z again; 695 matrix products while the series
-    multiplied the powers of Z as Laurent matrices)."""
+    reuses it, and the inverse series sum t^-k Z^k runs over the powers of
+    Z that partitions.nilpotent_powers forms as sparse scalar rows, with no
+    matrix product, up to the first zero power; the suite reads 1 - t^-1 Z
+    off the witness.  The counts are deterministic; they may only be
+    re-pinned downward (1,136 matrix products, 642 scalar products and 374
+    deformations while the series ran to n - 1 through a scalar product and
+    a matrix sum per power and the broken corner variant rebuilt
+    b (1 - t^-1 Z); 254 deformations while the suite formed 1 - t^-1 Z
+    again; 695 matrix products while the series multiplied the powers of Z
+    as Laurent matrices)."""
 
     def test_varpi_suite(self, monkeypatch):
         from affcells import cells, constructions
@@ -318,18 +319,23 @@ class TestCertificateProducts:
 
 
 class TestInverseSeriesFaults:
-    """A series that misses a power of Z fails the inverse oracle."""
+    """A series that misses a power of Z fails the inverse oracle, whether
+    the suite's loop drops it or nilpotent_powers stops before it."""
 
-    @pytest.mark.parametrize("old, new, failed", [
-        # drop the last nonzero power: it is added only if the next is nonzero
-        ("            for terms, row in zip(series, power):\n",
-         "            for terms, row in zip(series, power if any(z[m] for r in power for m in r)"
-         " else []):\n", 120),
+    SERIES = "enumerate(parts.nilpotent_powers(wit.z), 1)"
+
+    @pytest.mark.parametrize("module, name, old, new, failed", [
+        # drop the last nonzero power
+        (verify, "suite_varpi", SERIES, SERIES.replace("(wit.z)", "(wit.z)[:-1]"), 120),
         # stop one power early: Z^(n-1) is missed where it is nonzero
-        ("while k < n and any(power):", "while k < n - 1 and any(power):", 6),
-    ], ids=["last_power_dropped", "one_power_early"])
-    def test_planted_series_fault(self, monkeypatch, old, new, failed):
-        monkeypatch.setitem(verify.SUITES, "varpi", _planted(verify, "suite_varpi", old, new))
+        (verify, "suite_varpi", SERIES, SERIES.replace("(wit.z)", "(wit.z)[:n - 2]"), 6),
+        # the routine takes a nonzero Z^(n-1) for a nonzero Z^n and raises
+        (partitions, "nilpotent_powers", "if len(powers) == len(x):",
+         "if len(powers) == len(x) - 1:", 6),
+    ], ids=["last_power_dropped", "one_power_early", "routine_stops_early"])
+    def test_planted_series_fault(self, monkeypatch, module, name, old, new, failed):
+        monkeypatch.setattr(module, name, _planted(module, name, old, new))
+        monkeypatch.setitem(verify.SUITES, "varpi", verify.suite_varpi)
         r = verify.run_suite("varpi", 7, 7)
         assert _counts(r)["nilpotent_deformation_inverse"] == (127 - failed, failed)
         assert report_obj([r], 7, 7)["ok"] is False
