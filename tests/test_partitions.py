@@ -103,7 +103,6 @@ class TestJordanType:
             jordan_type(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.t(-1)]))
 
 
-
 class TestNilpotentPowers:
     """nilpotent_powers against dense row_product powers of the same rows."""
 
@@ -145,6 +144,7 @@ class TestNilpotentPowers:
     def test_rejects(self, fn, x):
         with pytest.raises(NotNilpotent):
             fn(x)
+
 
 def _fraction_det(rows):
     total = Fraction(0)
