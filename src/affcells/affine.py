@@ -7,7 +7,8 @@ monomial matrix over powers of t whose determinant has t-order zero; the
 translation between the two pictures is ``w(i) = sigma(i) - c_i * n`` where
 column i of the matrix holds ``t^{c_i}`` in row ``sigma(i)``.
 
-The window is the canonical representation here; matrices are derived views.
+The window is the canonical representation, checked once by the public
+constructor (operations closed on valid windows skip it); matrices are views.
 Composition ``u * v`` means "u after v" and matches the matrix product.
 Length and descents are read off the window: the Coxeter length is the sum
 over 1 <= i < j <= n of ``|floor((w(j) - w(i)) / n)|``, and s_i is a right
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import BadIndices, BadWindow, NotMonomialPermutation, PeriodMismatch
@@ -52,7 +54,7 @@ __all__ = [
 @dataclass(frozen=True)
 class AffinePermutation:
     """An affine permutation stored by its window ``(w(1), ..., w(n))``, a
-    tuple of ints; any sequence of ints is accepted and stored as a tuple."""
+    tuple of ints; any sequence of ints (not bools) is stored as a tuple."""
 
     window: tuple[int, ...]
 
@@ -62,17 +64,19 @@ class AffinePermutation:
         n = len(window)
         if n == 0:
             raise BadWindow("empty window")
-        try:
-            total = sum(window)
-        except TypeError:
-            total = None
-        # a float or Fraction entry makes the sum a float or a Fraction
-        if type(total) is not int:
+        if any(type(v) is not int for v in window):
             raise BadWindow(f"window entries must be integers: {window}")
         if len({v % n for v in window}) != n:
             raise BadWindow(f"window residues not distinct mod {n}: {window}")
-        if total != n * (n + 1) // 2:
+        if sum(window) != n * (n + 1) // 2:
             raise BadWindow(f"window does not sum to 1+...+n: {window}")
+
+    @classmethod
+    def _perm(cls, window: tuple) -> "AffinePermutation":
+        """Unchecked constructor, for a window made by a closed operation."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
 
     @property
     def n(self) -> int:
@@ -94,7 +98,7 @@ class AffinePermutation:
         for v in other.window:
             r = (v - 1) % n
             out.append(win[r] + (v - 1 - r))
-        return AffinePermutation(tuple(out))
+        return AffinePermutation._perm(tuple(out))
 
     def inverse(self) -> "AffinePermutation":
         n = self.n
@@ -102,7 +106,7 @@ class AffinePermutation:
         for j, wj in enumerate(self.window, start=1):
             r = (wj - 1) % n
             out[r] = j + (r + 1 - wj)
-        return AffinePermutation(tuple(out))
+        return AffinePermutation._perm(tuple(out))
 
     def sigma_and_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The pair (sigma, c) with w(i) = sigma(i) - c_i * n, sigma(i) in 1..n."""
@@ -124,19 +128,16 @@ class AffinePermutation:
     def to_matrix(self) -> LaurentMatrix:
         """The affine permutation matrix: t^{c_i} in position (sigma(i), i)."""
         sigma, c = self.sigma_and_orders()
-        entries = {
-            (sigma[i], i + 1): LaurentPoly.t(c[i]) for i in range(self.n)
-        }
+        entries = {(sigma[i], i + 1): LaurentPoly.t(c[i]) for i in range(self.n)}
         return LaurentMatrix.from_entries(self.n, entries)
 
     def length(self) -> int:
         """Coxeter length off the window: the sum over 1 <= i < j <= n of
         |floor((w(j) - w(i)) / n)| (Bjorner-Brenti, Prop. 8.3.1)."""
-        w, n = self.window, len(self.window)
+        n = len(self.window)
         total = 0
-        for i, wi in enumerate(w):
-            for wj in w[i + 1:]:
-                total += abs((wj - wi) // n)
+        for wi, wj in combinations(self.window, 2):
+            total += abs((wj - wi) // n)
         return total
 
     @op
@@ -175,7 +176,9 @@ class AffinePermutation:
 
 
 def identity(n: int) -> AffinePermutation:
-    return AffinePermutation(tuple(range(1, n + 1)))
+    if n < 1:
+        raise BadWindow(f"identity of period {n}")
+    return AffinePermutation._perm(tuple(range(1, n + 1)))
 
 
 def simple_reflection(n: int, i: int) -> AffinePermutation:
@@ -183,10 +186,10 @@ def simple_reflection(n: int, i: int) -> AffinePermutation:
     if n < 2 or not 0 <= i <= n - 1:
         raise BadIndices(f"simple reflection index {i} for period {n}")
     if i == 0:
-        return AffinePermutation(tuple([0] + list(range(2, n)) + [n + 1]))
+        return AffinePermutation._perm(tuple([0] + list(range(2, n)) + [n + 1]))
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
-    return AffinePermutation(tuple(w))
+    return AffinePermutation._perm(tuple(w))
 
 
 @op
@@ -196,7 +199,7 @@ def reflection(n: int, a: int, b: int) -> AffinePermutation:
         raise BadIndices(f"reflection pair ({a},{b}) for period {n}")
     w = list(range(1, n + 1))
     w[a - 1], w[b - 1] = b, a
-    return AffinePermutation(tuple(w))
+    return AffinePermutation._perm(tuple(w))
 
 
 def translation(n: int, q: Sequence[int]) -> AffinePermutation:
@@ -416,16 +419,14 @@ def quad_minimum(w: AffinePermutation, a: int, b: int) -> QuadMinimum:
     s_l = reflection(n, min(sa, sb), max(sa, sb))
     if c[a - 1] == c[b - 1]:
         other = s_l * w
-        u = w if sa < sb else other
-        top = other if sa < sb else w
+        u, top = (w, other) if sa < sb else (other, w)
         return QuadMinimum(1, u, ((u, top),))
     if c[a - 1] > c[b - 1]:
         u = s_l * w if sa < sb else w
     else:
         u = w * s_r if sa < sb else s_l * w * s_r
-    su = s_l * u
-    us = u * s_r
-    sus = s_l * u * s_r
+    su, us = s_l * u, u * s_r
+    sus = su * s_r
     return QuadMinimum(2, u, ((u, su, sus), (u, us, sus)))
 
 
@@ -433,9 +434,7 @@ def bruhat_ball(n: int, max_length: int) -> list[AffinePermutation]:
     """All elements of length <= max_length, by breadth-first search."""
     e = identity(n)
     gens = [simple_reflection(n, i) for i in range(n)] if n >= 2 else []
-    seen = {e.window}
-    layer = [e]
-    out = [e]
+    seen, layer, out = {e.window}, [e], [e]
     for _ in range(max_length):
         nxt = []
         for w in layer:

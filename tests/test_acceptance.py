@@ -63,12 +63,12 @@ def test_criterion_3_cell_certificate_identity():
 
 def test_criterion_4_kappa_structure():
     start = time.monotonic()
-    result = verify.run_suite("kappa", nmax=8, seed=SEED)
+    result = verify.run_suite("kappa", nmax=9, seed=SEED)
     _assert_clean(result, "kappa structure")
     elapsed = time.monotonic() - start
     assert elapsed < 2.5, f"took {elapsed:.1f}s"
     print(f"\nPASS criterion 4: decomposition, stability, minimality, and "
-          f"length formula for n <= 8, {result.passed} checks ({elapsed:.1f}s)")
+          f"length formula for n <= 9, {result.passed} checks ({elapsed:.1f}s)")
 
 
 def test_criterion_5_two_reflection_minimum():

@@ -53,6 +53,19 @@ def _windows(draw, n):
 _sizes = st.integers(1, 8)
 
 
+@st.composite
+def _closed_results(draw):
+    """u * v, u^-1 and the identity for windows u, v of one period n <= 8,
+    and, for n >= 2, a simple reflection s_i and a reflection s_(a,b)."""
+    n = draw(_sizes)
+    u, v = draw(_windows(n)), draw(_windows(n))
+    results = [u * v, u.inverse(), identity(n)]
+    if n >= 2:
+        a, b = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+        results += [simple_reflection(n, draw(st.integers(0, n - 1))), reflection(n, a, b)]
+    return results
+
+
 class TestWindowMatrix:
     def test_identity_roundtrip(self):
         for n in (1, 2, 5):
@@ -76,10 +89,11 @@ class TestWindowMatrix:
             affine.from_matrix(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.one()]))
 
     @pytest.mark.parametrize(
-        "window", [(), (1, 3), (1, 2, 6), (0.5, 2.5, 3.0), (1.0, 2), ("1", "2")]
+        "window", [(), (1, 3), (1, 2, 6), (0.5, 2.5, 3.0), (1.0, 2), ("1", "2"), (True, 2)]
     )
     def test_bad_window_is_a_package_value_error(self, window):
-        # empty, repeated residue, wrong sum, non-integer entries
+        # empty, repeated residue, wrong sum, non-integer entries (a bool
+        # is an int subclass whose sum is an int, so it is tested by type)
         with pytest.raises(BadWindow) as info:
             AffinePermutation(window)
         assert isinstance(info.value, AffcellsError) and isinstance(info.value, ValueError)
@@ -99,6 +113,11 @@ class TestWindowMatrix:
     def test_rejects_a_non_integer_translation(self):
         with pytest.raises(BadWindow):
             translation(2, [0.5, -0.5])
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_identity_needs_a_positive_period(self, n):
+        with pytest.raises(BadWindow):
+            identity(n)
 
 
 class TestCompose:
@@ -140,6 +159,15 @@ class TestCompose:
     def test_product_is_the_matrix_product(self, pair):
         w, v = pair
         assert w * v == affine.from_matrix(w.to_matrix() * v.to_matrix())
+
+    @given(_closed_results())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_operations_give_checked_windows(self, results):
+        # products, inverses, the identity and reflections skip the window
+        # checks; each result must still pass the checking constructor
+        for x in results:
+            assert all(type(v) is int for v in x.window)
+            assert AffinePermutation(x.window) == x
 
 
 class TestLength:

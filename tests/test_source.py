@@ -167,6 +167,20 @@ def test_laurent_polys_are_coerced_at_one_boundary():
     assert _callers("LaurentPoly") == ["jsonio.matrix_from_obj"]
 
 
+def test_windows_are_checked_at_one_boundary():
+    # AffinePermutation._perm builds a window with no checks, so only the five
+    # operations closed on valid windows call it, and nothing else names it;
+    # every other window goes through AffinePermutation(...), which checks it.
+    closed = ["affine.AffinePermutation.__mul__", "affine.AffinePermutation.inverse",
+              "affine.identity", "affine.reflection", "affine.simple_reflection"]
+    callers = _callers("_perm")
+    assert sorted(set(callers)) == closed
+    named = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, "id", None) == "_perm" or getattr(node, "attr", None) == "_perm"]
+    assert len(named) == len(callers)
+
+
 def test_frames_are_not_inverted_by_elimination():
     # random_conjugate_frame builds g^-1 alongside g from the inverse factors,
     # and mv_flag tests X F_i <= F_{i-1} by vector_rank on the frame's
