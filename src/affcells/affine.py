@@ -128,7 +128,9 @@ class AffinePermutation:
     def to_matrix(self) -> LaurentMatrix:
         """The affine permutation matrix: t^{c_i} in position (sigma(i), i)."""
         sigma, c = self.sigma_and_orders()
-        entries = {(sigma[i], i + 1): LaurentPoly.t(c[i]) for i in range(self.n)}
+        entries = {
+            (sigma[i], i + 1): LaurentPoly.t(c[i]) for i in range(self.n)
+        }
         return LaurentMatrix.from_entries(self.n, entries)
 
     def length(self) -> int:
@@ -419,14 +421,16 @@ def quad_minimum(w: AffinePermutation, a: int, b: int) -> QuadMinimum:
     s_l = reflection(n, min(sa, sb), max(sa, sb))
     if c[a - 1] == c[b - 1]:
         other = s_l * w
-        u, top = (w, other) if sa < sb else (other, w)
+        u = w if sa < sb else other
+        top = other if sa < sb else w
         return QuadMinimum(1, u, ((u, top),))
     if c[a - 1] > c[b - 1]:
         u = s_l * w if sa < sb else w
     else:
         u = w * s_r if sa < sb else s_l * w * s_r
-    su, us = s_l * u, u * s_r
-    sus = su * s_r
+    su = s_l * u
+    us = u * s_r
+    sus = s_l * u * s_r
     return QuadMinimum(2, u, ((u, su, sus), (u, us, sus)))
 
 
@@ -434,7 +438,9 @@ def bruhat_ball(n: int, max_length: int) -> list[AffinePermutation]:
     """All elements of length <= max_length, by breadth-first search."""
     e = identity(n)
     gens = [simple_reflection(n, i) for i in range(n)] if n >= 2 else []
-    seen, layer, out = {e.window}, [e], [e]
+    seen = {e.window}
+    layer = [e]
+    out = [e]
     for _ in range(max_length):
         nxt = []
         for w in layer:
