@@ -88,7 +88,7 @@ def _quo(a, b):
     """The exact quotient of two coefficients: a // b when b divides a,
     else Fraction(a, b) (an int again when that is integral).  The one
     division that may leave the integers; a division known to be exact on
-    ints (the Bareiss updates, `partitions.scalar_det`) uses // or divmod."""
+    ints (the Bareiss updates, `partitions._echelon`) uses // or divmod."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
@@ -406,9 +406,6 @@ class LaurentMatrix:
         self._same_size(other)
         return _matrix([[(p - q if q._terms else p) if p._terms else -q for p, q in zip(*rows)]
                         for rows in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return _matrix([[-p for p in row] for row in self.rows])
 
     def __mul__(self, other):
         """The matrix product, or the product with a scalar or Laurent polynomial.

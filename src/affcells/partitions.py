@@ -7,14 +7,14 @@ sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 `nilpotent_powers` is the one routine that forms the powers of a constant
 nilpotent, as sparse rows {column: c} read once off its t^0 terms; Jordan
 types, `cells.psi_map`'s X^n = 0 check and the varpi inverse series run on
-them.  Jordan types are exact ranks of those powers over the rationals
-(every quotient goes through the exact `laurent._quo`); `vector_rank` is the
-one exact rank routine of the package.
+them.  Jordan types are exact ranks of those powers over the rationals.
 
 Beside it, constant matrices are rows of exact scalars, an int wherever a
 value is integral (as in `laurent`): `constant_rows` reads the t^0 rows of
-a matrix (None when it is not constant), `row_product` multiplies two, and
-`scalar_det` runs fraction-free (Bareiss) elimination on integer-scaled rows.
+a matrix (None when it is not constant) and `row_product` multiplies two.
+One fraction-free (Bareiss) elimination on integer-scaled rows, `_echelon`,
+gives both `vector_rank`, the one exact rank routine of the package, and
+`scalar_det`.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
 
 @dataclass(frozen=True)
 class Composition:
@@ -112,12 +109,6 @@ class Composition:
         """The conjugate of the decreasing rearrangement; column heights."""
         return conjugate(self.sorted_partition())
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
 
 @op
 def conjugate(mu: Partition) -> Partition:
@@ -141,26 +132,52 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
     return True
 
 
-def vector_rank(vectors) -> int:
-    """Exact rank of a family of equal-length int/Fraction vectors, by forward
-    Gaussian elimination (no back substitution)."""
-    a = [list(v) for v in vectors]
-    rows = len(a)
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        pivot = next((r for r in range(rank, rows) if a[r][col]), None)
-        if pivot is None:
+def _echelon(rows):
+    """Fraction-free (Bareiss) forward elimination of rows of exact scalars:
+    (rank, +-the last pivot, scale).
+
+    All-zero rows are dropped; each other row is scaled to integers by the
+    lcm of its denominators, and scale is the product of those lcms.  A
+    column with no pivot is skipped, and each update divides exactly in the
+    integers by the previous pivot (Sylvester's identity), so at full rank
+    on a square matrix the last pivot is +-det times scale.  A row that is
+    zero in the pivot column is left alone when the pivot equals the
+    previous one.
+    """
+    a, scale = [], 1
+    for row in rows:
+        if any(row):
+            s = math.lcm(*(c.denominator for c in row))
+            a.append([c.numerator * (s // c.denominator) for c in row])
+            scale *= s
+    m = len(a)
+    rank, sign, prev = 0, 1, 1
+    for k in range(len(a[0]) if a else 0):
+        for i in range(rank, m):
+            if a[i][k]:
+                break
+        else:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]
-        for r in range(rank + 1, rows):
-            if a[r][col]:
-                factor = _quo(a[r][col], inv)
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        top = a[i]
+        if i != rank:
+            a[rank], a[i] = top, a[rank]
+            sign = -sign
+        piv = top[k]
         rank += 1
-        if rank == rows:
+        for row in a[rank:]:
+            f = row[k]
+            if f or piv != prev:
+                for j in range(k + 1, len(row)):
+                    row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+        if rank == m:
             break
-    return rank
+    return rank, sign * prev, scale
+
+
+def vector_rank(vectors) -> int:
+    """Exact rank of a family of equal-length int/Fraction vectors."""
+    return _echelon(vectors)[0]
 
 
 def constant_rows(M: LaurentMatrix):
@@ -179,34 +196,9 @@ def row_product(a, b) -> list:
 
 
 def scalar_det(rows):
-    """Exact determinant of a square matrix given as rows of exact scalars.
-
-    Each row is scaled to integers by the lcm of its denominators; Bareiss
-    elimination then divides exactly in the integers (Sylvester's identity),
-    and the last pivot is +-det times the product of the row scales.
-    """
-    a, scale = [], 1
-    for row in rows:
-        s = math.lcm(*(c.denominator for c in row))
-        a.append([c.numerator * (s // c.denominator) for c in row])
-        scale *= s
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        top = a[k]
-        piv = top[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (piv * row[j] - f * top[j]) // prev
-        prev = piv
-    return _quo(sign * prev, scale)
+    """Exact determinant of a square matrix given as rows of exact scalars."""
+    rank, last, scale = _echelon(rows)
+    return _quo(last, scale) if rank == len(rows) else 0
 
 
 def nilpotent_powers(X: LaurentMatrix) -> list:

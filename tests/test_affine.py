@@ -340,7 +340,8 @@ class TestCosets:
     @settings(max_examples=60, deadline=None)
     def test_rep_is_the_unique_shortest_coset_element(self, case):
         # J is a proper subset of the n nodes, so W_J is finite (at most 6!
-        # elements here); walk the whole coset breadth-first.
+        # elements here); walk the whole coset breadth-first, and fail once
+        # it outgrows that, as a broken product makes it endless.
         w, J, side = case
         n = w.n
         gens = [simple_reflection(n, j) for j in J]
@@ -348,6 +349,7 @@ class TestCosets:
         while layer:
             layer = {u * s if side is Side.RIGHT else s * u for u in layer for s in gens} - seen
             seen |= layer
+            assert len(seen) <= 720, "the coset walk does not close"
         shortest = min(x.length() for x in seen)
         (unique,) = [x for x in seen if x.length() == shortest]
         assert min_coset_rep(w, J, side) == unique

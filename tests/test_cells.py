@@ -1,6 +1,4 @@
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -46,6 +44,7 @@ from affcells.sampling import (
     random_sl,
     random_window,
 )
+from planting import plant
 
 t = LaurentPoly.t
 
@@ -603,12 +602,9 @@ class TestRelativePosition:
         # The planted boundary puts t^e e_r at chain index (n + 1 - r) - n e,
         # the chain of w0 L_i.  The walk and every fresh lattice share it, so
         # the step-lattice checks agree with the walk; the oracle does not.
-        source = textwrap.dedent(inspect.getsource(lattices._flat))
-        assert source.count("r - n * e") == 1
-        planted = dict(vars(lattices))
-        exec(source.replace("r - n * e", "n + 1 - r - n * e"), planted)
+        planted = plant(lattices._flat, "r - n * e", "n + 1 - r - n * e")
         for module in (lattices, cells):
-            monkeypatch.setattr(module, "_flat", planted["_flat"])
+            monkeypatch.setattr(module, "_flat", planted)
         assert _step_window_mismatches() == set()
         assert _relative_position_mismatches() == set(RELATIVE_KINDS)
 

@@ -1,9 +1,6 @@
-import inspect
 import math
 import random
-import textwrap
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +13,7 @@ from affcells.lattices import AffineFlag, Lattice, chain_walk, quotient_dim, vdi
 from affcells.laurent import LaurentMatrix, LaurentPoly, det, invert
 from affcells.partitions import Composition
 from affcells.sampling import random_iwahori, random_nilradical, random_sl, random_window
+from planting import leibniz_det, plant
 
 t = LaurentPoly.t
 ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
@@ -356,12 +354,9 @@ class TestChainWalk:
         # right; against the generators of M Lambda_n scaled by t it no
         # longer cancels the leading term.  Its step cap is lowered so that
         # a descent it starts fails fast.
-        source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        shift = "idx - hidx - n * hk"
-        assert source.count(shift) == 1
-        planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
-        exec(source.replace(shift, "idx - hidx"), planted)
-        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        planted = plant(lattices._reduce, "idx - hidx - n * hk", "idx - hidx",
+                        _MAX_REDUCTION_STEPS=1_000)
+        monkeypatch.setattr(lattices, "_reduce", planted)
         errors = (AssertionError, ValueError, IdentityFailed)
         assert _oracle_failures(random.Random(5), 20, errors) == 20
 
@@ -415,17 +410,6 @@ def _rational_point(rng, n):
     return m, w
 
 
-def _leibniz_det(m):
-    total = LaurentPoly.zero()
-    for perm in permutations(range(m.n)):
-        term = LaurentPoly.one()
-        for i, j in enumerate(perm):
-            term = term * m.rows[i][j]
-        odd = sum(perm[a] > perm[b] for a in range(m.n) for b in range(a + 1, m.n)) % 2
-        total = total - term if odd else total + term
-    return total
-
-
 class TestRationalColumns:
     """The walk and det on points whose columns need different scales."""
 
@@ -448,7 +432,7 @@ class TestRationalColumns:
             _, chain = chain_walk(m)
             assert all(type(c) is int for lat in chain for _, lead, v, _ in lat.basis.values()
                        for c in [lead, *v.values()])
-            assert det(m) == _leibniz_det(m)
+            assert det(m) == leibniz_det(m.rows)
         # det divides by a pivot coefficient other than +-1 on these points.
         assert divisors
 
@@ -548,12 +532,9 @@ class TestCopyOnWrite:
         # shares no dict with the basis it still answers right, and only a
         # snapshot sees the write.  A corrupted basis can start an endless
         # descent: the cap is lowered.
-        source = textwrap.dedent(inspect.getsource(lattices._reduce))
-        copy = "x = dict(v) if k == 0 else "
-        assert source.count(copy) == 1
-        planted = dict(vars(lattices), _MAX_REDUCTION_STEPS=1_000)
-        exec(source.replace(copy, "x = v if k == 0 else "), planted)
-        monkeypatch.setattr(lattices, "_reduce", planted["_reduce"])
+        planted = plant(lattices._reduce, "x = dict(v) if k == 0 else ", "x = v if k == 0 else ",
+                        _MAX_REDUCTION_STEPS=1_000)
+        monkeypatch.setattr(lattices, "_reduce", planted)
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(2, 6)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from affcells.partitions import (
     vector_rank,
 )
 from affcells.sampling import jordan_matrix, random_conjugate_frame
+from planting import leibniz_det
 
 
 class TestConjugate:
@@ -146,16 +147,10 @@ class TestNilpotentPowers:
             fn(x)
 
 
-def _fraction_det(rows):
-    total = Fraction(0)
-    k = len(rows)
-    for perm in permutations(range(k)):
-        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
-        term = Fraction(1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += -term if inversions % 2 else term
-    return total
+# Exact scalars as the package stores them: an int when integral, else a
+# Fraction.  Zeros are frequent, so pivots are often missing from the
+# diagonal (a row swap) or from a whole column (a singular matrix).
+SCALARS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
 
 
 def minor_rank(vectors):
@@ -166,15 +161,14 @@ def minor_rank(vectors):
     for k in range(min(len(vectors), width), 0, -1):
         for rows in combinations(vectors, k):
             for cols in combinations(range(width), k):
-                if _fraction_det([[row[c] for c in cols] for row in rows]):
+                if leibniz_det([[row[c] for c in cols] for row in rows]):
                     return k
     return 0
 
 
 families = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
     lambda shape: st.lists(
-        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)).map(Fraction),
-                 min_size=shape[1], max_size=shape[1]),
+        st.lists(st.sampled_from(SCALARS), min_size=shape[1], max_size=shape[1]),
         min_size=shape[0], max_size=shape[0],
     )
 )
@@ -189,6 +183,8 @@ class TestVectorRank:
         assert vector_rank([[one, zero, one], [2 * one, zero, 2 * one]]) == 1
         tall = [[one, zero], [zero, one], [one, one], [one, -one]]
         assert vector_rank(tall) == 2
+        # No pivot in column 2: column 3's pivot follows a previous pivot of 2.
+        assert vector_rank([[2, 1, 0], [4, 2, 1], [6, 3, 5]]) == 2
 
     @given(families)
     @settings(max_examples=80, deadline=None)
@@ -211,11 +207,6 @@ class TestVectorRank:
             assert vector_rank(rows) == 5 - len(mu)
 
 
-# Exact scalars as the package stores them: an int when integral, else a
-# Fraction.  Zeros are frequent, so pivots are often missing from the
-# diagonal (a row swap) or from a whole column (a singular matrix).
-SCALARS = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
-
 square_scalar_rows = st.integers(0, 6).flatmap(
     lambda n: st.lists(st.lists(st.sampled_from(SCALARS), min_size=n, max_size=n),
                        min_size=n, max_size=n)
@@ -236,7 +227,7 @@ class TestScalarRows:
     def test_det_matches_leibniz_and_laurent_det(self, rows):
         d = scalar_det(rows)
         assert _exact(d)
-        assert d == _fraction_det(rows)
+        assert d == leibniz_det(rows)
         assert det(LaurentMatrix(rows)) == d
 
     @given(square_scalar_rows, st.data())
@@ -253,7 +244,7 @@ class TestScalarRows:
             rows[j] = [c * x for x in rows[i]]
         else:
             rows[i] = [0] * n
-        assert scalar_det(rows) == 0 == _fraction_det(rows)
+        assert scalar_det(rows) == 0 == leibniz_det(rows)
 
     def test_row_swaps(self):
         assert scalar_det([[0, 1], [1, 0]]) == -1

@@ -290,3 +290,24 @@ def test_every_module_has_a_readme_row():
     modules = {f"affcells.{path.stem}" for path in PACKAGE.glob("*.py")
                if path.stem not in ("__init__", "__main__")}
     assert sorted(modules - rows) == []
+
+
+def test_constant_matrices_have_one_elimination():
+    # vector_rank and scalar_det read their answers off partitions._echelon,
+    # the one fraction-free elimination on rows of exact scalars, which
+    # divides exactly in the integers and so never calls laurent._quo.
+    loops = (ast.For, ast.While, ast.comprehension)
+    for name in ("vector_rank", "scalar_det"):
+        body = _body(_function("partitions", name))
+        assert not any(isinstance(node, loops) for node in body)
+        assert any(isinstance(node, ast.Name) and node.id == "_echelon" for node in body)
+    assert "partitions._echelon" not in _callers("_quo")
+
+
+def test_tests_plant_faults_in_one_place():
+    # A test plants a fault through planting.plant, the one exec under tests/.
+    tests = Path(__file__).resolve().parent
+    found = [path.name for path in sorted(tests.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "exec"]
+    assert found == ["planting.py"]

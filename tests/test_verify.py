@@ -1,7 +1,5 @@
 import importlib
-import inspect
 import json
-import textwrap
 from collections import Counter
 
 import pytest
@@ -11,6 +9,7 @@ from affcells.errors import FlagInvariantError, IdentityFailed
 from affcells.laurent import LaurentMatrix
 from affcells.partitions import compositions_of
 from affcells.verify import CheckResult, SuiteResult, coverage_gap, report_obj
+from planting import plant
 
 
 class TestCoverage:
@@ -334,20 +333,11 @@ class TestInverseSeriesFaults:
          "if len(powers) == len(x) - 1:", 6),
     ], ids=["last_power_dropped", "one_power_early", "routine_stops_early"])
     def test_planted_series_fault(self, monkeypatch, module, name, old, new, failed):
-        monkeypatch.setattr(module, name, _planted(module, name, old, new))
+        monkeypatch.setattr(module, name, plant(getattr(module, name), old, new))
         monkeypatch.setitem(verify.SUITES, "varpi", verify.suite_varpi)
         r = verify.run_suite("varpi", 7, 7)
         assert _counts(r)["nilpotent_deformation_inverse"] == (127 - failed, failed)
         assert report_obj([r], 7, 7)["ok"] is False
-
-
-def _planted(module, name, old, new):
-    """module.name with one source line replaced, the @op counter dropped."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1
-    scope = dict(vars(module), op=lambda fn: fn)
-    exec(source.replace(old, new), scope)
-    return scope[name]
 
 
 def _counts(result):
@@ -378,8 +368,8 @@ class TestCertifiedChecksStillFail:
         # minimal representative of kappa modulo the finite Weyl group.
         from affcells import constructions
 
-        planted = _planted(
-            constructions, "kappa_bundle",
+        planted = plant(
+            constructions.kappa_bundle,
             "    tau_q = affine.translation(n, q)\n",
             "    tau_q = affine.translation(n, q)\n"
             "    if n >= 2:\n"
@@ -399,8 +389,8 @@ class TestCertifiedChecksStillFail:
         from affcells import constructions
 
         reduced = "reduced = b1 * b2 * point * b3"
-        planted = _planted(
-            constructions, "divisor_witnesses", reduced,
+        planted = plant(
+            constructions.divisor_witnesses, reduced,
             reduced + " * lift_finite(affine.simple_reflection(n, 1))",
         )
         monkeypatch.setattr(constructions, "divisor_witnesses", planted)
