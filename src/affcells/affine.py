@@ -17,7 +17,9 @@ w^-1(i) > w^-1(i + 1).
 
 Roots are pairs (i, j) with i != j mod n, taken modulo the simultaneous
 shift (i, j) ~ (i + kn, j + kn); the canonical representative has
-1 <= i <= n, and the root is positive exactly when i < j.
+1 <= i <= n, and the root is positive exactly when i < j.  Roots too are
+checked at the public constructors, Root(...) and Root.make; act_on_root,
+which maps a root to a root, builds its image unchecked.
 """
 
 from __future__ import annotations
@@ -272,6 +274,13 @@ class Root:
         shift = -((i - 1) // n)
         return cls(i + shift * n, j + shift * n, n)
 
+    @classmethod
+    def _root(cls, i: int, j: int, n: int) -> "Root":
+        """Unchecked constructor, for the canonical root act_on_root makes."""
+        root = object.__new__(cls)
+        vars(root).update(i=i, j=j, n=n)
+        return root
+
     @property
     def positive(self) -> bool:
         return self.i < self.j
@@ -279,10 +288,15 @@ class Root:
 
 @op
 def act_on_root(w: AffinePermutation, alpha: Root) -> Root:
-    """Apply the window to both coordinates and canonicalize."""
-    if w.n != alpha.n:
-        raise PeriodMismatch(f"periods {w.n} and {alpha.n}")
-    return Root.make(w(alpha.i), w(alpha.j), w.n)
+    """Apply the window to both coordinates and canonicalize by Root.make's
+    shift.  w permutes the residues mod n, so the image of a root is a root
+    and is built unchecked."""
+    n = w.n
+    if n != alpha.n:
+        raise PeriodMismatch(f"periods {n} and {alpha.n}")
+    i, j = w(alpha.i), w(alpha.j)
+    shift = -((i - 1) // n)
+    return Root._root(i + shift * n, j + shift * n, n)
 
 
 _BRUHAT_CACHE: dict = {}

@@ -6,6 +6,11 @@ them per-check pass/fail counts and the failing witnesses (inputs), so one
 bad composition is enough to locate a regression.  All randomness flows
 through random.Random(seed), so reports are reproducible byte for byte.
 
+A witness is a string or a zero-argument callable that formats one; the
+callable is called when a failure is recorded, and only its string is kept.
+Every suite passes the witnesses it builds in its loops as callables, so a
+check that passes formats no text.
+
 An error raised inside a check's guard is a failure of that check, and the
 sweep goes on.  An error that escapes a suite ends it: it becomes the one
 failure of a suite_completed check, added after the counts recorded so far.
@@ -55,6 +60,11 @@ __all__ = [
 ]
 
 
+def _text(witness) -> str:
+    """The text of a witness: the string itself, or what the callable returns."""
+    return witness() if callable(witness) else witness
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -62,31 +72,31 @@ class CheckResult:
     failed: int = 0
     witnesses: list = field(default_factory=list)
 
-    def record(self, ok: bool, witness: str = "") -> None:
+    def record(self, ok: bool, witness="") -> None:
         if ok:
             self.passed += 1
         else:
             self.failed += 1
-            self.witnesses.append(witness or "unspecified input")
+            self.witnesses.append(_text(witness) or "unspecified input")
 
-    def expect_equal(self, got, want, witness: str) -> None:
+    def expect_equal(self, got, want, witness) -> None:
         # The witness, with the reprs of matrices, lattices and flags, is
         # formatted only for a failure; a pass is still one record call.
         if got == want:
             self.record(True)
         else:
-            self.record(False, f"{witness}: got {got!r}, want {want!r}")
+            self.record(False, f"{_text(witness)}: got {got!r}, want {want!r}")
 
     @contextmanager
-    def guard(self, witness: str):
+    def guard(self, witness):
         """Record an error raised in the block as a failure of this check,
         so that one bad input does not abort the sweep."""
         try:
             yield
         except Exception as exc:  # noqa: BLE001 - report, do not crash the sweep
-            self.record(False, f"{witness}: {type(exc).__name__}: {exc}")
+            self.record(False, f"{_text(witness)}: {type(exc).__name__}: {exc}")
 
-    def attempt(self, witness: str, build, *args):
+    def attempt(self, witness, build, *args):
         """build(*args) recorded as a pass, or None once it failed."""
         with self.guard(witness):
             value = build(*args)
@@ -146,19 +156,19 @@ def suite_lengths(suite: SuiteResult) -> None:
     for w in pool:
         n = w.n
         lw = w.length()
-        oracle.expect_equal(lw, w.length_oracle(), f"window {w.window}")
-        roundtrip.expect_equal(affine.from_matrix(w.to_matrix()), w, f"window {w.window}")
+        oracle.expect_equal(lw, w.length_oracle(), lambda: f"window {w.window}")
+        roundtrip.expect_equal(affine.from_matrix(w.to_matrix()), w, lambda: f"window {w.window}")
         for i in range(n):
             ls = (w * affine.simple_reflection(n, i)).length()
-            step.record(abs(ls - lw) == 1, f"window {w.window}, s_{i}")
+            step.record(abs(ls - lw) == 1, lambda: f"window {w.window}, s_{i}")
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 pos = affine.act_on_root(w, affine.Root(a, b, n)).positive
                 longer = (w * affine.reflection(n, a, b)).length() > lw
-                root_sign.record(pos == longer, f"window {w.window}, root ({a},{b})")
+                root_sign.record(pos == longer, lambda: f"window {w.window}, root ({a},{b})")
         sigma, q = affine.decompose_translation(w)
         ok = sigma.is_finite() and sum(q) == 0 and sigma * affine.translation(n, q) == w
-        translate.record(ok, f"window {w.window}")
+        translate.record(ok, lambda: f"window {w.window}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,9 @@ def suite_bruhat(suite: SuiteResult) -> None:
         for v in ball:
             for w, below in zip(ball, intervals):
                 agreement.expect_equal(
-                    affine.bruhat_leq(v, w), v in below, f"n={n}, v={v.window}, w={w.window}"
+                    affine.bruhat_leq(v, w),
+                    v in below,
+                    lambda: f"n={n}, v={v.window}, w={w.window}",
                 )
 
     for n in range(2, min(4, suite.nmax) + 1):
@@ -208,7 +220,7 @@ def suite_bruhat(suite: SuiteResult) -> None:
             sigma, c = w.sigma_and_orders()
             for a in range(1, n + 1):
                 for b in range(a + 1, n + 1):
-                    tag = f"n={n}, w={w.window}, (a,b)=({a},{b})"
+                    tag = lambda: f"n={n}, w={w.window}, (a,b)=({a},{b})"
                     res = affine.quad_minimum(w, a, b)
                     want_case = 1 if c[a - 1] == c[b - 1] else 2
                     quad_cases.expect_equal(res.case, want_case, tag)
@@ -217,7 +229,7 @@ def suite_bruhat(suite: SuiteResult) -> None:
                             n, min(sigma[a - 1], sigma[b - 1]), max(sigma[a - 1], sigma[b - 1])
                         )
                         s_r = affine.reflection(n, a, b)
-                        quad_cases.record(s_l * w == w * s_r, tag + " commutation")
+                        quad_cases.record(s_l * w == w * s_r, lambda: f"{tag()} commutation")
                     ok = True
                     for chain in res.chains:
                         for x, y in zip(chain, chain[1:]):
@@ -253,14 +265,14 @@ def suite_kappa(suite: SuiteResult) -> None:
     conj_inv = suite.check("conjugate_involution")
 
     for lam in _comps(suite.nmax):
-        tag = f"lambda={lam.parts}"
+        tag = lambda: f"lambda={lam.parts}"
         bundle = bundle_ok.attempt(tag, cons.kappa_bundle, lam)
         if bundle is None:
             continue
 
         rep = cons.check_kappa(bundle)
         ok = rep.in_min_reps and rep.left_stable and rep.lengths_match
-        minimal.record(ok, "" if ok else f"{tag}: {rep}")
+        minimal.record(ok, "" if ok else f"{tag()}: {rep}")
         # For a single block the parabolic is the whole group and the cell is
         # a point; the dichotomy concerns proper parabolic subgroups.
         if lam.r >= 2:
@@ -283,7 +295,7 @@ def suite_kappa(suite: SuiteResult) -> None:
         for _ in range(3):
             x = random_nilradical(rng, lam)
             ok = parts.dominance_leq(parts.jordan_type(x), nu)
-            dominance.record(ok, "" if ok else f"{tag}: X={x!r}")
+            dominance.record(ok, "" if ok else f"{tag()}: X={x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ def suite_varpi(suite: SuiteResult) -> None:
     inverse_ok = suite.check("nilpotent_deformation_inverse")
 
     for lam in _comps(suite.nmax):
-        tag = f"lambda={lam.parts}"
+        tag = lambda: f"lambda={lam.parts}"
         wit = identity_ok.attempt(tag, cons.varpi_witness, lam)
         if wit is None:
             continue
@@ -311,7 +323,7 @@ def suite_varpi(suite: SuiteResult) -> None:
         n = lam.n
         d = det(wit.point)
         ok = d == LaurentPoly.one() and d.ord() == 0
-        unit_det.record(ok, "" if ok else f"{tag}: det={d!r}")
+        unit_det.record(ok, "" if ok else f"{tag()}: det={d!r}")
 
         # sum_{k<n} t^-k Z^k, one term dict per entry, over the powers of Z
         # as sparse scalar rows {column: int}; they stop at the first zero one.
@@ -346,9 +358,9 @@ def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
         sp = cons.parabolic_subset(lam)
         kappa = cons.kappa_bundle(lam).kappa
         fiber = cons.conormal_directions(affine.identity(n), sp)
-        fiber_full.expect_equal(len(fiber), cons.dim_g_mod_p(lam), f"lambda={lam.parts}")
+        fiber_full.expect_equal(len(fiber), cons.dim_g_mod_p(lam), lambda: f"lambda={lam.parts}")
         for i in range(1, lam.r):
-            tag = f"lambda={lam.parts}, i={i}"
+            tag = lambda: f"lambda={lam.parts}, i={i}"
             data = data_ok.attempt(tag, cons.divisor_data, lam, i)
             if data is None:
                 continue
@@ -356,7 +368,7 @@ def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
             full_len.expect_equal(data.v_k.length(), n * (n - 1) // 2, tag)
             for s in range(samples):
                 a = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.choice([1, 2, 3]))
-                stag = f"{tag}, sample {s}, a={a}"
+                stag = lambda: f"{tag()}, sample {s}, a={a}"
                 with witness_red.guard(stag):
                     wit = cons.divisor_witnesses(data, a)
                     # divisor_witnesses raises unless wit.reduced is v_k_min.
@@ -394,10 +406,12 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
 
     for n in range(1, nmax + 1):
         e_lat = lattices.Lattice.standard(n)
-        lattice_axioms.expect_equal(lattices.vdim(e_lat), 0, f"n={n} standard")
-        lattice_axioms.expect_equal(lattices.vdim(e_lat.scaled(1)), -n, f"n={n} t*standard")
+        lattice_axioms.expect_equal(lattices.vdim(e_lat), 0, lambda: f"n={n} standard")
         lattice_axioms.expect_equal(
-            lattices.quotient_dim(e_lat, e_lat.scaled(1)), n, f"n={n} quotient"
+            lattices.vdim(e_lat.scaled(1)), -n, lambda: f"n={n} t*standard"
+        )
+        lattice_axioms.expect_equal(
+            lattices.quotient_dim(e_lat, e_lat.scaled(1)), n, lambda: f"n={n} quotient"
         )
 
     for lam in _comps(nmax):
@@ -406,7 +420,7 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
         bundle = cons.kappa_bundle(lam)
         kappa = bundle.kappa
         z = cons.richardson_element(lam)
-        tag = f"lambda={lam.parts}"
+        tag = lambda: f"lambda={lam.parts}"
 
         # kappa = w_g^-1 * varpi * w_p^-1 with w_g finite, so the frame
         # lifting w_g^-1 carries the dense point into the top cell.  phi_map
@@ -423,7 +437,7 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
         for s in range(samples):
             g = random_sl(rng, n)
             x = random_nilradical(rng, lam)
-            stag = f"{tag}, sample {s}"
+            stag = lambda: f"{tag()}, sample {s}"
             cell = None
             with flag_inv.guard(stag):
                 point, flag, cell = cells.phi_map(g, x, lam)
@@ -445,7 +459,7 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
             for s in range(20):
                 g, ginv = random_conjugate_frame(rng, n)
                 x = random_nilradical(rng, lam)
-                stag = f"{tag}, mv sample {s}"
+                stag = lambda: f"{tag()}, mv sample {s}"
                 conj = g * x * ginv
                 with mv_match.guard(stag):
                     mv = cells.mv_flag(conj, lam, frame=g)
@@ -462,13 +476,14 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
             # determinant, as the reference each conjugate's walked cell meets;
             # psi_map itself runs on the conjugates below.
             base_cell = None
-            with psi_bound.guard(f"mu={mu.parts} base"):
+            with psi_bound.guard(lambda: f"mu={mu.parts} base"):
                 base_point = cells.deformation(base)
                 base_cell = cells.parabolic_cell(base_point, finite)
             if base_cell is None:
                 continue
             psi_bound.record(
-                affine.bruhat_leq(base_cell, tau), f"mu={mu.parts} base cell {base_cell.window}"
+                affine.bruhat_leq(base_cell, tau),
+                lambda: f"mu={mu.parts} base cell {base_cell.window}",
             )
             # Left translation by the frame moves the one-sided cell, so the
             # conjugation invariant is the spherical double coset; its
@@ -478,11 +493,11 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
             psi_conj.expect_equal(
                 base_two_sided,
                 affine.min_double_coset_rep(tau, finite),
-                f"mu={mu.parts} against translation",
+                lambda: f"mu={mu.parts} against translation",
             )
             for c in range(10):
                 g, ginv = random_conjugate_frame(rng, n)
-                ctag = f"mu={mu.parts}, conjugate {c}"
+                ctag = lambda: f"mu={mu.parts}, conjugate {c}"
                 with psi_equiv.guard(ctag):
                     _, lat, w = cells.psi_map(g * base * ginv)
                     # A fresh lattice, sharing no chain walk with lat.
@@ -491,7 +506,9 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
                     psi_conj.expect_equal(
                         affine.min_double_coset_rep(cell, finite), base_two_sided, ctag
                     )
-                    psi_bound.record(affine.bruhat_leq(cell, tau), f"{ctag} cell {cell.window}")
+                    psi_bound.record(
+                        affine.bruhat_leq(cell, tau), lambda: f"{ctag()} cell {cell.window}"
+                    )
 
 
 # ---------------------------------------------------------------------------

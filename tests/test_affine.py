@@ -30,6 +30,7 @@ from affcells.errors import (
 from affcells.laurent import LaurentMatrix, LaurentPoly
 from affcells.sampling import random_window
 from affcells.verify import _interval
+from planting import plant
 
 
 def kappa_11():
@@ -439,6 +440,38 @@ class TestRoots:
             b = rng.randint(a + 1, n)
             pos = act_on_root(w, Root(a, b, n)).positive
             assert pos == ((w * reflection(n, a, b)).length() > w.length())
+
+    @given(_sizes.flatmap(_windows))
+    @settings(max_examples=150, deadline=None)
+    def test_images_are_canonical_roots(self, w):
+        # act_on_root builds its image unchecked; it must be the root
+        # Root.make gives and pass the checking constructor again
+        assert _misplaced_roots(act_on_root, w) == []
+
+    def test_an_image_left_unshifted_is_caught(self):
+        unshifted = plant(act_on_root, "shift = -((i - 1) // n)", "shift = 0")
+        assert _misplaced_roots(unshifted, identity(3)) == []
+        assert _misplaced_roots(unshifted, translation(3, (1, 0, -1)))
+
+
+def _misplaced_roots(act, w):
+    """The roots (a, b), 1 <= a <= n and 1 - n <= b <= 2n, whose image
+    act(w, Root(a, b, n)) is not Root.make(w(a), w(b), n) or is not a root
+    the checking constructor accepts."""
+    n = w.n
+    misplaced = []
+    for a in range(1, n + 1):
+        for b in range(1 - n, 2 * n + 1):
+            if (a - b) % n == 0:
+                continue
+            got = act(w, Root(a, b, n))
+            try:
+                ok = got == Root.make(w(a), w(b), n) == Root(got.i, got.j, got.n)
+            except ValueError:
+                ok = False
+            if not ok:
+                misplaced.append((a, b))
+    return misplaced
 
 
 class TestQuadMinimum:

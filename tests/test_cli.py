@@ -148,6 +148,14 @@ class TestVerifyCommand:
         assert obj["coverage_missing"] == []
         assert out == (GOLDEN / "verify_all_nmax3_seed7.json").read_text()
 
+    @pytest.mark.parametrize("suite, nmax", [("lengths", 6), ("bruhat", 4), ("kappa", 7)])
+    def test_combinatorics_suites_match_their_goldens(self, capsys, suite, nmax):
+        # The three sweeps of the combinatorics benchmark, byte for byte.
+        assert run(["verify", "--suite", suite, "--nmax", str(nmax), "--seed", "7",
+                    "--format", "json"]) == 0
+        golden = GOLDEN / f"verify_{suite}_nmax{nmax}_seed7.json"
+        assert capture(capsys) == golden.read_text()
+
     def test_seed_determinism(self, capsys):
         run(["verify", "--suite", "kappa", "--nmax", "3", "--seed", "5",
              "--format", "json"])

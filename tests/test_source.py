@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import affcells
 
 PACKAGE = Path(affcells.__file__).resolve().parent
@@ -56,6 +58,51 @@ def test_verify_has_one_failure_path():
                       or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                           and node.func.id in ("SuiteResult", "CheckResult"))]
     assert found == []
+
+
+def _eager_witness_text(source):
+    """Lines of the suite_* functions in `source` that build text off a
+    failure path: an f-string, or a `+` or `%` with a string literal,
+    outside a lambda and outside the else arm of `"" if ... else ...`."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("suite_")):
+            continue
+        lazy = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Lambda):
+                lazy |= {id(sub) for sub in ast.walk(node.body)}
+            elif isinstance(node, ast.IfExp) and ast.unparse(node.body) == "''":
+                lazy |= {id(sub) for sub in ast.walk(node.orelse)}
+        found += [node.lineno for node in ast.walk(fn) if id(node) not in lazy and (
+            isinstance(node, ast.JoinedStr)
+            or (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod))
+                and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                        for side in (node.left, node.right))))]
+    return found
+
+
+VERIFY_SOURCE = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+
+
+def test_suites_format_witnesses_only_on_failure():
+    # CheckResult takes a witness as a callable and calls it only when the
+    # check fails, so a suite builds no text for a check that passes.
+    assert _eager_witness_text(VERIFY_SOURCE) == []
+
+
+@pytest.mark.parametrize("old, new", [
+    # a per-iteration tag, formatted eagerly and passed by name
+    ('tag = lambda: f"n={n}, w={w.window}, (a,b)=({a},{b})"',
+     'tag = f"n={n}, w={w.window}, (a,b)=({a},{b})"'),
+    # an f-string literal as the witness argument
+    ('lambda: f"window {w.window}, s_{i}"', 'f"window {w.window}, s_{i}"'),
+    # a witness extended by concatenation
+    ('lambda: f"{tag()} commutation"', 'tag + " commutation"'),
+])
+def test_an_eager_witness_trips_the_rule(old, new):
+    assert VERIFY_SOURCE.count(old) == 1
+    assert _eager_witness_text(VERIFY_SOURCE.replace(old, new))
 
 
 def test_lattices_make_no_t_shift():
@@ -179,6 +226,16 @@ def test_windows_are_checked_at_one_boundary():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if getattr(node, "id", None) == "_perm" or getattr(node, "attr", None) == "_perm"]
     assert len(named) == len(callers)
+
+
+def test_roots_are_checked_at_one_boundary():
+    # Root._root builds a root with no checks, so only act_on_root, which
+    # maps a root to a root, calls it, and nothing else names it.
+    assert _callers("_root") == ["affine.act_on_root"]
+    named = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, "id", None) == "_root" or getattr(node, "attr", None) == "_root"]
+    assert len(named) == 1
 
 
 def test_frames_are_not_inverted_by_elimination():

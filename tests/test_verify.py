@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from affcells import affine, ops, partitions, verify
+from affcells import affine, jsonio, ops, partitions, verify
+from affcells.affine import AffinePermutation
 from affcells.errors import FlagInvariantError, IdentityFailed
 from affcells.laurent import LaurentMatrix
 from affcells.partitions import compositions_of
@@ -74,6 +75,46 @@ class TestReportInvariants:
         c.expect_equal(2, 3, "sample 1")
         assert calls[1] == (False, "sample 1: got 2, want 3")
         assert (c.passed, c.failed) == (1, 1) and c.witnesses == ["sample 1: got 2, want 3"]
+
+    def test_a_passing_check_never_formats_its_witness(self):
+        # A callable witness is called only when a failure is recorded, and
+        # only its string is kept.
+        def unformattable():
+            raise AssertionError("witness formatted for a passing check")
+
+        c = CheckResult("x")
+        c.record(True, unformattable)
+        c.expect_equal(1, 1, unformattable)
+        with c.guard(unformattable):
+            pass
+        assert c.attempt(unformattable, int, "3") == 3
+        assert (c.passed, c.failed, c.witnesses) == (3, 0, [])
+        c.record(False, lambda: "sample 0")
+        c.expect_equal(2, 3, lambda: "sample 1")
+        with c.guard(lambda: "sample 2"):
+            raise KeyError(3)
+        assert c.attempt(lambda: "sample 3", int, "x") is None
+        assert c.witnesses == ["sample 0", "sample 1: got 2, want 3", "sample 2: KeyError: 3",
+                               "sample 3: ValueError: invalid literal for int() with base 10: 'x'"]
+
+    def test_witnesses_are_the_text_of_each_failing_input(self, monkeypatch):
+        # With the abs dropped from the length formula, suite_lengths fails
+        # at n = 2.  Each failing (window, i) keeps its own string, formatted
+        # when it failed: a witness bound late to the loop variables would
+        # repeat one string, and a callable left unformatted is not a str.
+        planted = plant(AffinePermutation.length, "abs((wj - wi) // n)", "(wj - wi) // n")
+        monkeypatch.setattr(AffinePermutation, "length", planted)
+        result = verify.run_suite("lengths", nmax=2, seed=0)
+        step = next(c for c in result.checks
+                    if c.name == "length_changes_by_one_under_simple_factors")
+        want = [f"window {w.window}, s_{i}" for w in affine.bruhat_ball(2, 6) for i in range(2)
+                if abs((w * affine.simple_reflection(2, i)).length() - w.length()) != 1]
+        assert "window (2, 1), s_0" in want and len(set(want)) == len(want) == step.failed
+        assert step.witnesses == want
+        assert all(type(text) is str for c in result.checks for text in c.witnesses)
+        obj = json.loads(jsonio.dumps(report_obj([result], 2, 0)))
+        assert obj["ok"] is False
+        assert obj["suites"][0]["checks"][1]["witnesses"] == want
 
     def test_report_shape(self):
         c = CheckResult("x")
