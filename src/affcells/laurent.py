@@ -29,12 +29,13 @@ exponent shift with u = +-1 folded into the signs and any other u dividing
 the fresh update's integers in place, checked exact; only a divisor of two
 or more terms goes through `laurent_exact_div`.  Each step pivots completely,
 on the fewest-term entry of the whole remaining block (swapping a column as
-well as a row), so later divisors are mostly monomials.  A step whose
-pivot equals the previous one skips the rows that are zero in the pivot
-column, which it would leave as they are; when that pivot is +-t^s, it also
-rebuilds only the entries in the columns where the pivot row is nonzero, so
-the sparse unipotent matrices of the certificate check cost little more
-than their nonzero entries.
+well as a row), so later divisors are mostly monomials.  One loop updates
+the rows of every step.  A step whose pivot equals the previous one skips
+the rows that are zero in the pivot column, which it would leave as they
+are; when that pivot is +-t^s, piv/prev = 1, so the same loop adds to a copy
+of each old entry and visits only the columns where the pivot row is
+nonzero, and the sparse unipotent matrices of the certificate check cost
+little more than their nonzero entries.
 
 >>> p = LaurentPoly.t(2) - 2 * LaurentPoly.t(-1)   # t^2 - 2 t^-1
 >>> p.ord(), p.degree()
@@ -321,15 +322,11 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient a/b in k[t,t^-1], or None when b does not divide a;
-    a itself when b is 1."""
+    """Exact quotient a/b in k[t,t^-1], or None when b does not divide a."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
     if a.is_zero():
         return LaurentPoly.zero()
-    if len(b._terms) == 1:
-        ((e, c),) = b._terms.items()
-        return a if e == 0 and c == 1 else _raw(_shift_div(a._terms, e, c))
     oa, ob = a.ord(), b.ord()
     q, r = poly_divmod(a.shift(-oa), b.shift(-ob))
     if not r.is_zero():
@@ -494,12 +491,15 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
     factors' exponents move by -s, u = +-1 folds into their signs, and any
     other u divides each coefficient of the fresh update dict in place, where
     a remainder raises IdentityFailed; only a prev of two or more terms goes
-    through `laurent_exact_div`.  When piv == prev, a row with a_ik = 0
-    would come out unchanged and is skipped.  When moreover prev = +-t^s,
-    the update is a_ij - a_ik * a_kj / prev, which changes a_ij only where
-    the pivot row is nonzero: those entries are built on a copy of a_ij and
-    every other entry keeps its dict, so a lower unitriangular input updates
-    nothing.  Returns the sign of the two swaps, or 0 if the block is zero.
+    through `laurent_exact_div`.  One loop over `rows` does every update.
+    When piv == prev, a row with a_ik = 0 would come out unchanged and is
+    skipped.  When moreover prev = +-t^s (`same`), the update is
+    a_ij - a_ik * a_kj / prev: `piv` is empty, the loop visits only the
+    columns where the pivot row is nonzero, and each entry it changes starts
+    from a copy of a_ij, so every other entry keeps its dict and a lower
+    unitriangular input updates nothing.  Otherwise each entry starts from
+    {} and every column right of the pivot is visited.  Returns the sign of
+    the two swaps, or 0 if the block is zero.
     """
     n = len(a)
     r = col = None
@@ -526,46 +526,35 @@ def _bareiss_step(a: list, k: int, rows, prev: dict, order: list) -> int:
     long = len(prev) > 1
     ((s, u),) = ((0, 1),) if long else prev.items()
     sign, u = (u, 1) if u in (1, -1) else (1, u)
-    if keep and u == 1 and not long:
-        right = [(j, y) for j, y in enumerate(top[k + 1:], k + 1) if y]
-        for i in rows:
-            row = a[i]
-            f = row[k]
-            if f:
-                f = [(e - s, -sign * c) for e, c in f.items()]
-                for j, y in right:
-                    d = dict(row[j])
-                    for e, c in f:
-                        _addmul(d, c, e, y)
-                    row[j] = d
-    else:
-        piv = [(e - s, sign * c) for e, c in top[k].items()]
-        for i in rows:
-            row = a[i]
-            f = row[k]
-            if keep and not f:
+    same = keep and u == 1 and not long
+    piv = [] if same else [(e - s, sign * c) for e, c in top[k].items()]
+    cols = [j for j in range(k + 1, len(top)) if top[j] or not same]
+    for i in rows:
+        row = a[i]
+        f = row[k]
+        if keep and not f:
+            continue
+        f = [(e - s, -sign * c) for e, c in f.items()]
+        for j in cols:
+            x, y = row[j], top[j]
+            if not (x or (f and y)):
                 continue
-            f = [(e - s, -sign * c) for e, c in f.items()]
-            for j in range(k + 1, len(top)):
-                x, y = row[j], top[j]
-                if not (x or (f and y)):
-                    continue
-                d = {}
-                for e, c in piv:
-                    _addmul(d, c, e, x)
-                for e, c in f:
-                    _addmul(d, c, e, y)
-                if u != 1:
-                    for e, c in d.items():
-                        d[e], c = divmod(c, u)
-                        if c:
-                            raise IdentityFailed("Bareiss division must be exact")
-                if long:
-                    q = laurent_exact_div(_raw(d), _raw(prev))
-                    if q is None:
+            d = dict(x) if same else {}
+            for e, c in piv:
+                _addmul(d, c, e, x)
+            for e, c in f:
+                _addmul(d, c, e, y)
+            if u != 1:
+                for e, c in d.items():
+                    d[e], c = divmod(c, u)
+                    if c:
                         raise IdentityFailed("Bareiss division must be exact")
-                    d = q._terms
-                row[j] = d
+            if long:
+                q = laurent_exact_div(_raw(d), _raw(prev))
+                if q is None:
+                    raise IdentityFailed("Bareiss division must be exact")
+                d = q._terms
+            row[j] = d
     return (1 if r == k else -1) * (1 if col == k else -1)
 
 

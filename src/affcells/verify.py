@@ -342,7 +342,7 @@ def suite_varpi(suite: SuiteResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
+def suite_divisors(suite: SuiteResult) -> None:
     rng = random.Random(suite.seed)
     data_ok = suite.check("divisor_bundle_identities")
     below = suite.check("divisor_rep_below_kappa")
@@ -366,7 +366,7 @@ def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
                 continue
             below.record(affine.bruhat_leq(data.v_k_min, kappa), tag)
             full_len.expect_equal(data.v_k.length(), n * (n - 1) // 2, tag)
-            for s in range(samples):
+            for s in range(10):
                 a = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.choice([1, 2, 3]))
                 stag = lambda: f"{tag()}, sample {s}, a={a}"
                 with witness_red.guard(stag):
@@ -390,7 +390,7 @@ def suite_divisors(suite: SuiteResult, samples: int = 10) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
+def suite_embeddings(suite: SuiteResult) -> None:
     nmax = suite.nmax
     rng = random.Random(suite.seed)
     witness_cell = suite.check("dense_point_hits_kappa_cell")
@@ -434,7 +434,7 @@ def suite_embeddings(suite: SuiteResult, samples: int = 50) -> None:
         witness_cell.expect_equal(affine.min_coset_rep(cell, sp), kappa, tag)
         flag_inv.record(True)
 
-        for s in range(samples):
+        for s in range(50):
             g = random_sl(rng, n)
             x = random_nilradical(rng, lam)
             stag = lambda: f"{tag()}, sample {s}"
@@ -530,7 +530,7 @@ def coverage_gap(results) -> set:
     return set(ops.CALLS).difference(*(r.ops for r in results))
 
 
-def run_suite(name: str, nmax: int, seed: int, **sizes) -> SuiteResult:
+def run_suite(name: str, nmax: int, seed: int) -> SuiteResult:
     """Run one suite.  An error that escapes it ends the suite as the failure
     of a trailing suite_completed check, which a suite that ran to the end
     does not report."""
@@ -540,7 +540,7 @@ def run_suite(name: str, nmax: int, seed: int, **sizes) -> SuiteResult:
     completed = CheckResult("suite_completed")
     before = dict(ops.CALLS)
     with completed.guard(f"nmax={nmax}, seed={seed}"):
-        SUITES[name](result, **sizes)
+        SUITES[name](result)
     if completed.failed:
         result.checks.append(completed)
     result.ops = frozenset(k for k, v in ops.CALLS.items() if v > before[k])

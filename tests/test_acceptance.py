@@ -93,7 +93,7 @@ def test_criterion_6_cotangent_image_cells():
 
 def test_criterion_7_divisor_cells():
     start = time.monotonic()
-    result = verify.run_suite("divisors", nmax=6, seed=SEED, samples=10)
+    result = verify.run_suite("divisors", nmax=6, seed=SEED)
     _assert_clean(result, "divisor cells")
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"took {elapsed:.1f}s"
@@ -107,7 +107,7 @@ def test_criterion_8_embedding_coherence():
     # conjugation invariance (n <= 5) and the two-step flag comparison run
     # inside the embeddings suite at nmax 5 (criterion 6); here the
     # translation identities are swept to the full n <= 8 range.
-    result = verify.run_suite("embeddings", nmax=5, seed=SEED + 1, samples=5)
+    result = verify.run_suite("embeddings", nmax=5, seed=SEED + 1)
     _assert_clean(result, "embedding coherence")
     for n in range(1, 9):
         for lam in compositions_of(n):
@@ -124,9 +124,9 @@ def test_criterion_9_flag_invariants():
     # flags are validated once, at construction inside phi_map, which both
     # the embeddings and divisors sweeps call; rerun both with fresh seeds and
     # demand that the flag checks actually exercised samples
-    emb = verify.run_suite("embeddings", nmax=4, seed=SEED + 2, samples=10)
+    emb = verify.run_suite("embeddings", nmax=4, seed=SEED + 2)
     _assert_clean(emb, "flag invariants (cotangent images)")
-    div = verify.run_suite("divisors", nmax=5, seed=SEED + 2, samples=5)
+    div = verify.run_suite("divisors", nmax=5, seed=SEED + 2)
     _assert_clean(div, "flag invariants (divisor points)")
     flag_checks = [c for c in emb.checks if c.name == "image_flags_satisfy_invariants"]
     assert flag_checks and flag_checks[0].passed > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -229,6 +230,14 @@ class TestCheckKappa:
                 assert rep.in_min_reps and rep.left_stable and rep.lengths_match
                 if lam.r >= 2:
                     assert rep.is_compactification == (lam.r == 2)
+
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2, 1)])
+    def test_a_kappa_outside_the_coset_is_not_left_stable(self, parts):
+        # With kappa = 1, s_i kappa ascends for every finite i, and for an i
+        # between two blocks its coset is not kappa's.
+        bundle = kappa_bundle(Composition(parts))
+        rep = check_kappa(dataclasses.replace(bundle, kappa=affine.identity(bundle.lam.n)))
+        assert not rep.left_stable
 
 
 class TestConormal:

@@ -484,9 +484,11 @@ class TestEqualPivotUpdate:
     """When a step's pivot equals the previous pivot and that is +-t^s, the
     Bareiss update (piv a_ij - a_ik a_kj) / prev is a_ij - a_ik a_kj / prev:
     a row changes only in the columns where the pivot row is nonzero, and
-    every other entry keeps its dict.  Any other pivot (piv != prev, or a
-    prev u t^s with u != +-1, or of two or more terms) takes the general
-    update."""
+    every other entry keeps its dict.  The step's one update loop takes
+    this case as data (no piv factor, only those columns, a copy of each
+    entry); any other pivot (piv != prev, or a prev u t^s with u != +-1, or
+    of two or more terms) runs the same loop with the piv factor, every
+    column and a fresh dict."""
 
     @pytest.mark.parametrize("m", EQUAL_PIVOT_CASES + [NON_UNIT_PREV],
                              ids=EQUAL_PIVOT_IDS + ["lu-3t"])
@@ -530,23 +532,30 @@ class TestEqualPivotUpdate:
             assert [[p.terms for p in row] for row in m.rows] == before
 
     def test_an_update_in_place_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "d = dict(row[j])", "d = row[j]")
+        plant_in_step(monkeypatch, "d = dict(x) if same else {}", "d = x if same else {}")
         m = lu(1)
         before = [[dict(p.terms) for p in row] for row in m.rows]
         det(m)
         assert [[p.terms for p in row] for row in m.rows] != before
 
     def test_the_shortcut_on_a_non_unit_prev_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "if keep and u == 1 and not long:", "if keep and not long:")
-        assert_wrong([NON_UNIT_PREV])
+        # The copied entry a_ij - a_ik a_kj / t then goes through the in-place
+        # division by u = 3, which leaves a remainder and raises.
+        plant_in_step(monkeypatch, "same = keep and u == 1 and not long",
+                      "same = keep and not long")
+        for fn in (det, invert):
+            with pytest.raises(IdentityFailed):
+                fn(NON_UNIT_PREV)
 
     def test_the_shortcut_on_an_unequal_pivot_is_caught(self, monkeypatch):
-        plant_in_step(monkeypatch, "if keep and u == 1 and not long:", "if u == 1 and not long:")
+        plant_in_step(monkeypatch, "same = keep and u == 1 and not long",
+                      "same = u == 1 and not long")
         assert_wrong(EQUAL_PIVOT_CASES)
 
     def test_a_skipped_column_is_caught(self, monkeypatch):
-        # Only the LU cases' pivot rows are nonzero right of the pivot.
-        plant_in_step(monkeypatch, "enumerate(top[k + 1:], k + 1)", "enumerate(top[k + 2:], k + 2)")
+        # The LU cases' pivot rows are nonzero in the column right of the
+        # pivot, in their equal-pivot steps as well.
+        plant_in_step(monkeypatch, "range(k + 1, len(top))", "range(k + 2, len(top))")
         assert_wrong(EQUAL_PIVOT_CASES[2:])
 
 
@@ -729,10 +738,6 @@ class TestFoldedDivision:
         # 2,323 while each update by a prev u t^s with u != +-1 divided
         # through _shift_div.
         assert det_calls(monkeypatch, iwahori_conjugates(22, 10), "_quo") == 26
-
-    def test_division_by_one_returns_the_dividend(self):
-        p = t(-2).scale(Fraction(1, 3)) + 5
-        assert laurent_exact_div(p, LaurentPoly.one()) is p
 
 
 def entrywise_product(A, B):

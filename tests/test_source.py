@@ -368,3 +368,18 @@ def test_tests_plant_faults_in_one_place():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "exec"]
     assert found == ["planting.py"]
+
+
+def test_the_bareiss_step_has_one_row_update_loop():
+    # laurent._bareiss_step updates the rows in one loop over `rows`: a
+    # pivot equal to a previous +-t^s is data for that loop (no piv factor,
+    # fewer columns, a copied entry), not a second copy of it, so every
+    # _addmul of the step sits inside the loop.
+    step = _function("laurent", "_bareiss_step")
+    loops = [node for node in _body(step) if isinstance(node, (ast.For, ast.comprehension))
+             and ast.unparse(node.iter) == "rows"]
+    assert len(loops) == 1
+    inside = set(map(id, ast.walk(loops[0])))
+    calls = [node for node in _body(step) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "_addmul"]
+    assert calls and all(id(node) in inside for node in calls)

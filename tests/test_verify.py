@@ -454,6 +454,6 @@ class TestCertifiedChecksStillFail:
             return point, lat.scaled(1), w
 
         monkeypatch.setattr(cells, "psi_map", planted)
-        r = verify.run_suite("embeddings", 3, 7, samples=1)
+        r = verify.run_suite("embeddings", 3, 7)
         assert _counts(r)["psi_lattice_equivariance"] == (0, 50)
         assert report_obj([r], 3, 7)["ok"] is False
