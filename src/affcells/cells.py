@@ -90,11 +90,11 @@ def _check_nilradical(rows, lam: Composition) -> None:
     if rows is None:
         raise NotInNilradical("X must be constant")
     blocks = lam.blocks
-    for p, row in enumerate(rows, 1):
-        for q, c in enumerate(row, 1):
-            if c and blocks[p - 1] >= blocks[q - 1]:
+    for p, row in enumerate(rows):
+        for q in row:
+            if blocks[p] >= blocks[q]:
                 raise NotInNilradical(
-                    f"entry ({p},{q}) crosses blocks {blocks[p-1]} >= {blocks[q-1]}"
+                    f"entry ({p + 1},{q + 1}) crosses blocks {blocks[p]} >= {blocks[q]}"
                 )
 
 
@@ -118,10 +118,10 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
 
     Preconditions: g constant with determinant 1; X constant carrying each
     standard block into the previous one.  Together they give det(point) = 1,
-    so w needs no determinant.  g and X are read once as scalar rows: det(g)
-    and the nilradical test run on them, and the point is g - t^-1 (g X),
-    built entry by entry from one scalar product.  The returned flag is
-    validated.
+    so w needs no determinant.  g and X are read once as sparse
+    `constant_rows`: det(g) and the nilradical test run on them, and the
+    point is g - t^-1 (g X), built entry by entry from one `row_product`.
+    The returned flag is validated.
     """
     if not g.n == X.n == lam.n:
         raise SizeMismatch(f"frame {g.n}, X {X.n} and lambda {lam.n} must agree")
@@ -132,8 +132,8 @@ def phi_map(g: LaurentMatrix, X: LaurentMatrix, lam: Composition):
         raise NotUnimodular("frame g must have determinant one")
     xrows = constant_rows(X)
     _check_nilradical(xrows, lam)
-    point = _matrix([[_raw({e: c for e, c in ((0, a), (-1, -b)) if c}) for a, b in zip(*rows)]
-                     for rows in zip(grows, row_product(grows, xrows))])
+    point = _matrix([[_raw({e: c for e, c in ((0, a.get(j, 0)), (-1, -b.get(j, 0))) if c})
+                      for j in range(lam.n)] for a, b in zip(grows, row_product(grows, xrows))])
     stuck, chain = chain_walk(point)
     flag = AffineFlag(lattices=tuple(chain[d].scaled(-1) for d in lam.d), shape=lam)
     flag.validate()
@@ -164,16 +164,21 @@ def mv_flag(X: LaurentMatrix, lam: Composition, frame: LaurentMatrix | None = No
     n = lam.n
     if frame is None:
         frame = LaurentMatrix.identity(n)
+    if not frame.n == X.n == n:
+        raise SizeMismatch(f"frame {frame.n}, X {X.n} and lambda {n} must agree")
     xrows, frows = constant_rows(X), constant_rows(frame)
     if xrows is None or frows is None:
         raise NotInNilradical("mv_flag expects constant matrices")
     if not scalar_det(frows):
         raise NotUnimodular("frame must be invertible")
     # X F_i <= F_{i-1}: the images of the frame columns of block i add
-    # nothing to the span of the columns before that block.
-    fcols, xcols = list(zip(*frows)), list(zip(*row_product(xrows, frows)))
+    # nothing to the span of the columns before that block.  Row rank is
+    # column rank: the rows hold frame columns < lo and (X frame) lo..hi-1.
+    xf = row_product(xrows, frows)
     for lo, hi in zip(lam.d, lam.d[1:]):
-        if vector_rank(fcols[:lo] + xcols[lo:hi]) > lo:
+        family = [{k: c for k, c in f.items() if k < lo}
+                  | {k: c for k, c in y.items() if lo <= k < hi} for f, y in zip(frows, xf)]
+        if vector_rank(family) > lo:
             raise NotInNilradical(f"X carries frame columns {lo + 1}..{hi} outside columns 1..{lo}")
     # L_i has the basis {t^-1 f_k : k <= d_i} + {(1 - t^-1 X) f_k : k > d_i}
     # over the frame columns f_k.  Its span holds (1 - t^-1 X) f_k for k <= d_i,

@@ -443,11 +443,6 @@ class LaurentMatrix:
         if other.n != self.n:
             raise ValueError("matrix size mismatch")
 
-    # -- predicates ---------------------------------------------------------------
-
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for row in self.rows for p in row)
-
     # -- protocol --------------------------------------------------------------------
 
     def __eq__(self, other):

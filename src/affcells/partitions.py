@@ -4,17 +4,15 @@ A partition is a weakly decreasing tuple of positive integers with implicit
 zero-extension.  A composition is any tuple of positive integers; its prefix
 sums d_0 = 0 < d_1 < ... < d_r = n cut {1, ..., n} into consecutive blocks.
 
-`nilpotent_powers` is the one routine that forms the powers of a constant
-nilpotent, as sparse rows {column: c} read once off its t^0 terms; Jordan
-types, `cells.psi_map`'s X^n = 0 check and the varpi inverse series run on
-them.  Jordan types are exact ranks of those powers over the rationals.
-
-Beside it, constant matrices are rows of exact scalars, an int wherever a
-value is integral (as in `laurent`): `constant_rows` reads the t^0 rows of
-a matrix (None when it is not constant) and `row_product` multiplies two.
-One fraction-free (Bareiss) elimination on integer-scaled rows, `_echelon`,
-gives both `vector_rank`, the one exact rank routine of the package, and
-`scalar_det`.
+A constant matrix has one form: sparse rows {0-based column: nonzero exact
+scalar}, an int wherever a value is integral (as in `laurent`).
+`constant_rows` reads them off a matrix's t^0 terms in one pass (None when
+it is not constant), and `row_product` multiplies two.  `nilpotent_powers`
+forms the powers of a constant nilpotent from those two; Jordan types,
+`cells.psi_map`'s X^n = 0 check and the varpi inverse series run on them.
+One fraction-free (Bareiss) elimination of integer-scaled sparse rows,
+`_echelon`, gives both `vector_rank`, the one exact rank routine of the
+package, and `scalar_det`; Jordan types are the ranks of the powers.
 """
 
 from __future__ import annotations
@@ -133,105 +131,106 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
 
 
 def _echelon(rows):
-    """Fraction-free (Bareiss) forward elimination of rows of exact scalars:
-    (rank, +-the last pivot, scale).
+    """Fraction-free (Bareiss) forward elimination of sparse rows
+    {column: nonzero exact scalar}: (rank, +-the last pivot, scale).
 
-    All-zero rows are dropped; each other row is scaled to integers by the
-    lcm of its denominators, and scale is the product of those lcms.  A
-    column with no pivot is skipped, and each update divides exactly in the
-    integers by the previous pivot (Sylvester's identity), so at full rank
-    on a square matrix the last pivot is +-det times scale.  A row that is
-    zero in the pivot column is left alone when the pivot equals the
-    previous one.
+    Empty rows are dropped; each other row is scaled to integers by the lcm
+    of its denominators, and scale is the product of those lcms.  Each step
+    pivots on the least column any remaining row reaches, in the first such
+    row, and updates only the keys of a row and the pivot row; each update
+    divides exactly in the integers by the previous pivot (Sylvester's
+    identity), and a row that becomes empty is dropped.  At full rank on a
+    square matrix the last pivot is +-det times scale.  A row that misses
+    the pivot column is left alone when the pivot equals the previous one.
     """
     a, scale = [], 1
     for row in rows:
-        if any(row):
-            s = math.lcm(*(c.denominator for c in row))
-            a.append([c.numerator * (s // c.denominator) for c in row])
+        if row:
+            s = math.lcm(*(c.denominator for c in row.values()))
+            a.append({j: c.numerator * (s // c.denominator) for j, c in row.items()})
             scale *= s
-    m = len(a)
     rank, sign, prev = 0, 1, 1
-    for k in range(len(a[0]) if a else 0):
-        for i in range(rank, m):
-            if a[i][k]:
+    while a:
+        k = min(map(min, a))
+        for i, top in enumerate(a):
+            if k in top:
                 break
-        else:
-            continue
-        top = a[i]
-        if i != rank:
-            a[rank], a[i] = top, a[rank]
+        del a[i]
+        if i % 2:
             sign = -sign
-        piv = top[k]
+        piv = top.pop(k)
         rank += 1
-        for row in a[rank:]:
-            f = row[k]
-            if f or piv != prev:
-                for j in range(k + 1, len(row)):
-                    row[j] = (piv * row[j] - f * top[j]) // prev
-        prev = piv
-        if rank == m:
-            break
+        rest = []
+        for row in a:
+            f = row.pop(k, 0)
+            if f:
+                row = {j: piv * c for j, c in row.items()}
+                for j, c in top.items():
+                    row[j] = row.get(j, 0) - f * c
+                row = {j: c // prev for j, c in row.items() if c}
+            elif piv != prev:
+                row = {j: piv * c // prev for j, c in row.items()}
+            if row:
+                rest.append(row)
+        a, prev = rest, piv
     return rank, sign * prev, scale
 
 
-def vector_rank(vectors) -> int:
-    """Exact rank of a family of equal-length int/Fraction vectors."""
-    return _echelon(vectors)[0]
+def vector_rank(rows) -> int:
+    """Exact rank of a family of sparse rows {column: nonzero exact scalar}."""
+    return _echelon(rows)[0]
 
 
 def constant_rows(M: LaurentMatrix):
-    """The t^0 coefficients of M as rows of exact scalars, or None when M is
-    not constant."""
-    if not M.is_constant():
-        return None
-    return [[p.coeff(0) for p in row] for row in M.rows]
+    """The t^0 coefficients of M as sparse rows {column: c}, in one pass over
+    its entries' terms, or None when M is not constant."""
+    rows = []
+    for row in M.rows:
+        r = {}
+        for j, p in enumerate(row):
+            if terms := p._terms:
+                if len(terms) > 1 or 0 not in terms:
+                    return None
+                r[j] = terms[0]
+        rows.append(r)
+    return rows
 
 
 def row_product(a, b) -> list:
-    """The product of two square matrices given as rows of exact scalars."""
-    cols = list(zip(*b))
-    return [[_as_scalar(sum(x * y for x, y in zip(row, col) if x)) for col in cols]
-            for row in a]
+    """The product of two square matrices given as sparse rows."""
+    product = []
+    for row in a:
+        acc = {}
+        for m, c in row.items():
+            for j, v in b[m].items():
+                acc[j] = acc.get(j, 0) + c * v
+        product.append({j: _as_scalar(v) for j, v in acc.items() if v})
+    return product
 
 
 def scalar_det(rows):
-    """Exact determinant of a square matrix given as rows of exact scalars."""
+    """Exact determinant of a square matrix given as sparse rows."""
     rank, last, scale = _echelon(rows)
     return _quo(last, scale) if rank == len(rows) else 0
 
 
 def nilpotent_powers(X: LaurentMatrix) -> list:
     """X, X^2, ... up to the first zero power, which is not listed, as
-    sparse rows {column: c} of nonzero exact scalars (ints for an integer X).
+    `constant_rows` (ints for an integer X).
 
-    X's t^0 terms are read once, in the pass that checks every entry is
-    constant; the powers are products of those rows.  X^k = 0 for some
-    k <= n proves X^n = 0, so at most n - 1 products are formed.  Raises
+    The powers are `row_product`s of X's rows.  X^k = 0 for some k <= n
+    proves X^n = 0, so at most n - 1 products are formed.  Raises
     NotNilpotent when X is not constant or X^n != 0.
     """
-    x = []
-    for row in X.rows:
-        r = {}
-        for j, p in enumerate(row):
-            if terms := p._terms:
-                if len(terms) > 1 or 0 not in terms:
-                    raise NotNilpotent("matrix is not constant")
-                r[j] = terms[0]
-        x.append(r)
+    x = constant_rows(X)
+    if x is None:
+        raise NotNilpotent("matrix is not constant")
     powers, power = [], x
     while any(power):
         powers.append(power)
         if len(powers) == len(x):
             raise NotNilpotent("X^n is not zero")
-        product = []
-        for row in power:
-            acc = {}
-            for m, c in row.items():
-                for j, v in x[m].items():
-                    acc[j] = acc.get(j, 0) + c * v
-            product.append({j: v for j, v in acc.items() if v})
-        power = product
+        power = row_product(power, x)
     return powers
 
 
@@ -243,9 +242,7 @@ def jordan_type(X: LaurentMatrix) -> Partition:
     from the `vector_rank` of each power `nilpotent_powers` returns, which
     raises NotNilpotent when X is not constant or X^n != 0.
     """
-    n = X.n
-    ranks = [n, *(vector_rank([row.get(j, 0) for j in range(n)] for row in power)
-                  for power in nilpotent_powers(X)), 0]
+    ranks = [X.n, *map(vector_rank, nilpotent_powers(X)), 0]
     diffs = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     cols = tuple(d for d in diffs if d > 0)
     if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):

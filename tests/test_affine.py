@@ -77,6 +77,7 @@ class TestWindowMatrix:
                            [LaurentPoly.t(1), LaurentPoly.zero()]])
         assert affine.from_matrix(m) == AffinePermutation((0, 3))
         assert simple_reflection(2, 0).to_matrix() == m
+        assert repr(affine.from_matrix(m)) == "AffinePermutation((0, 3))"
 
     def test_diagonal_translation(self):
         m = LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.t(-1)])

@@ -33,7 +33,8 @@ from affcells.errors import (
 )
 from affcells.lattices import Lattice, quotient_dim
 from affcells.laurent import LaurentMatrix, LaurentPoly, invert
-from affcells.partitions import Composition, Partition, compositions_of, partitions_of
+from affcells.partitions import (Composition, Partition, compositions_of, constant_rows,
+                                 partitions_of)
 from affcells.sampling import (
     jordan_matrix,
     random_conjugate_frame,
@@ -211,7 +212,7 @@ class TestPhi:
                 assert walked == rebuilt and rebuilt.contains_lattice(walked)
 
     def test_point_is_the_frame_times_the_deformation(self):
-        # phi_map builds g - t^-1 (g X) from scalar rows; Laurent matrix
+        # phi_map builds g - t^-1 (g X) from sparse rows; Laurent matrix
         # arithmetic is the reference.  Frames and X carry Fractions, so
         # some products of Fractions are integral: every stored coefficient
         # must be a nonzero int or a Fraction that is not integral.
@@ -732,7 +733,7 @@ class TestMvFlag:
                     g = random_sl(rng, n)
                     x = random_nilradical(rng, lam) + random_nilradical(rng, lam) * g
                     coords = invert(g) * x * g
-                    ok = coords.is_constant() and all(
+                    ok = constant_rows(coords) is not None and all(
                         not coords.entry(p, q) or lam.blocks[p - 1] < lam.blocks[q - 1]
                         for p in range(1, n + 1) for q in range(1, n + 1))
                     if ok:
@@ -747,3 +748,14 @@ class TestMvFlag:
                                [LaurentPoly.zero(), LaurentPoly.zero()]])
         with pytest.raises(NotUnimodular):
             mv_flag(LaurentMatrix.zero(2), lam, frame=frame)
+
+    @pytest.mark.parametrize("n, lam, frame", [
+        (3, (1, 1), None),
+        (2, (1, 2), None),
+        (2, (1, 1), LaurentMatrix.identity(3)),
+    ], ids=["x_3_lambda_2", "x_2_lambda_3", "frame_3_x_2"])
+    def test_size_mismatch(self, n, lam, frame):
+        # X = E_{1,2}, n x n; as phi_map does, a size that disagrees raises.
+        x = LaurentMatrix.from_entries(n, {(1, 2): 1})
+        with pytest.raises(SizeMismatch):
+            mv_flag(x, Composition(lam), frame=frame)

@@ -67,6 +67,7 @@ class TestPolyArithmetic:
     def test_ring_identities(self, p, q, r):
         assert p * (q + r) == p * q + p * r
         assert p + q == q + p
+        assert hash(p * (q + r)) == hash(p * q + p * r) and hash(p + q) == hash(q + p)
 
     def test_divmod_roundtrip(self):
         a = (t(2) + 1) * (t(1) + 3) + LaurentPoly.constant(5)
@@ -887,6 +888,7 @@ class TestPolyOperandTypes:
     def test_poly_times_matrix_is_matrix_times_poly(self):
         m = LaurentMatrix([[1, t(-1)], [Fraction(1, 2), 0]])
         assert t(1) * m == m * t(1) == LaurentMatrix([[t(1), 1], [t(1).scale(Fraction(1, 2)), 0]])
+        assert hash(t(1) * m) == hash(m * t(1))
 
     @pytest.mark.parametrize("apply", [
         lambda m: t(1) + m, lambda m: t(1) - m, lambda m: m - t(1),

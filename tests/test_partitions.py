@@ -38,7 +38,8 @@ class TestConjugate:
         assert conjugate(Partition((5,))) == Partition((1,) * 5)
 
     def test_involution_up_to_12(self):
-        for n in range(1, 13):
+        assert conjugate(Partition(())) == Partition(())
+        for n in range(13):
             for mu in partitions_of(n):
                 assert conjugate(conjugate(mu)) == mu
 
@@ -104,16 +105,26 @@ class TestJordanType:
             jordan_type(LaurentMatrix.diagonal([LaurentPoly.t(1), LaurentPoly.t(-1)]))
 
 
+def sparse(dense):
+    """Dense rows of exact scalars as the package's sparse rows {column: c}."""
+    return [{j: c for j, c in enumerate(row) if c} for row in dense]
+
+
+def dense_product(a, b):
+    """The entrywise product of two dense square matrices."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 class TestNilpotentPowers:
-    """nilpotent_powers against dense row_product powers of the same rows."""
+    """nilpotent_powers against dense entrywise powers of the same matrix."""
 
     @staticmethod
     def _dense_powers(x):
-        rows = constant_rows(x)
+        rows = [[p.coeff(0) for p in row] for row in x.rows]
         powers, power = [], rows
         while any(map(any, power)):
             powers.append(power)
-            power = row_product(power, rows)
+            power = dense_product(power, rows)
         return powers
 
     def test_matches_dense_powers(self):
@@ -127,9 +138,7 @@ class TestNilpotentPowers:
                     # X^k != 0 exactly for k below the largest block.
                     assert len(powers) == mu.parts[0] - 1
                     assert all(c for power in powers for row in power for c in row.values())
-                    dense = [[[row.get(j, 0) for j in range(n)] for row in power]
-                             for power in powers]
-                    assert dense == self._dense_powers(x)
+                    assert powers == [sparse(power) for power in self._dense_powers(x)]
 
     def test_zero(self):
         assert nilpotent_powers(LaurentMatrix.zero(4)) == []
@@ -177,26 +186,32 @@ families = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
 class TestVectorRank:
     def test_non_square_families(self):
         one, zero = Fraction(1), Fraction(0)
-        assert vector_rank([]) == 0
-        assert vector_rank([[zero, zero, zero]]) == 0
-        assert vector_rank([[one, zero, one], [zero, one, one]]) == 2
-        assert vector_rank([[one, zero, one], [2 * one, zero, 2 * one]]) == 1
+        assert vector_rank(sparse([])) == 0
+        assert vector_rank(sparse([[zero, zero, zero]])) == 0
+        assert vector_rank(sparse([[one, zero, one], [zero, one, one]])) == 2
+        assert vector_rank(sparse([[one, zero, one], [2 * one, zero, 2 * one]])) == 1
         tall = [[one, zero], [zero, one], [one, one], [one, -one]]
-        assert vector_rank(tall) == 2
+        assert vector_rank(sparse(tall)) == 2
         # No pivot in column 2: column 3's pivot follows a previous pivot of 2.
-        assert vector_rank([[2, 1, 0], [4, 2, 1], [6, 3, 5]]) == 2
+        assert vector_rank(sparse([[2, 1, 0], [4, 2, 1], [6, 3, 5]])) == 2
+        # The second row empties at the first step and the third is left.
+        assert vector_rank(sparse([[1, 2, 0], [2, 4, 0], [0, 0, 3]])) == 2
+        # Column 1 is reached by no row left after the first step.
+        assert vector_rank(sparse([[1, 1, 0], [1, 1, 1]])) == 2
+        # The pivot of column 1 is in the last row, then column 2 in the first.
+        assert vector_rank(sparse([[0, 1, 1], [0, 0, 2], [3, 0, 0]])) == 3
 
     @given(families)
     @settings(max_examples=80, deadline=None)
     def test_matches_minor_oracle_and_transpose(self, vectors):
-        rank = vector_rank(vectors)
+        rank = vector_rank(sparse(vectors))
         assert rank == minor_rank(vectors)
-        assert rank == vector_rank([list(col) for col in zip(*vectors)])
+        assert rank == vector_rank(sparse(zip(*vectors)))
 
     def test_leaves_its_input_alone(self):
-        vectors = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        vectors = sparse([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
         vector_rank(vectors)
-        assert vectors == [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        assert vectors == sparse([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
 
     def test_constant_rank_agrees(self):
         rng = random.Random(3)
@@ -204,7 +219,7 @@ class TestVectorRank:
             g, ginv = random_conjugate_frame(rng, 5)
             x = g * jordan_matrix(mu) * ginv
             rows = [[p.coeff(0) for p in row] for row in x.rows]
-            assert vector_rank(rows) == 5 - len(mu)
+            assert vector_rank(sparse(rows)) == 5 - len(mu)
 
 
 square_scalar_rows = st.integers(0, 6).flatmap(
@@ -219,13 +234,14 @@ def _exact(c):
 
 
 class TestScalarRows:
-    """The helpers for constant matrices on rows of exact scalars, against
-    Leibniz's formula and the Laurent matrix operations."""
+    """The helpers for constant matrices on sparse rows of exact scalars,
+    against Leibniz's formula, entrywise products and the Laurent matrix
+    operations; inputs are dense rows passed through `sparse`."""
 
     @given(square_scalar_rows)
     @settings(max_examples=150, deadline=None)
     def test_det_matches_leibniz_and_laurent_det(self, rows):
-        d = scalar_det(rows)
+        d = scalar_det(sparse(rows))
         assert _exact(d)
         assert d == leibniz_det(rows)
         assert det(LaurentMatrix(rows)) == d
@@ -244,19 +260,29 @@ class TestScalarRows:
             rows[j] = [c * x for x in rows[i]]
         else:
             rows[i] = [0] * n
-        assert scalar_det(rows) == 0 == leibniz_det(rows)
+        assert scalar_det(sparse(rows)) == 0 == leibniz_det(rows)
 
     def test_row_swaps(self):
-        assert scalar_det([[0, 1], [1, 0]]) == -1
-        assert scalar_det([[0, 0, 2], [0, 3, 0], [Fraction(1, 2), 0, 0]]) == -3
-        assert scalar_det([[0, 1, 1], [0, 1, 2], [5, 7, 9]]) == 5
-        assert scalar_det([[1, 2], [2, 4]]) == 0
-        assert scalar_det([]) == 1
+        for rows, d in [
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 0, 2], [0, 3, 0], [Fraction(1, 2), 0, 0]], -3),
+            ([[0, 1, 1], [0, 1, 2], [5, 7, 9]], 5),
+            ([[1, 2], [2, 4]], 0),
+            ([], 1),
+            # the second row empties at the first step
+            ([[1, 2, 0], [2, 4, 0], [0, 0, 3]], 0),
+            # column 1 is reached by no row left after the first step
+            ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], 0),
+            # pivot rows that are not the first remaining row: a cycle
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+            ([[0, 2, 1], [0, 0, 3], [Fraction(1, 2), 5, 0]], 3),
+        ]:
+            assert scalar_det(sparse(rows)) == d == leibniz_det(rows)
 
     def test_leaves_its_input_alone(self):
-        rows = [[0, Fraction(1, 2)], [3, 4]]
+        rows = sparse([[0, Fraction(1, 2)], [3, 4]])
         scalar_det(rows)
-        assert rows == [[0, Fraction(1, 2)], [3, 4]]
+        assert rows == sparse([[0, Fraction(1, 2)], [3, 4]])
 
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[
         st.lists(st.lists(st.sampled_from(SCALARS), min_size=n, max_size=n),
@@ -264,13 +290,14 @@ class TestScalarRows:
     @settings(max_examples=80, deadline=None)
     def test_product_matches_laurent_product(self, pair):
         a, b = pair
-        product = row_product(a, b)
+        product = row_product(sparse(a), sparse(b))
         assert product == constant_rows(LaurentMatrix(a) * LaurentMatrix(b))
-        assert all(_exact(c) for row in product for c in row)
+        assert product == sparse(dense_product(a, b))
+        assert all(_exact(c) for row in product for c in row.values())
 
     def test_constant_rows(self):
         m = LaurentMatrix([[1, Fraction(1, 2)], [0, -3]])
-        assert constant_rows(m) == [[1, Fraction(1, 2)], [0, -3]]
+        assert constant_rows(m) == sparse([[1, Fraction(1, 2)], [0, -3]])
         assert constant_rows(LaurentMatrix.diagonal([LaurentPoly.t(1), 1])) is None
         assert constant_rows(LaurentMatrix.diagonal([LaurentPoly.t(-1) + 1, 1])) is None
 

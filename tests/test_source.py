@@ -282,10 +282,12 @@ def test_the_varpi_inverse_series_runs_on_scalar_rows():
     # returns as {column: scalar} rows, so the oracle shares no code with
     # the invert it checks: the series loop calls only that routine and dict
     # and list methods, and names nothing imported from laurent and none of
-    # the suite's Laurent objects past Z; the routine's body names nothing
-    # imported from laurent and calls only builtins and dict and list
-    # methods, so neither makes a LaurentMatrix product or calls a laurent
-    # function.
+    # the suite's Laurent objects past Z.  The routine is a loop over
+    # constant_rows and row_product; the three name nothing imported from
+    # laurent but row_product's scalar normalizer _as_scalar, and call only
+    # builtins, each other and dict and list methods, so none makes a
+    # LaurentMatrix product or calls det, invert, the Bareiss step,
+    # _addmul or _quo.
     laurent = _laurent_imports("verify")
     suite = _function("verify", "suite_varpi")
     bound = {node.id for node in ast.walk(suite)
@@ -302,14 +304,23 @@ def test_the_varpi_inverse_series_runs_on_scalar_rows():
     assert {ast.unparse(f) for f in calls if isinstance(f, ast.Name)} <= {"zip"}
     assert {f.attr for f in calls if isinstance(f, ast.Attribute)} <= {"items", "get", "append"}
 
-    routine = _body(_function("partitions", "nilpotent_powers"))
     laurent = _laurent_imports("partitions")
-    assert {"LaurentMatrix", "_quo"} <= laurent
-    assert not {node.id for node in routine if isinstance(node, ast.Name)} & laurent
-    calls = [node.func for node in routine if isinstance(node, ast.Call)]
-    assert {ast.unparse(f) for f in calls if isinstance(f, ast.Name)} <= {
-        "any", "enumerate", "len", "NotNilpotent"}
-    assert {f.attr for f in calls if isinstance(f, ast.Attribute)} <= {"items", "get", "append"}
+    assert {"LaurentMatrix", "_as_scalar", "_quo"} <= laurent
+    callees = {
+        "nilpotent_powers": {"constant_rows", "row_product", "any", "len", "NotNilpotent"},
+        "constant_rows": {"enumerate", "len"},
+        "row_product": {"_as_scalar"},
+    }
+    for name, allowed in callees.items():
+        routine = _body(_function("partitions", name))
+        names = {node.id for node in routine if isinstance(node, ast.Name)}
+        assert not names & (laurent - {"_as_scalar"})
+        used = names | {node.attr for node in routine if isinstance(node, ast.Attribute)}
+        assert not {n for n in used if n in ("det", "invert", "_addmul", "_quo")
+                    or n.startswith("_bareiss")}
+        calls = [node.func for node in routine if isinstance(node, ast.Call)]
+        assert {ast.unparse(f) for f in calls if isinstance(f, ast.Name)} <= allowed
+        assert {f.attr for f in calls if isinstance(f, ast.Attribute)} <= {"items", "get", "append"}
 
 
 def test_nilpotent_powers_are_formed_in_one_place():
@@ -351,7 +362,7 @@ def test_every_module_has_a_readme_row():
 
 def test_constant_matrices_have_one_elimination():
     # vector_rank and scalar_det read their answers off partitions._echelon,
-    # the one fraction-free elimination on rows of exact scalars, which
+    # the one fraction-free elimination on sparse rows of exact scalars, which
     # divides exactly in the integers and so never calls laurent._quo.
     loops = (ast.For, ast.While, ast.comprehension)
     for name in ("vector_rank", "scalar_det"):
@@ -359,6 +370,21 @@ def test_constant_matrices_have_one_elimination():
         assert not any(isinstance(node, loops) for node in body)
         assert any(isinstance(node, ast.Name) and node.id == "_echelon" for node in body)
     assert "partitions._echelon" not in _callers("_quo")
+
+
+def test_constant_matrices_have_one_form():
+    # A constant matrix is held as sparse rows {column: c} only: in
+    # partitions.py constant_rows is the one reader of a polynomial's terms,
+    # and nilpotent_powers is a loop over constant_rows and row_product with
+    # no loop of its own over entries.
+    tree = ast.parse((PACKAGE / "partitions.py").read_text(encoding="utf-8"))
+    readers = {fn.name for fn in tree.body for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "_terms"}
+    assert readers == {"constant_rows"}
+    body = _body(_function("partitions", "nilpotent_powers"))
+    called = {ast.unparse(node.func) for node in body if isinstance(node, ast.Call)}
+    assert {"constant_rows", "row_product"} <= called
+    assert not any(isinstance(node, (ast.For, ast.comprehension)) for node in body)
 
 
 def test_tests_plant_faults_in_one_place():
